@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-race race check bench bench-full bench-sched bench-baseline bench-compare cluster-smoke stream-smoke experiments experiments-quick train serve fuzz clean
+.PHONY: all build vet test test-race race check bench bench-full bench-sched bench-baseline bench-compare cluster-smoke stream-smoke experiments experiments-quick serve fuzz clean
 
 all: build vet test
 
@@ -78,13 +78,6 @@ experiments:
 
 experiments-quick:
 	$(GO) run ./cmd/mc3bench -quick
-
-# Harvest → train loop for the learned engine selector (docs/SELECTOR.md):
-# harvest race outcomes across the fig3 workloads, then fit model.json and
-# print the regret report. Attach with `-selector model.json` on any CLI.
-train:
-	$(GO) run ./cmd/mc3bench -quick -exp fig3a,fig3b,fig3c,fig3d -stats -features features.jsonl
-	$(GO) run ./cmd/mc3bench -features features.jsonl -train-selector model.json -regret regret.json
 
 # Run the solve daemon locally (POST instances to http://localhost:8080/solve;
 # see docs/SERVING.md for the API and the component-solution cache behind it).

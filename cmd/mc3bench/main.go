@@ -17,7 +17,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -29,7 +28,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/cache"
 	"repro/internal/obs"
-	"repro/internal/selector"
 	"repro/internal/solver"
 )
 
@@ -47,7 +45,7 @@ func run(args []string, out, errw io.Writer) (retErr error) {
 	var (
 		quick    = fs.Bool("quick", false, "run at reduced scale")
 		seed     = fs.Int64("seed", 1, "dataset generation seed")
-		exps     = fs.String("exp", "all", "comma-separated experiments: table1,fig3a,fig3b,fig3c,fig3d,fig3e,fig3f,sched,selector,ablation,all")
+		exps     = fs.String("exp", "all", "comma-separated experiments: table1,fig3a,fig3b,fig3c,fig3d,fig3e,fig3f,sched,ablation,all")
 		repeats  = fs.Int("repeats", 1, "timing repetitions (min reported)")
 		format   = fs.String("format", "text", "output format: text|csv|markdown")
 		asJSON   = fs.Bool("json", false, "emit one JSON report instead of tables (the BENCH_*.json format; implies -stats data when -stats is set)")
@@ -55,10 +53,6 @@ func run(args []string, out, errw io.Writer) (retErr error) {
 		timeout  = fs.Duration("timeout", 0, "abort any individual solve after this wall time (0 = no limit)")
 		stats    = fs.Bool("stats", false, "print accumulated solve statistics after the run")
 		useCache = fs.Bool("cache", false, "share one component-solution cache across every solve of the run and report its hit/miss stats")
-		features = fs.String("features", "", "harvest one JSONL feature record per solved component into this file (see docs/OBSERVABILITY.md)")
-		trainSel = fs.String("train-selector", "", "train a selector model from the -features harvest file (read, not written, in this mode) into this path, print its regret report, and exit without running experiments (see docs/SELECTOR.md)")
-		regret   = fs.String("regret", "", "with -train-selector, also write the regret report as JSON to this path")
-		selPath  = fs.String("selector", "", "load a trained selector model and let it skip confident set-cover engine races in every solve (see docs/SELECTOR.md)")
 		streamN  = fs.Int64("stream", 0, "query count for the streaming experiments (stream-gap/stream-mem; 0 = suite default, 1M full / 50k quick)")
 		parts    = fs.Int("partitions", 0, "partition count for the streamed synthetic load (0 = suite default)")
 		gaps     = fs.String("gap", "", "comma-separated certified-gap targets for stream-gap (e.g. 0,0.02,0.1; 0 = exact arm)")
@@ -68,12 +62,6 @@ func run(args []string, out, errw io.Writer) (retErr error) {
 	obsCfg.RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *trainSel != "" {
-		if *features == "" {
-			return fmt.Errorf("-train-selector requires -features naming the harvest JSONL to train from")
-		}
-		return trainSelector(*features, *trainSel, *regret, out)
 	}
 	obsCLI, err := obsCfg.Start()
 	if err != nil {
@@ -148,43 +136,20 @@ func run(args []string, out, errw io.Writer) (retErr error) {
 	if *useCache {
 		cfg.Cache = cache.New(cache.Config{})
 	}
-	if *selPath != "" {
-		model, err := selector.Load(*selPath)
-		if err != nil {
-			return err
-		}
-		cfg.Selector = model
-	}
-	var harvest *obs.HarvestSink
-	if *features != "" {
-		f, err := os.Create(*features)
-		if err != nil {
-			return fmt.Errorf("-features: %w", err)
-		}
-		defer func() {
-			if cerr := f.Close(); cerr != nil && retErr == nil {
-				retErr = cerr
-			}
-		}()
-		harvest = obs.NewHarvestSink(f, "mc3bench")
-		cfg.Tracer = cfg.Tracer.WithSink(harvest)
-		cfg.FeatureAttrs = true
-	}
 
 	runners := map[string]func(bench.Config) (*bench.Table, error){
-		"table1":   bench.Table1,
-		"fig3a":    bench.Figure3a,
-		"fig3b":    bench.Figure3b,
-		"fig3c":    bench.Figure3c,
-		"fig3d":    bench.Figure3d,
-		"fig3e":    bench.Figure3e,
-		"fig3f":    bench.Figure3f,
+		"table1":     bench.Table1,
+		"fig3a":      bench.Figure3a,
+		"fig3b":      bench.Figure3b,
+		"fig3c":      bench.Figure3c,
+		"fig3d":      bench.Figure3d,
+		"fig3e":      bench.Figure3e,
+		"fig3f":      bench.Figure3f,
 		"sched":      bench.ParallelScaling,
-		"selector":   bench.SelectorBench,
 		"stream-gap": bench.StreamGap,
 		"stream-mem": bench.StreamMem,
 	}
-	order := []string{"table1", "fig3a", "fig3b", "fig3c", "fig3d", "fig3e", "fig3f", "sched", "selector"}
+	order := []string{"table1", "fig3a", "fig3b", "fig3c", "fig3d", "fig3e", "fig3f", "sched"}
 
 	var selected []string
 	wantAblation := false
@@ -274,44 +239,6 @@ func run(args []string, out, errw io.Writer) (retErr error) {
 				st.Hits, st.Misses, 100*st.HitRate(), st.Entries, st.Evictions)
 		}
 	}
-	if harvest != nil {
-		fmt.Fprintf(errw, "mc3bench: %d feature records -> %s (%d dropped)\n",
-			harvest.Records(), *features, harvest.Dropped())
-	}
 	fmt.Fprintf(errw, "mc3bench: total %v\n", time.Since(start).Round(time.Millisecond))
-	return nil
-}
-
-// trainSelector implements -train-selector: read a harvest, fit a model,
-// write it, and print (and optionally persist) the regret report.
-func trainSelector(featuresPath, modelPath, regretPath string, out io.Writer) error {
-	f, err := os.Open(featuresPath)
-	if err != nil {
-		return fmt.Errorf("-features: %w", err)
-	}
-	defer f.Close()
-	comps, _, err := obs.ReadHarvestRecords(f)
-	if err != nil {
-		return err
-	}
-	model, report, err := selector.Train(comps, selector.DefaultTrainConfig())
-	if err != nil {
-		return err
-	}
-	if err := model.Save(modelPath); err != nil {
-		return err
-	}
-	fmt.Fprint(out, report.Render())
-	fmt.Fprintf(out, "selector: model -> %s\n", modelPath)
-	if regretPath != "" {
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(regretPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "selector: regret report -> %s\n", regretPath)
-	}
 	return nil
 }

@@ -49,7 +49,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/incr"
 	"repro/internal/obs"
-	"repro/internal/selector"
 	"repro/internal/solver"
 	"repro/internal/textio"
 )
@@ -86,8 +85,6 @@ func run(args []string, out, errw io.Writer) (retErr error) {
 		asJSON      = fs.Bool("json", false, "emit the BENCH_*.json report format")
 		outPath     = fs.String("out", "", "output file (default stdout)")
 		seed        = fs.Int64("seed", 0, "seed recorded in the JSON report")
-		features    = fs.String("features", "", "harvest one JSONL feature record per applied batch into this file (see docs/OBSERVABILITY.md)")
-		selPath     = fs.String("selector", "", "trained selector model (mc3bench -train-selector): skips confident set-cover engine races in re-solves (see docs/SELECTOR.md)")
 
 		clusterMode   = fs.Bool("cluster", false, "replay -stream as a session bundle against a sharded cluster, differential-checking every batch (see docs/CLUSTER.md)")
 		routerURL     = fs.String("router", "", "cluster: replay against this running router instead of booting an in-process harness")
@@ -166,28 +163,9 @@ func run(args []string, out, errw io.Writer) (retErr error) {
 		}
 	}
 	tracer := obsCLI.Tracer
-	if *features != "" {
-		f, err := os.Create(*features)
-		if err != nil {
-			return fmt.Errorf("-features: %w", err)
-		}
-		defer func() {
-			if cerr := f.Close(); cerr != nil && retErr == nil {
-				retErr = cerr
-			}
-		}()
-		tracer = tracer.WithSink(obs.NewHarvestSink(f, "mc3replay"))
-	}
 	opts := solver.DefaultOptions()
 	opts.Validate = *validate
 	opts.Parallelism = *parallel
-	if *selPath != "" {
-		model, err := selector.Load(*selPath)
-		if err != nil {
-			return err
-		}
-		opts.Selector = model
-	}
 	engine, err := incr.New(incr.Config{
 		Costs:    cm,
 		Universe: u,
@@ -252,9 +230,10 @@ func readStream(path string) ([]incr.Delta, error) {
 // replay applies the stream batch by batch. With baseline set, every batch
 // is followed by a from-scratch solve of the materialized load under the
 // same options, and the two costs must agree exactly. Each batch runs under
-// a "replay.batch" span carrying the batch index, sizes, and timings, so the
-// engine's "incr.apply" span nests under it and trace consumers (the feature
-// harvester in particular) see replay runs with full batch context.
+// a "replay.batch" span carrying the batch index, sizes, and timings
+// (incremental_ns, and baseline_ns when the baseline runs), so the engine's
+// "incr.apply" span nests under it and a -spans trace shows replay runs with
+// full batch context.
 func replay(ctx context.Context, engine *incr.Engine, tracer *obs.Tracer, deltas []incr.Delta, window float64, algo string, opts solver.Options, baseline bool) ([]batchStat, error) {
 	var stats []batchStat
 	for lo := 0; lo < len(deltas); {

@@ -203,58 +203,6 @@ func TestReplayErrors(t *testing.T) {
 	}
 }
 
-// TestReplayFeatureHarvest checks the -features wiring: every applied batch
-// yields one "apply" JSONL record carrying the batch index and — with the
-// baseline enabled — the from-scratch timing, so replay runs feed the same
-// harvest pipeline as mc3bench and mc3serve.
-func TestReplayFeatureHarvest(t *testing.T) {
-	featPath := filepath.Join(t.TempDir(), "features.jsonl")
-	var out bytes.Buffer
-	err := run([]string{"-stream", sparseStream(t), "-window", "1", "-features", featPath}, &out, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(featPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
-	applies := 0
-	for i, line := range lines {
-		var rec struct {
-			Kind          string `json:"kind"`
-			Source        string `json:"source"`
-			Batch         *int64 `json:"batch"`
-			Deltas        int64  `json:"deltas"`
-			Nanos         int64  `json:"ns"`
-			BaselineNanos int64  `json:"baseline_ns"`
-		}
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			t.Fatalf("line %d not JSON: %v", i, err)
-		}
-		if rec.Source != "mc3replay" {
-			t.Errorf("line %d source = %q", i, rec.Source)
-		}
-		if rec.Kind != "apply" {
-			continue // component records from per-component re-solves are fine
-		}
-		if rec.Batch == nil || *rec.Batch != int64(applies) {
-			t.Errorf("apply %d has batch %v, want %d", applies, rec.Batch, applies)
-		}
-		if rec.Deltas <= 0 {
-			t.Errorf("apply %d has no deltas", applies)
-		}
-		if rec.BaselineNanos <= 0 {
-			t.Errorf("apply %d lacks the baseline timing", applies)
-		}
-		applies++
-	}
-	// sparseStream batches at t=0,2,4,6,8 under -window 1.
-	if applies != 5 {
-		t.Errorf("harvested %d apply records, want 5:\n%s", applies, raw)
-	}
-}
-
 // clusterBundle writes a small two-session bundle to a temp file.
 func clusterBundle(t *testing.T) string {
 	t.Helper()

@@ -50,8 +50,7 @@
 // Every solving endpoint propagates X-Request-ID (honored inbound, echoed
 // outbound, generated when absent) and runs under a root span retained by an
 // in-memory flight recorder (-flight); slow or failed requests are
-// additionally appended to -slow-log as JSONL. -feature-log harvests one
-// feature record per solved component (docs/OBSERVABILITY.md).
+// additionally appended to -slow-log as JSONL.
 //
 // During shutdown drain, new requests are answered 503 with a Retry-After
 // header while in-flight requests complete; -drain-grace holds the listener
@@ -102,20 +101,19 @@ func run(args []string, logw io.Writer) (retErr error) {
 	var (
 		addr       = fs.String("addr", ":8080", "listen address")
 		slowLog    = fs.String("slow-log", "", "append a JSONL record with the full span tree of every slow or failed request to this file")
-		featureLog = fs.String("feature-log", "", "harvest one JSONL feature record per solved component into this file (see docs/OBSERVABILITY.md)")
 		drainGrace = fs.Duration("drain-grace", 0, "hold the listener open this long after /readyz flips to 503 on shutdown, so health probers notice before connections refuse")
 
 		// Router mode.
-		route          = fs.String("route", "", "comma-separated shard addresses: run as a cluster router instead of a solve server (see docs/CLUSTER.md)")
-		vnodes         = fs.Int("vnodes", cluster.DefaultVNodes, "router: virtual nodes per shard on the consistent-hash ring")
-		hedgeQuantile  = fs.Float64("hedge-quantile", 0, "router: hedge stateless solves after this observed latency quantile, e.g. 0.95 (0 disables hedging)")
-		hedgeMin       = fs.Duration("hedge-min", 2*time.Millisecond, "router: minimum hedge delay")
-		retries        = fs.Int("retries", 3, "router: total attempts per idempotent request across replicas")
-		retryBackoff   = fs.Duration("retry-backoff", 5*time.Millisecond, "router: initial exponential backoff between retries")
-		retryBudget    = fs.Float64("retry-budget", 0.2, "router: sustained retries-per-request ratio allowed")
-		probeInterval  = fs.Duration("probe-interval", 500*time.Millisecond, "router: shard /readyz probing period (0 disables)")
-		breakerFails   = fs.Int("breaker-failures", 3, "router: consecutive failures opening a shard's circuit breaker")
-		boundedLoad    = fs.Float64("bounded-load", 0, "router: bounded-load factor c (skip shards above c x mean in-flight + 1; 0 = strict hashing)")
+		route         = fs.String("route", "", "comma-separated shard addresses: run as a cluster router instead of a solve server (see docs/CLUSTER.md)")
+		vnodes        = fs.Int("vnodes", cluster.DefaultVNodes, "router: virtual nodes per shard on the consistent-hash ring")
+		hedgeQuantile = fs.Float64("hedge-quantile", 0, "router: hedge stateless solves after this observed latency quantile, e.g. 0.95 (0 disables hedging)")
+		hedgeMin      = fs.Duration("hedge-min", 2*time.Millisecond, "router: minimum hedge delay")
+		retries       = fs.Int("retries", 3, "router: total attempts per idempotent request across replicas")
+		retryBackoff  = fs.Duration("retry-backoff", 5*time.Millisecond, "router: initial exponential backoff between retries")
+		retryBudget   = fs.Float64("retry-budget", 0.2, "router: sustained retries-per-request ratio allowed")
+		probeInterval = fs.Duration("probe-interval", 500*time.Millisecond, "router: shard /readyz probing period (0 disables)")
+		breakerFails  = fs.Int("breaker-failures", 3, "router: consecutive failures opening a shard's circuit breaker")
+		boundedLoad   = fs.Float64("bounded-load", 0, "router: bounded-load factor c (skip shards above c x mean in-flight + 1; 0 = strict hashing)")
 	)
 	fs.StringVar(&cfg.Algo, "algo", cfg.Algo, "algorithm: auto|ktwo|general|short-first|portfolio")
 	fs.StringVar(&cfg.WSC, "wsc", cfg.WSC, "Algorithm 3 set-cover engine: auto|greedy|primal-dual|lp-rounding|auto-lp")
@@ -131,7 +129,6 @@ func run(args []string, logw io.Writer) (retErr error) {
 	fs.IntVar(&cfg.MaxSessions, "max-sessions", cfg.MaxSessions, "maximum live incremental sessions")
 	fs.IntVar(&cfg.Flight, "flight", cfg.Flight, "span trees retained by the in-memory flight recorder, served at /debug/requests (0 disables)")
 	fs.DurationVar(&cfg.SlowThreshold, "slow-threshold", cfg.SlowThreshold, "requests at or above this latency are captured in -slow-log")
-	fs.StringVar(&cfg.SelectorPath, "selector", "", "trained selector model (mc3bench -train-selector): skips confident set-cover engine races and informs -algo auto dispatch (see docs/SELECTOR.md)")
 	var obsCfg obs.CLIConfig
 	obsCfg.RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -140,14 +137,8 @@ func run(args []string, logw io.Writer) (retErr error) {
 	if *slowLog != "" && cfg.Flight <= 0 {
 		return fmt.Errorf("-slow-log requires the flight recorder (-flight > 0)")
 	}
-	for _, f := range []struct {
-		path string
-		dst  *io.Writer
-	}{{*slowLog, &cfg.SlowW}, {*featureLog, &cfg.FeatureW}} {
-		if f.path == "" {
-			continue
-		}
-		w, err := os.OpenFile(f.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if *slowLog != "" {
+		w, err := os.OpenFile(*slowLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return err
 		}
@@ -156,7 +147,7 @@ func run(args []string, logw io.Writer) (retErr error) {
 				retErr = cerr
 			}
 		}()
-		*f.dst = w
+		cfg.SlowW = w
 	}
 
 	obsCLI, err := obsCfg.Start()

@@ -25,11 +25,9 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/bipartite"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/prep"
-	"repro/internal/selector"
 	"repro/internal/solver"
 	"repro/internal/textio"
 	"repro/internal/workload"
@@ -66,7 +64,6 @@ func run(args []string, out io.Writer) (retErr error) {
 		explain  = fs.Bool("explain", false, "print, per query, the classifiers assigned to answer it")
 		timeout  = fs.Duration("timeout", 0, "abort the solve after this wall time (e.g. 500ms, 2s; 0 = no limit)")
 		stats    = fs.Bool("stats", false, "print solve statistics (phase timings, components, engine choices)")
-		selPath  = fs.String("selector", "", "trained selector model (mc3bench -train-selector): skips confident set-cover engine races and informs -algo auto dispatch (see docs/SELECTOR.md)")
 	)
 	var obsCfg obs.CLIConfig
 	obsCfg.RegisterFlags(fs)
@@ -92,7 +89,7 @@ func run(args []string, out io.Writer) (retErr error) {
 		fmt.Fprintf(os.Stderr, "mc3solve: debug server on http://%s\n", obsCLI.DebugAddr)
 	}
 
-	opts, err := buildOptions(*wsc, *prepStr, *engine)
+	opts, err := solver.ParseOptions(*wsc, *prepStr, *engine)
 	if err != nil {
 		return err
 	}
@@ -100,13 +97,6 @@ func run(args []string, out io.Writer) (retErr error) {
 	opts.Validate = true
 	opts.Timeout = *timeout
 	opts.Tracer = obsCLI.Tracer
-	if *selPath != "" {
-		model, err := selector.Load(*selPath)
-		if err != nil {
-			return err
-		}
-		opts.Selector = model
-	}
 	if *gap < 0 {
 		return fmt.Errorf("-gap must be ≥ 0, got %v", *gap)
 	}
@@ -340,48 +330,10 @@ func writeJSONSolution(out io.Writer, inst *core.Instance, sol *core.Solution, e
 	return enc.Encode(doc)
 }
 
-func buildOptions(wsc, prepStr, engine string) (solver.Options, error) {
-	opts := solver.DefaultOptions()
-	switch wsc {
-	case "auto":
-		opts.WSC = solver.WSCAuto
-	case "greedy":
-		opts.WSC = solver.WSCGreedy
-	case "primal-dual":
-		opts.WSC = solver.WSCPrimalDual
-	case "lp-rounding":
-		opts.WSC = solver.WSCLPRounding
-	case "auto-lp":
-		opts.WSC = solver.WSCAutoLP
-	default:
-		return opts, fmt.Errorf("unknown -wsc %q", wsc)
-	}
-	switch prepStr {
-	case "full":
-		opts.Prep = prep.Full
-	case "minimal":
-		opts.Prep = prep.Minimal
-	default:
-		return opts, fmt.Errorf("unknown -prep %q", prepStr)
-	}
-	switch engine {
-	case "dinic":
-		opts.Engine = bipartite.Dinic
-	case "push-relabel":
-		opts.Engine = bipartite.PushRelabel
-	case "capacity-scaling":
-		opts.Engine = bipartite.CapacityScaling
-	default:
-		return opts, fmt.Errorf("unknown -engine %q", engine)
-	}
-	return opts, nil
-}
-
 func pickAlgorithm(name string, inst *core.Instance) (solver.Func, error) {
 	switch name {
 	case "auto":
-		// solver.Auto applies the k ≤ 2 gate per instance and consults the
-		// dispatch head of a loaded selector model when one is attached.
+		// solver.Auto applies the k ≤ 2 gate per instance.
 		return solver.Auto, nil
 	case "ktwo":
 		return solver.KTwo, nil

@@ -50,14 +50,6 @@ type Config struct {
 	// same dataset at growing subset sizes re-meet components, so the
 	// hit/miss counters quantify real-workload amortization.
 	Cache *cache.Cache
-	// FeatureAttrs, when set, stamps each solve's root span with the
-	// instance parameter analysis (see solver.Options.FeatureAttrs) so an
-	// attached harvesting sink can emit feature records.
-	FeatureAttrs bool
-	// Selector, when non-nil, replaces the set-cover engine race with a
-	// confident learned prediction in every solve of the run (see
-	// solver.Options.Selector).
-	Selector solver.Selector
 	// StreamQueries is the query count of the streaming experiments
 	// (stream-gap / stream-mem — not part of "all"; see StreamGap and
 	// StreamMem).
@@ -82,8 +74,6 @@ func (c Config) SolverOptions() solver.Options {
 	opts.Stats = c.Stats
 	opts.Tracer = c.Tracer
 	opts.Cache = c.Cache
-	opts.FeatureAttrs = c.FeatureAttrs
-	opts.Selector = c.Selector
 	return opts
 }
 

@@ -56,14 +56,14 @@ type ReplayConfig struct {
 
 // BatchRecord is one replayed batch's outcome.
 type BatchRecord struct {
-	Session     string  `json:"session"`
-	Batch       int     `json:"batch"`
-	Time        float64 `json:"time"` // stream time of the batch's first event
-	Deltas      int     `json:"deltas"`
-	Cost        float64 `json:"cost"`            // cluster-reported == shadow cost
-	RouterSecs  float64 `json:"router_seconds"`  // HTTP round-trip through the router
-	ShadowSecs  float64 `json:"shadow_seconds"`  // local shadow apply
-	Reloaded    bool    `json:"reloaded"`        // batch delivered via a failover reload
+	Session    string  `json:"session"`
+	Batch      int     `json:"batch"`
+	Time       float64 `json:"time"` // stream time of the batch's first event
+	Deltas     int     `json:"deltas"`
+	Cost       float64 `json:"cost"`           // cluster-reported == shadow cost
+	RouterSecs float64 `json:"router_seconds"` // HTTP round-trip through the router
+	ShadowSecs float64 `json:"shadow_seconds"` // local shadow apply
+	Reloaded   bool    `json:"reloaded"`       // batch delivered via a failover reload
 	// RemoteSession is the routed session ID after the batch ("c<shard>-…",
 	// so the owning shard is readable from the prefix).
 	RemoteSession string `json:"remote_session"`
@@ -101,9 +101,9 @@ func ReplayBundle(ctx context.Context, cfg ReplayConfig, sessions []incr.Session
 	}
 
 	var (
-		mu      sync.Mutex
-		records = make(map[string][]BatchRecord, len(sessions))
-		reloads int
+		mu       sync.Mutex
+		records  = make(map[string][]BatchRecord, len(sessions))
+		reloads  int
 		firstErr error
 	)
 	sem := make(chan struct{}, cfg.Concurrency)

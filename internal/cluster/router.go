@@ -116,7 +116,7 @@ func (c RouterConfig) withDefaults() RouterConfig {
 
 // shardState is the router's per-shard health and accounting record.
 type shardState struct {
-	addr     string // base URL, e.g. "http://127.0.0.1:9101"
+	addr     string       // base URL, e.g. "http://127.0.0.1:9101"
 	open     atomic.Bool  // circuit breaker: true = not routable
 	fails    atomic.Int32 // consecutive failures (requests + probes)
 	inflight atomic.Int64

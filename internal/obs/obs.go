@@ -66,8 +66,8 @@ type Event struct {
 	Parent uint64
 	// Root is the ID of the span tree's root (Root == ID for root spans).
 	// Since sinks see children before parents, tree-assembling consumers
-	// (the flight recorder, the feature harvester) group events by Root
-	// instead of chasing Parent links that haven't arrived yet.
+	// (the flight recorder) group events by Root instead of chasing Parent
+	// links that haven't arrived yet.
 	Root uint64
 	// Start is when the span was opened.
 	Start time.Time

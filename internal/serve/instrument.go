@@ -17,6 +17,9 @@ import (
 //     request ID, and threads it through the request context so the solver
 //     and incremental-engine spans nest under it — the flight recorder
 //     retains the whole tree, /debug/trace/{id} serves it back;
+//   - counts the request in the server-wide totals (/stats "requests",
+//     mc3serve_requests_total) — the one place requests are counted, so
+//     every error fail() counts belongs to a counted request;
 //   - records RED metrics per endpoint × status class
 //     (mc3serve_http_requests_total, mc3serve_http_errors_total,
 //     mc3serve_http_request_seconds).
@@ -29,7 +32,10 @@ import (
 // path does no registry lookups).
 func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	em := s.newEndpointMetrics(endpoint)
+	total := s.registry.Counter("mc3serve_requests_total")
 	return func(w http.ResponseWriter, r *http.Request) {
+		s.requests.Add(1)
+		total.Inc()
 		reqID := r.Header.Get("X-Request-ID")
 		if reqID == "" {
 			reqID = s.newRequestID()

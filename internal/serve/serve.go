@@ -20,12 +20,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/bipartite"
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/prep"
-	"repro/internal/selector"
 	"repro/internal/solver"
 	"repro/internal/textio"
 )
@@ -50,34 +47,30 @@ type Config struct {
 	MaxLoadQueries int
 	Validate       bool
 	MaxSessions    int
-	Flight       int // span trees retained by the flight recorder (0 disables)
-	SelectorPath string
+	Flight         int // span trees retained by the flight recorder (0 disables)
 
 	// SlowW, when non-nil, receives the slow/failed-request JSONL stream
 	// (requires Flight > 0); SlowThreshold is the capture latency bound.
 	SlowW         io.Writer
 	SlowThreshold time.Duration
-	// FeatureW, when non-nil, receives the per-component feature JSONL
-	// stream.
-	FeatureW io.Writer
 }
 
 // DefaultConfig returns the configuration matching mc3serve's flag defaults.
 func DefaultConfig() Config {
 	return Config{
-		Algo:          "auto",
-		WSC:           "auto",
-		Prep:          "full",
-		Engine:        "dinic",
-		Parallel:      -1,
-		CacheSize:     cache.DefaultMaxEntries,
+		Algo:           "auto",
+		WSC:            "auto",
+		Prep:           "full",
+		Engine:         "dinic",
+		Parallel:       -1,
+		CacheSize:      cache.DefaultMaxEntries,
 		ReqTimeout:     30 * time.Second,
 		MaxBody:        8 << 20,
 		MaxLoadQueries: 100_000,
 		Validate:       true,
-		MaxSessions:   64,
-		Flight:        256,
-		SlowThreshold: time.Second,
+		MaxSessions:    64,
+		Flight:         256,
+		SlowThreshold:  time.Second,
 	}
 }
 
@@ -90,7 +83,6 @@ type Server struct {
 	registry *obs.Registry
 	tracer   *obs.Tracer         // the request tracer (== opts.Tracer)
 	flight   *obs.FlightRecorder // nil when Flight == 0
-	harvest  *obs.HarvestSink    // nil when no FeatureW
 	mux      *http.ServeMux
 	started  time.Time
 	bootID   string // request-ID prefix, unique per process
@@ -111,10 +103,11 @@ type Server struct {
 // New validates cfg and assembles the handler. The tracer (nil for none)
 // receives every request's span tree in addition to the server's own sinks.
 func New(cfg Config, tracer *obs.Tracer) (*Server, error) {
-	opts, err := buildOptions(cfg)
+	opts, err := solver.ParseOptions(cfg.WSC, cfg.Prep, cfg.Engine)
 	if err != nil {
 		return nil, err
 	}
+	opts.Parallelism = cfg.Parallel
 	if err := checkAlgo(cfg.Algo); err != nil {
 		return nil, err
 	}
@@ -141,20 +134,15 @@ func New(cfg Config, tracer *obs.Tracer) (*Server, error) {
 	s.opts.Cache = s.cache
 
 	// The request tracer: caller sinks (-spans etc.), then the flight
-	// recorder and the feature harvester, then the metrics registry. One
-	// tracer serves every request; the per-request root span opened by
-	// instrument() fans out to all of them.
+	// recorder, then the metrics registry. One tracer serves every request;
+	// the per-request root span opened by instrument() fans out to all of
+	// them.
 	if cfg.Flight > 0 {
 		s.flight = obs.NewFlightRecorder(cfg.Flight)
 		if cfg.SlowW != nil {
 			s.flight.SetSlowLog(cfg.SlowW, cfg.SlowThreshold)
 		}
 		tracer = tracer.WithSink(s.flight)
-	}
-	if cfg.FeatureW != nil {
-		s.harvest = obs.NewHarvestSink(cfg.FeatureW, "mc3serve")
-		tracer = tracer.WithSink(s.harvest)
-		s.opts.FeatureAttrs = true
 	}
 	s.opts.Tracer = tracer.WithMetrics(reg)
 	s.tracer = s.opts.Tracer
@@ -286,9 +274,6 @@ func (s *Server) failParse(w http.ResponseWriter, err error) {
 // handleSolve answers POST /solve: parse the instance, solve it under the
 // request's deadline with the shared cache, answer JSON.
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	s.registry.Counter("mc3serve_requests_total").Inc()
-
 	file, err := s.readInstance(w, r)
 	if err != nil {
 		s.failParse(w, err)
@@ -299,7 +284,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusUnprocessableEntity, fmt.Errorf("build instance: %w", err))
 		return
 	}
-	fn, algoName := pickAlgorithm(s.cfg.Algo, inst, s.opts)
+	fn, algoName := pickAlgorithm(s.cfg.Algo, inst)
 
 	// The solve runs under the request context — a dropped connection
 	// cancels it — additionally bounded by the configured timeout. The
@@ -416,53 +401,6 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc.Encode(v)
 }
 
-// buildOptions translates the configuration strings into solver options
-// (same vocabulary as mc3solve).
-func buildOptions(cfg Config) (solver.Options, error) {
-	opts := solver.DefaultOptions()
-	switch cfg.WSC {
-	case "auto":
-		opts.WSC = solver.WSCAuto
-	case "greedy":
-		opts.WSC = solver.WSCGreedy
-	case "primal-dual":
-		opts.WSC = solver.WSCPrimalDual
-	case "lp-rounding":
-		opts.WSC = solver.WSCLPRounding
-	case "auto-lp":
-		opts.WSC = solver.WSCAutoLP
-	default:
-		return opts, fmt.Errorf("unknown -wsc %q", cfg.WSC)
-	}
-	switch cfg.Prep {
-	case "full":
-		opts.Prep = prep.Full
-	case "minimal":
-		opts.Prep = prep.Minimal
-	default:
-		return opts, fmt.Errorf("unknown -prep %q", cfg.Prep)
-	}
-	switch cfg.Engine {
-	case "dinic":
-		opts.Engine = bipartite.Dinic
-	case "push-relabel":
-		opts.Engine = bipartite.PushRelabel
-	case "capacity-scaling":
-		opts.Engine = bipartite.CapacityScaling
-	default:
-		return opts, fmt.Errorf("unknown -engine %q", cfg.Engine)
-	}
-	opts.Parallelism = cfg.Parallel
-	if cfg.SelectorPath != "" {
-		model, err := selector.Load(cfg.SelectorPath)
-		if err != nil {
-			return opts, err
-		}
-		opts.Selector = model
-	}
-	return opts, nil
-}
-
 // checkAlgo validates the algorithm name once at startup (resolution still
 // happens per request, since "auto" depends on the instance).
 func checkAlgo(name string) error {
@@ -474,11 +412,9 @@ func checkAlgo(name string) error {
 }
 
 // pickAlgorithm resolves the configured algorithm against an instance. The
-// "auto" gate mirrors solver.Auto — static k ≤ 2 dispatch, overridable
-// toward the general solver by a confident dispatch prediction from a
-// loaded selector model — but is unrolled here so the chosen label reaches
-// the per-request metrics.
-func pickAlgorithm(name string, inst *core.Instance, opts solver.Options) (solver.Func, string) {
+// "auto" gate mirrors solver.Auto — static k ≤ 2 dispatch — but is unrolled
+// here so the chosen label reaches the response.
+func pickAlgorithm(name string, inst *core.Instance) (solver.Func, string) {
 	switch name {
 	case "ktwo":
 		return solver.KTwo, "ktwo"
@@ -491,17 +427,6 @@ func pickAlgorithm(name string, inst *core.Instance, opts solver.Options) (solve
 	default: // "auto", validated at startup
 		if inst.MaxQueryLen() > 2 {
 			return solver.General, "general"
-		}
-		if ds, ok := opts.Selector.(solver.DispatchSelector); ok {
-			f := solver.DispatchFeatures{
-				Queries:     inst.NumQueries(),
-				Classifiers: inst.NumClassifiers(),
-				MaxQueryLen: inst.MaxQueryLen(),
-				SumQueryLen: inst.SumQueryLen(),
-			}
-			if algo, _, ok := ds.PredictDispatch(f); ok && algo == solver.AlgoGeneral {
-				return solver.General, "general"
-			}
 		}
 		return solver.KTwo, "ktwo"
 	}

@@ -5,9 +5,13 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/solver"
+	"repro/internal/workload"
 )
 
 // testServer builds a handler with the default configuration, tweaked by fn.
@@ -74,6 +78,39 @@ func TestSolveEndpoint(t *testing.T) {
 	}
 	if resp.Algorithm != "general" {
 		t.Errorf("algorithm = %q, want general (max query length 3)", resp.Algorithm)
+	}
+}
+
+// TestPickAlgorithmAutoGate: the "auto" label follows solver.Auto's static
+// k ≤ 2 gate, and the picked solver returns Auto's solution.
+func TestPickAlgorithmAutoGate(t *testing.T) {
+	d := workload.Synthetic(200, 4)
+	for _, tc := range []struct {
+		d    *workload.Dataset
+		want string
+	}{
+		{d.ShortSlice(), "ktwo"},
+		{d, "general"},
+	} {
+		inst, err := tc.d.Instance()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fn, label := pickAlgorithm("auto", inst)
+		if label != tc.want {
+			t.Errorf("max query length %d: auto picked %q, want %q", inst.MaxQueryLen(), label, tc.want)
+		}
+		got, err := fn(inst, solver.DefaultOptions())
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		want, err := solver.Auto(inst, solver.DefaultOptions())
+		if err != nil {
+			t.Fatalf("solver.Auto: %v", err)
+		}
+		if got.Cost != want.Cost || !slices.Equal(got.Selected, want.Selected) {
+			t.Errorf("%s: cost %v, solver.Auto %v", label, got.Cost, want.Cost)
+		}
 	}
 }
 

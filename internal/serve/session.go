@@ -146,9 +146,6 @@ func (s *Server) sessionAlgo(r *http.Request) (string, error) {
 // handleLoad answers POST /load: parse an instance, install it as a fresh
 // incremental session, and solve it.
 func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	s.registry.Counter("mc3serve_requests_total").Inc()
-
 	algo, err := s.sessionAlgo(r)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
@@ -206,9 +203,6 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 
 // handleDelta answers POST /session/{id}/delta.
 func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	s.registry.Counter("mc3serve_requests_total").Inc()
-
 	sess := s.sessions.get(r.PathValue("id"))
 	if sess == nil {
 		s.fail(w, http.StatusNotFound, fmt.Errorf("unknown session %q", r.PathValue("id")))
@@ -240,7 +234,6 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 
 // handleSolution answers GET /session/{id}/solution.
 func (s *Server) handleSolution(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
 	sess := s.sessions.get(r.PathValue("id"))
 	if sess == nil {
 		s.fail(w, http.StatusNotFound, fmt.Errorf("unknown session %q", r.PathValue("id")))
@@ -259,7 +252,6 @@ func (s *Server) handleSolution(w http.ResponseWriter, r *http.Request) {
 
 // handleSessionDelete answers DELETE /session/{id}.
 func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
 	if !s.sessions.drop(r.PathValue("id")) {
 		s.fail(w, http.StatusNotFound, fmt.Errorf("unknown session %q", r.PathValue("id")))
 		return

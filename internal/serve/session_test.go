@@ -174,6 +174,46 @@ func TestSessionStatsSurface(t *testing.T) {
 	}
 }
 
+// TestRequestCountsOncePerRequest: every instrumented request is counted
+// exactly once, in /stats and mc3serve_requests_total alike, so errors can
+// never outnumber the requests that failed.
+func TestRequestCountsOncePerRequest(t *testing.T) {
+	s := testServer(t, nil)
+	check := func(step string, requests, errs int64) {
+		t.Helper()
+		var st statsResponse
+		if rec := doJSON(t, s, http.MethodGet, "/stats", "", &st); rec.Code != http.StatusOK {
+			t.Fatalf("%s: /stats: %d", step, rec.Code)
+		}
+		if st.Requests != requests || st.Errors != errs {
+			t.Errorf("%s: /stats requests=%d errors=%d, want %d/%d", step, st.Requests, st.Errors, requests, errs)
+		}
+		total := s.registry.Counter("mc3serve_requests_total").Value()
+		failed := s.registry.Counter("mc3serve_errors_total").Value()
+		if total != requests || failed != errs {
+			t.Errorf("%s: mc3serve_requests_total=%d mc3serve_errors_total=%d, want %d/%d", step, total, failed, requests, errs)
+		}
+	}
+	send := func(method, path, body string, code int) {
+		t.Helper()
+		if rec := doJSON(t, s, method, path, body, nil); rec.Code != code {
+			t.Fatalf("%s %s: status %d, want %d: %s", method, path, rec.Code, code, rec.Body)
+		}
+	}
+
+	send(http.MethodGet, "/session/nope/solution", "", http.StatusNotFound)
+	send(http.MethodDelete, "/session/nope", "", http.StatusNotFound)
+	check("after two 404s", 2, 2)
+
+	// The successful flows still count one request each.
+	send(http.MethodPost, "/solve", paperInstance, http.StatusOK)
+	id := "/session/" + createSession(t, s, paperInstance).Session
+	send(http.MethodPost, id+"/delta", `{"deltas":[{"op":"add","props":["team:chelsea"]}]}`, http.StatusOK)
+	send(http.MethodGet, id+"/solution", "", http.StatusOK)
+	send(http.MethodDelete, id, "", http.StatusNoContent)
+	check("after solve, load, delta, solution, delete", 7, 2)
+}
+
 func TestDrainAnswers503WithRetryAfter(t *testing.T) {
 	s := testServer(t, nil)
 	s.draining.Store(true)

@@ -16,8 +16,8 @@ import (
 )
 
 // Tests for the request-scoped observability layer: request-ID propagation,
-// the flight recorder's debug endpoints, tail-based slow/error capture, RED
-// metrics, and the serve-path feature harvester.
+// the flight recorder's debug endpoints, tail-based slow/error capture, and
+// RED metrics.
 
 // get answers a GET against the handler.
 func get(t *testing.T, s *Server, path string) *httptest.ResponseRecorder {
@@ -302,49 +302,6 @@ func TestErrorCapture(t *testing.T) {
 	}
 	if tr.Err == "" {
 		t.Errorf("retained error trace has no err: %s", trRec.Body)
-	}
-}
-
-func TestServeFeatureLog(t *testing.T) {
-	var buf bytes.Buffer
-	s := testServer(t, func(c *Config) { c.FeatureW = &buf })
-
-	req := httptest.NewRequest(http.MethodPost, "/solve", strings.NewReader(paperInstance))
-	req.Header.Set("X-Request-ID", "harvested")
-	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, req)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("solve: %d: %s", rec.Code, rec.Body)
-	}
-
-	type featRec struct {
-		Kind      string         `json:"kind"`
-		Source    string         `json:"source"`
-		RequestID string         `json:"request_id"`
-		Algo      string         `json:"algo"`
-		Queries   int64          `json:"queries"`
-		Params    map[string]any `json:"params"`
-	}
-	var comps int
-	sc := bufio.NewScanner(bytes.NewReader(buf.Bytes()))
-	for sc.Scan() {
-		var r featRec
-		if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
-			t.Fatalf("feature line not JSON: %v\n%s", err, sc.Text())
-		}
-		if r.Kind != "component" {
-			continue
-		}
-		comps++
-		if r.Source != "mc3serve" || r.RequestID != "harvested" {
-			t.Errorf("feature record source/request = %q/%q, want mc3serve/harvested", r.Source, r.RequestID)
-		}
-		if r.Queries <= 0 || len(r.Params) == 0 {
-			t.Errorf("feature record lacks instance features: %+v", r)
-		}
-	}
-	if comps == 0 {
-		t.Fatalf("no component feature records harvested:\n%s", buf.String())
 	}
 }
 

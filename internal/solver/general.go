@@ -26,7 +26,6 @@ func General(inst *core.Instance, opts Options) (*core.Solution, error) {
 	defer cancelTimeout()
 	sp, ctx, opts := startSolve(ctx, opts, SpanSolve, "mc3-general")
 	sp.SetAttr(obs.Int("queries", inst.NumQueries()), obs.Int("classifiers", inst.NumClassifiers()))
-	setFeatureAttrs(sp, inst, opts)
 	sol, err := generalWithCtx(ctx, inst, opts)
 	sp.EndErr(err)
 	return sol, err
@@ -91,14 +90,7 @@ func generalComponent(ctx context.Context, t *Task, r *prep.Result, ci int, opts
 		})
 		return nil
 	}
-	// Selector-mode solves get their own cache domain: a confident
-	// prediction runs one engine, whose cover can differ from the race's,
-	// so the two configurations must not share memoized results.
-	domain := "general/" + opts.WSC.String()
-	if opts.Selector != nil {
-		domain = "general/sel/" + opts.WSC.String()
-	}
-	key, picks, hit := componentCacheLookup(ctx, opts, domain, r, r.Components[ci])
+	key, picks, hit := componentCacheLookup(ctx, opts, "general/"+opts.WSC.String(), r, r.Components[ci])
 	if hit {
 		perComp[ci] = picks
 		csp.End()
@@ -110,32 +102,19 @@ func generalComponent(ctx context.Context, t *Task, r *prep.Result, ci int, opts
 		csp.End()
 		return nil
 	}
-	feat := componentFeatures(r, r.Components[ci], opts)
 	t.Spawn(func() error {
-		err := solveWSCComponent(ctx, sc, setIDs, key, ci, feat, opts, perComp)
+		err := solveWSCComponent(ctx, sc, setIDs, key, ci, opts, perComp)
 		csp.EndErr(err)
 		return err
 	})
 	return nil
 }
 
-// componentFeatures assembles the instance-level slice of a component's
-// WSCFeatures (the reduction-level fields are filled by runWSC). The ambient
-// query length stands in for the instance's own when the instance is itself
-// a component of a larger load, so predictions match a whole-load solve.
-func componentFeatures(r *prep.Result, comp []int, opts Options) WSCFeatures {
-	k := r.Inst.MaxQueryLen()
-	if opts.AmbientQueryLen > 0 {
-		k = opts.AmbientQueryLen
-	}
-	return WSCFeatures{Queries: len(comp), MaxQueryLen: k}
-}
-
 // solveWSCComponent is the second pipeline stage of generalComponent: race
 // the set-cover engines over the built reduction, translate the picked sets
 // back to classifiers, and memoize the result.
-func solveWSCComponent(ctx context.Context, sc *setcover.Instance, setIDs []core.ClassifierID, key cache.Key, ci int, feat WSCFeatures, opts Options, perComp [][]core.ClassifierID) error {
-	sets, _, _, err := runWSC(ctx, sc, feat, opts)
+func solveWSCComponent(ctx context.Context, sc *setcover.Instance, setIDs []core.ClassifierID, key cache.Key, ci int, opts Options, perComp [][]core.ClassifierID) error {
+	sets, _, _, err := runWSC(ctx, sc, opts.WSC)
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			return err

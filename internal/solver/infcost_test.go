@@ -40,7 +40,7 @@ func TestBuildWSCFiltersNonFiniteCosts(t *testing.T) {
 		}
 	}
 	// The surviving sets must still cover the component.
-	sets, cost, _, err := runWSC(context.Background(), sc, WSCFeatures{}, Options{WSC: WSCAuto})
+	sets, cost, _, err := runWSC(context.Background(), sc, WSCAuto)
 	if err != nil {
 		t.Fatal(err)
 	}

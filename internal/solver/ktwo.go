@@ -31,7 +31,6 @@ func KTwo(inst *core.Instance, opts Options) (*core.Solution, error) {
 	defer cancelTimeout()
 	sp, ctx, opts := startSolve(ctx, opts, SpanSolve, "mc3-short")
 	sp.SetAttr(obs.Int("queries", inst.NumQueries()), obs.Int("classifiers", inst.NumClassifiers()))
-	setFeatureAttrs(sp, inst, opts)
 	sol, err := ktwoWithCtx(ctx, inst, opts)
 	sp.EndErr(err)
 	return sol, err

@@ -73,7 +73,7 @@ func GeneralWithMultiValued(inst *core.Instance, multis []MultiValued, opts Opti
 		// uncovered bits in query order. Recreate it to attach multi sets.
 		multiSets := addMultiValuedSets(r, comp, sc, multis)
 
-		sets, _, _, err := runWSC(ctx, sc, componentFeatures(r, comp, opts), opts)
+		sets, _, _, err := runWSC(ctx, sc, opts.WSC)
 		if err != nil {
 			return nil, err
 		}
@@ -160,23 +160,20 @@ func addMultiValuedSets(r *prep.Result, comp []int, sc *setcover.Instance, multi
 	return added
 }
 
-// runWSC executes the configured set-cover engine(s) under ctx and returns
-// the cheapest result plus the name of the engine that produced it
-// ("greedy", "primal-dual", or "lp-rounding"). The race runs under a "wsc"
-// span whose "engine" attr names the winner, with one "wsc.run" child per
-// engine executed. feat carries the instance-level component features for
-// opts.Selector; Elements and Sets are filled here from the reduction.
-func runWSC(ctx context.Context, sc *setcover.Instance, feat WSCFeatures, opts Options) ([]int, float64, string, error) {
-	feat.Elements = sc.NumElements()
-	feat.Sets = sc.NumSets()
+// runWSC executes method's set-cover engine(s) under ctx and returns the
+// cheapest result plus the name of the engine that produced it ("greedy",
+// "primal-dual", or "lp-rounding"). The race runs under a "wsc" span whose
+// "engine" attr names the winner, with one "wsc.run" child per engine
+// executed.
+func runWSC(ctx context.Context, sc *setcover.Instance, method WSCMethod) ([]int, float64, string, error) {
 	wsp, ctx := obs.StartChild(ctx, SpanWSC,
-		obs.Int("elements", feat.Elements), obs.Int("sets_available", feat.Sets))
-	arms, err := wscArms(sc, opts.WSC)
+		obs.Int("elements", sc.NumElements()), obs.Int("sets_available", sc.NumSets()))
+	arms, err := wscArms(sc, method)
 	var sets []int
 	var cost float64
 	var name string
 	if err == nil {
-		sets, cost, name, err = runWSCEngines(ctx, wsp, arms, feat, opts)
+		sets, cost, name, err = runWSCEngines(ctx, wsp, arms)
 	}
 	if err == nil {
 		wsp.SetAttr(obs.Str("engine", name), obs.F64("cost", cost), obs.Int("sets", len(sets)))
@@ -212,50 +209,12 @@ func wscArms(sc *setcover.Instance, method WSCMethod) ([]wscArm, error) {
 // runWSCEngines runs the arms of the engine race under wsp and keeps the
 // cheapest completed output.
 //
-// With a confident opts.Selector prediction only the predicted arm runs —
-// the loser arm's work is reclaimed — and the remaining arms serve purely as
-// failure fallback. Below the confidence threshold every arm races, and the
-// prediction (if any) is scored against the actual winner.
-//
 // A non-context arm failure does not abort the component when another arm
 // completed: the race degrades to the surviving results, counting the
 // failure in mc3_wsc_engine_failures. Context errors still fail fast — a
 // cover computed after the deadline would be discarded upstream anyway.
-func runWSCEngines(ctx context.Context, wsp *obs.Span, arms []wscArm, feat WSCFeatures, opts Options) ([]int, float64, string, error) {
+func runWSCEngines(ctx context.Context, wsp *obs.Span, arms []wscArm) ([]int, float64, string, error) {
 	metrics := wsp.Tracer().Metrics()
-
-	// Consult the selector only when there is a race to skip.
-	predicted, confident := "", false
-	if opts.Selector != nil && len(arms) > 1 {
-		names := make([]string, len(arms))
-		for i, a := range arms {
-			names[i] = a.name
-		}
-		var confidence float64
-		predicted, confidence, confident = opts.Selector.PredictWSC(names, feat)
-		if predicted != "" {
-			wsp.SetAttr(obs.Str("selector_predicted", predicted), obs.F64("selector_confidence", confidence))
-		}
-		if confident {
-			// Move the predicted arm first; the rest stay as fallback.
-			found := false
-			for i, a := range arms {
-				if a.name == predicted {
-					arms[0], arms[i] = arms[i], arms[0]
-					found = true
-					break
-				}
-			}
-			confident = found
-		}
-		if confident {
-			wsp.SetAttr(obs.Str("selector", "predict"))
-			metrics.Counter("mc3_selector_predictions_total").Inc()
-		} else {
-			wsp.SetAttr(obs.Str("selector", "race"))
-			metrics.Counter("mc3_selector_fallbacks_total").Inc()
-		}
-	}
 
 	type outcome struct {
 		sets []int
@@ -282,11 +241,6 @@ func runWSCEngines(ctx context.Context, wsp *obs.Span, arms []wscArm, feat WSCFe
 		rsp.SetAttr(obs.F64("cost", cost), obs.Int("sets", len(sets)))
 		rsp.End()
 		results = append(results, outcome{sets: sets, cost: cost, name: a.name})
-		if confident {
-			// The predicted arm completed; the race is skipped. (If it
-			// failed above, the loop falls through to the fallback arms.)
-			break
-		}
 	}
 	if len(results) == 0 {
 		return nil, 0, "", errors.Join(failures...)
@@ -298,22 +252,6 @@ func runWSCEngines(ctx context.Context, wsp *obs.Span, arms []wscArm, feat WSCFe
 	for i := 1; i < len(results); i++ {
 		if results[i].cost < results[best].cost {
 			best = i
-		}
-	}
-	// Predicted-vs-actual: when a below-threshold prediction raced anyway,
-	// score it against the actual winner and account the cost regret the
-	// prediction would have incurred.
-	if predicted != "" && !confident && len(results) > 1 {
-		actual := results[best].name
-		wsp.SetAttr(obs.Bool("selector_correct", predicted == actual))
-		if predicted != actual {
-			metrics.Counter("mc3_selector_mispredictions_total").Inc()
-			for _, r := range results {
-				if r.name == predicted {
-					metrics.Gauge("mc3_selector_regret_cost").Add(r.cost - results[best].cost)
-					break
-				}
-			}
 		}
 	}
 	return results[best].sets, results[best].cost, results[best].name, nil

@@ -183,7 +183,7 @@ func sampleSolveComponent(ctx context.Context, r *prep.Result, ci int, opts Opti
 		}
 		return finish("", nil)
 	}
-	sets, cost, _, err := runWSC(ctx, sc, componentFeatures(r, comp, opts), opts)
+	sets, cost, _, err := runWSC(ctx, sc, opts.WSC)
 	if err != nil {
 		if best != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
 			return finish(ctxReason(), nil)
@@ -214,8 +214,7 @@ func sampleRound(ctx context.Context, r *prep.Result, comp []int, size int, seed
 	if sc.NumElements() == 0 {
 		return nil, 0, fmt.Errorf("solver: sampled residual queries have no uncovered elements")
 	}
-	feat := WSCFeatures{Queries: len(sampled), MaxQueryLen: componentFeatures(r, comp, opts).MaxQueryLen}
-	sets, _, _, err := runWSC(ctx, sc, feat, opts)
+	sets, _, _, err := runWSC(ctx, sc, opts.WSC)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -69,71 +69,6 @@ func (m WSCMethod) String() string {
 	}
 }
 
-// Algorithm labels as they appear on solve spans and in harvested trace
-// records — the class names a DispatchSelector predicts over.
-const (
-	AlgoGeneral = "mc3-general"
-	AlgoShort   = "mc3-short"
-)
-
-// WSCFeatures describe one residual component's Weighted Set Cover reduction
-// at dispatch time — the online slice of the harvested feature schema
-// (internal/obs.ComponentRecord) a Selector predicts from. Callers of runWSC
-// fill the instance-level fields; Elements and Sets are filled from the
-// reduction itself.
-//
-// Every field is deliberately component-local (with MaxQueryLen
-// ambient-corrected via Options.AmbientQueryLen): internal/incr re-solves
-// dirty components as standalone instances, and only path-independent
-// features guarantee the selector predicts identically there and in a
-// from-scratch solve — the invariant the replay differential check relies
-// on. Whole-instance aggregates (e.g. total classifier count) must not be
-// added without threading an ambient value the way AmbientQueryLen is.
-type WSCFeatures struct {
-	// Queries is the number of residual queries in the component.
-	Queries int
-	// Elements is the number of uncovered (query, property) elements.
-	Elements int
-	// Sets is the number of candidate sets in the reduction.
-	Sets int
-	// MaxQueryLen is the ambient maximal query length of the load.
-	MaxQueryLen int
-}
-
-// Selector predicts the winner of Algorithm 3's set-cover engine race from a
-// component's features, so a confident prediction can run one engine instead
-// of racing them all. Implementations must be safe for concurrent use: the
-// solver calls PredictWSC from every component worker.
-type Selector interface {
-	// PredictWSC returns the engine expected to win among arms (engine
-	// names as raced: "greedy", "primal-dual", "lp-rounding") together
-	// with the model's confidence in that class. ok reports whether the
-	// confidence clears the model's fallback threshold; when false the
-	// solver races all arms as if no selector were attached, and the
-	// returned engine/confidence are advisory (recorded on the span for
-	// predicted-vs-actual accounting). Engine must be one of arms whenever
-	// ok is true.
-	PredictWSC(arms []string, f WSCFeatures) (engine string, confidence float64, ok bool)
-}
-
-// DispatchFeatures describe a whole instance at the general-vs-k≤2 gate.
-type DispatchFeatures struct {
-	Queries     int
-	Classifiers int
-	MaxQueryLen int
-	SumQueryLen int
-}
-
-// DispatchSelector is the optional second prediction head a Selector may
-// implement: choosing between the exact k ≤ 2 solver and the general solver
-// for a whole instance. Auto consults it on k ≤ 2 loads.
-type DispatchSelector interface {
-	// PredictDispatch returns the algorithm label (AlgoGeneral or
-	// AlgoShort) expected to be faster, with confidence; ok=false keeps
-	// the static gate.
-	PredictDispatch(f DispatchFeatures) (algo string, confidence float64, ok bool)
-}
-
 // Options configure the solvers. Note that the zero value is NOT the
 // paper's default configuration: the zero value of Prep is prep.Minimal,
 // whereas the paper preprocesses fully. Use DefaultOptions for the paper's
@@ -196,15 +131,6 @@ type Options struct {
 	// algorithm domain (general/k≤2, WSC method, max-flow engine) is part of
 	// every key, so one cache serves mixed configurations soundly.
 	Cache *cache.Cache
-	// Selector, when non-nil, replaces Algorithm 3's engine race with a
-	// single predicted engine whenever the model is confident, reclaiming
-	// the loser arm's work; below the model's confidence threshold (or if
-	// the predicted engine fails) the race runs as usual. Predictions,
-	// fallbacks, and mispredictions are counted in the mc3_selector_*
-	// metrics and recorded as "selector*" attrs on every "wsc" span. If the
-	// value also implements DispatchSelector, Auto consults it for the
-	// general-vs-k≤2 gate. Nil (the default) races as before.
-	Selector Selector
 	// Sampling, when non-nil with a positive Gap, routes large residual
 	// components through the anytime sampling WSC path: solve on a weighted
 	// query sample, certify the completed cover against a per-element lower
@@ -215,14 +141,6 @@ type Options struct {
 	// components bypass Cache. Gap ≤ 0 (or nil) is the exact path,
 	// bit-for-bit identical to solving without this option.
 	Sampling *SamplingConfig
-	// FeatureAttrs, when set, stamps the top-level solve span with the
-	// instance's parameter analysis (core.Analyze: query/property/classifier
-	// counts, length extremes, incidence/frequency/degree) as "params_*"
-	// attributes, so trace consumers — the feature harvester in particular —
-	// can emit training-ready records without re-reading the instance. Off by
-	// default because Analyze is a full instance scan; enable it only when a
-	// harvesting sink is attached (mc3bench -features, mc3serve -feature-log).
-	FeatureAttrs bool
 	// Tracer, when non-nil and enabled (it has at least one sink or a
 	// metrics registry), receives hierarchical spans covering the whole
 	// solve: preprocessing steps, per-component dispatch, every set-cover
@@ -240,27 +158,54 @@ func DefaultOptions() Options {
 	return Options{Prep: prep.Full, WSC: WSCAuto, Engine: bipartite.Dinic, Validate: false}
 }
 
+// ParseOptions returns DefaultOptions with the set-cover engine, the
+// preprocessing level, and the max-flow engine named in the vocabulary the
+// CLIs' -wsc, -prep, and -engine flags and the serve configuration share:
+// wsc is auto|greedy|primal-dual|lp-rounding|auto-lp, prepLevel is
+// full|minimal, engine is dinic|push-relabel|capacity-scaling.
+func ParseOptions(wsc, prepLevel, engine string) (Options, error) {
+	opts := DefaultOptions()
+	switch wsc {
+	case "auto":
+		opts.WSC = WSCAuto
+	case "greedy":
+		opts.WSC = WSCGreedy
+	case "primal-dual":
+		opts.WSC = WSCPrimalDual
+	case "lp-rounding":
+		opts.WSC = WSCLPRounding
+	case "auto-lp":
+		opts.WSC = WSCAutoLP
+	default:
+		return opts, fmt.Errorf("unknown -wsc %q", wsc)
+	}
+	switch prepLevel {
+	case "full":
+		opts.Prep = prep.Full
+	case "minimal":
+		opts.Prep = prep.Minimal
+	default:
+		return opts, fmt.Errorf("unknown -prep %q", prepLevel)
+	}
+	switch engine {
+	case "dinic":
+		opts.Engine = bipartite.Dinic
+	case "push-relabel":
+		opts.Engine = bipartite.PushRelabel
+	case "capacity-scaling":
+		opts.Engine = bipartite.CapacityScaling
+	default:
+		return opts, fmt.Errorf("unknown -engine %q", engine)
+	}
+	return opts, nil
+}
+
 // Auto dispatches an instance to the paper-appropriate solver: the exact
 // KTwo solver when every query has length ≤ 2, General otherwise — the gate
-// behind every CLI's "auto" algorithm. A DispatchSelector attached via
-// opts.Selector can overrule the static gate on k ≤ 2 loads when it
-// confidently predicts the general path is faster (trading the exactness
-// guarantee for time); general loads always take General, since KTwo cannot
-// solve them.
+// behind every CLI's "auto" algorithm.
 func Auto(inst *core.Instance, opts Options) (*core.Solution, error) {
 	if inst.MaxQueryLen() > 2 {
 		return General(inst, opts)
-	}
-	if ds, ok := opts.Selector.(DispatchSelector); ok {
-		f := DispatchFeatures{
-			Queries:     inst.NumQueries(),
-			Classifiers: inst.NumClassifiers(),
-			MaxQueryLen: inst.MaxQueryLen(),
-			SumQueryLen: inst.SumQueryLen(),
-		}
-		if algo, _, ok := ds.PredictDispatch(f); ok && algo == AlgoGeneral {
-			return General(inst, opts)
-		}
 	}
 	return KTwo(inst, opts)
 }

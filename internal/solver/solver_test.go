@@ -8,6 +8,7 @@ import (
 	"repro/internal/bipartite"
 	"repro/internal/core"
 	"repro/internal/prep"
+	"repro/internal/workload"
 )
 
 // buildInstance constructs an instance from query name lists and a cost
@@ -597,5 +598,39 @@ func TestPortfolioShortLoadIsExact(t *testing.T) {
 		if math.Abs(port.Cost-exact.Cost) > 1e-9 {
 			t.Fatalf("trial %d: portfolio %v != optimal %v on short load", trial, port.Cost, exact.Cost)
 		}
+	}
+}
+
+// TestAutoGate: Auto is the static k ≤ 2 gate — the exact KTwo solve on a
+// load whose queries all have length ≤ 2, General on any longer load. On
+// this seed's k ≤ 2 slice General is strictly costlier than KTwo, so a gate
+// sending it to General fails the comparison.
+func TestAutoGate(t *testing.T) {
+	d := workload.Synthetic(200, 4)
+	for _, tc := range []struct {
+		name string
+		d    *workload.Dataset
+		long bool
+		want Func
+	}{
+		{"k<=2", d.ShortSlice(), false, KTwo},
+		{"k>2", d, true, General},
+	} {
+		inst, err := tc.d.Instance()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if (inst.MaxQueryLen() > 2) != tc.long {
+			t.Fatalf("%s: load has max query length %d", tc.name, inst.MaxQueryLen())
+		}
+		got, err := Auto(inst, DefaultOptions())
+		if err != nil {
+			t.Fatalf("%s: Auto: %v", tc.name, err)
+		}
+		want, err := tc.want(inst, DefaultOptions())
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		compareSolutions(t, tc.name, got, want)
 	}
 }

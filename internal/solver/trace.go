@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/maxflow"
 	"repro/internal/obs"
 	"repro/internal/prep"
@@ -33,10 +32,7 @@ const (
 	// "cache" ("hit" | "miss").
 	SpanComponent = "component"
 	// SpanWSC wraps Algorithm 3's set-cover engine race on one component.
-	// Attrs: "engine" (the winner), "cost", "sets", "elements"; with a
-	// Selector attached also "selector" ("predict" | "race"),
-	// "selector_predicted", "selector_confidence", and — when a
-	// below-threshold prediction raced anyway — "selector_correct"; when an
+	// Attrs: "engine" (the winner), "cost", "sets", "elements"; when an
 	// engine failed but the race survived, "engine_failures".
 	SpanWSC = "wsc"
 	// SpanWSCRun wraps a single set-cover engine run. Attrs: "engine",
@@ -71,27 +67,6 @@ func startSolve(ctx context.Context, opts Options, name, algo string) (*obs.Span
 	sp, ctx := obs.StartSpan(ctx, resolveTracer(ctx, opts), name, obs.Str("algo", algo))
 	opts.Context = ctx
 	return sp, ctx, opts
-}
-
-// setFeatureAttrs stamps the solve span with the instance parameter analysis
-// (Options.FeatureAttrs). Guarded on the span being live so the Analyze scan
-// is never paid when tracing is off.
-func setFeatureAttrs(sp *obs.Span, inst *core.Instance, opts Options) {
-	if sp == nil || !opts.FeatureAttrs {
-		return
-	}
-	p := core.Analyze(inst)
-	sp.SetAttr(
-		obs.Int("params_queries", p.NumQueries),
-		obs.Int("params_properties", p.NumProperties),
-		obs.Int("params_classifiers", p.NumClassifiers),
-		obs.Int("params_max_query_len", p.MaxQueryLen),
-		obs.Int("params_max_classifier_len", p.MaxClassifierLen),
-		obs.Int("params_sum_query_len", p.SumQueryLen),
-		obs.Int("params_incidence", p.Incidence),
-		obs.Int("params_frequency", p.Frequency),
-		obs.Int("params_degree", p.Degree),
-	)
 }
 
 // statsSink accumulates trace events into a SolveStats — the bridge that

@@ -228,7 +228,7 @@ func refGeneralSolve(inst *core.Instance, opts Options) (*core.Solution, error) 
 		if sc.NumElements() == 0 {
 			continue
 		}
-		sets, _, _, err := runWSC(ctx, sc, componentFeatures(r, comp, opts), opts)
+		sets, _, _, err := runWSC(ctx, sc, opts.WSC)
 		if err != nil {
 			return nil, err
 		}
