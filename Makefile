@@ -40,8 +40,8 @@ bench-sched:
 	$(GO) run ./cmd/mc3bench -exp sched
 
 # End-to-end cluster gate: two shard processes + a router process, replayed
-# against with the per-batch differential check, plus the hedging experiment
-# (docs/CLUSTER.md). Artifacts land in ./cluster-smoke.
+# against with the per-batch differential check (docs/CLUSTER.md). Artifacts
+# land in ./cluster-smoke.
 cluster-smoke:
 	sh scripts/cluster-smoke.sh
 
@@ -84,9 +84,10 @@ experiments-quick:
 serve:
 	$(GO) run ./cmd/mc3serve -addr localhost:8080
 
-# Short fuzzing passes over the parser and the set algebra.
+# Short fuzzing passes over the parsers and the set algebra.
 fuzz:
 	$(GO) test -fuzz FuzzRead -fuzztime 30s ./internal/textio/
+	$(GO) test -fuzz FuzzReadSessionBundle -fuzztime 30s ./internal/incr/
 	$(GO) test -fuzz FuzzPropSetAlgebra -fuzztime 30s ./internal/core/
 
 clean:

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"time"
 
@@ -16,27 +15,23 @@ import (
 
 // clusterArgs carries the -cluster flag set into runCluster.
 type clusterArgs struct {
-	streamPath    string
-	routerURL     string
-	shards        int
-	slowShard     int
-	slowDelay     time.Duration
-	hedgeQuantile float64
-	hedgeRequests int
-	algo          string
-	window        float64
-	uniformCost   float64
-	parallel      int
-	validate      bool
-	asJSON        bool
-	outPath       string
-	seed          int64
+	streamPath  string
+	routerURL   string
+	shards      int
+	algo        string
+	window      float64
+	uniformCost float64
+	parallel    int
+	validate    bool
+	asJSON      bool
+	outPath     string
+	seed        int64
 }
 
 // runCluster replays a session bundle against a sharded cluster with the
-// per-batch differential check, and optionally runs the hedging experiment.
-// Differential failures (cluster cost != shadow engine cost on any batch)
-// return an error, so the process exits non-zero — the CI smoke gate.
+// per-batch differential check. Differential failures (cluster cost !=
+// shadow engine cost on any batch) return an error, so the process exits
+// non-zero — the CI smoke gate.
 func runCluster(a clusterArgs, out, errw io.Writer) error {
 	bundle, err := readBundle(a.streamPath)
 	if err != nil {
@@ -55,7 +50,6 @@ func runCluster(a clusterArgs, out, errw io.Writer) error {
 		h, err = cluster.StartHarness(cluster.HarnessConfig{
 			Shards:      a.shards,
 			ShardConfig: shardConfig(a),
-			SlowShard:   -1,
 		})
 		if err != nil {
 			return err
@@ -82,21 +76,7 @@ func runCluster(a clusterArgs, out, errw io.Writer) error {
 	fmt.Fprintf(errw, "mc3replay: differential clean — %d sessions, %d batches, %d failover reload(s); every batch cost matches the shadow engine exactly\n",
 		res.Sessions, len(res.Batches), res.Reloads)
 
-	var hedge *hedgeOutcome
-	if a.hedgeRequests > 0 {
-		if a.routerURL != "" {
-			return fmt.Errorf("the hedging experiment needs the in-process harness (drop -router)")
-		}
-		hedge, err = runHedgeExperiment(ctx, a, bundle, errw)
-		if err != nil {
-			return err
-		}
-	}
-
-	tabs := []*bench.Table{buildClusterTable(res)}
-	if hedge != nil {
-		tabs = append(tabs, buildHedgeTable(hedge))
-	}
+	tab := buildClusterTable(res)
 	if a.outPath != "" {
 		f, err := os.Create(a.outPath)
 		if err != nil {
@@ -110,19 +90,11 @@ func runCluster(a clusterArgs, out, errw io.Writer) error {
 			Tool: "mc3replay", Generated: time.Now().UTC(),
 			Seed: a.seed, Seeds: 1, Repeats: 1,
 		}
-		for _, tab := range tabs {
-			rep.AddTable(tab, time.Since(start))
-		}
+		rep.AddTable(tab, time.Since(start))
 		rep.TotalSeconds = time.Since(start).Seconds()
 		return rep.Write(out)
 	}
-	for _, tab := range tabs {
-		tab.Render(out)
-	}
-	if hedge != nil {
-		fmt.Fprintf(out, "\nhedging: p99 %.1fms off -> %.1fms on (%d hedges, %d wins)\n",
-			1e3*hedge.off.P99, 1e3*hedge.on.P99, hedge.hedges, hedge.wins)
-	}
+	tab.Render(out)
 	return nil
 }
 
@@ -158,95 +130,6 @@ func clusterAlgo(algo string) string {
 	return incr.AlgoAuto
 }
 
-// hedgeOutcome is the hedging experiment's result pair.
-type hedgeOutcome struct {
-	off, on *cluster.LoadStats
-	hedges  int64
-	wins    int64
-}
-
-// runHedgeExperiment measures /solve tail latency against a fleet with one
-// shard slowed by injected latency, once with hedging off and once with it
-// on. Each run gets a fresh harness (identical shard config) and a warmup
-// pass that also feeds the router's latency histogram, so the hedged run's
-// delay quantile is warm before measurement starts.
-func runHedgeExperiment(ctx context.Context, a clusterArgs, bundle []incr.SessionStream, errw io.Writer) (*hedgeOutcome, error) {
-	bodies, err := hedgeBodies(a, bundle)
-	if err != nil {
-		return nil, err
-	}
-	slow := a.slowShard
-	if slow < 0 {
-		slow = 0
-	}
-	run := func(quantile float64) (*cluster.LoadStats, int64, int64, error) {
-		h, err := cluster.StartHarness(cluster.HarnessConfig{
-			Shards:      a.shards,
-			ShardConfig: shardConfig(a),
-			SlowShard:   slow,
-			SlowDelay:   a.slowDelay,
-			Router: cluster.RouterConfig{
-				HedgeQuantile: quantile,
-			},
-		})
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		defer h.Close()
-		client := &http.Client{}
-		// Warmup: fill shard caches and the router's latency histogram.
-		warm := 2 * len(bodies)
-		if warm < 32 {
-			warm = 32
-		}
-		if _, err := cluster.SolveLoad(ctx, client, h.RouterURL(), bodies, warm); err != nil {
-			return nil, 0, 0, err
-		}
-		st, err := cluster.SolveLoad(ctx, client, h.RouterURL(), bodies, a.hedgeRequests)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		rst := h.Router().Stats()
-		return st, rst.Hedges, rst.HedgeWins, nil
-	}
-
-	off, _, _, err := run(0)
-	if err != nil {
-		return nil, fmt.Errorf("hedging-off run: %w", err)
-	}
-	on, hedges, wins, err := run(a.hedgeQuantile)
-	if err != nil {
-		return nil, fmt.Errorf("hedging-on run: %w", err)
-	}
-	fmt.Fprintf(errw, "mc3replay: hedge experiment — p99 %.1fms off, %.1fms on (slow shard +%v, %d hedges, %d wins)\n",
-		1e3*off.P99, 1e3*on.P99, a.slowDelay, hedges, wins)
-	return &hedgeOutcome{off: off, on: on, hedges: hedges, wins: wins}, nil
-}
-
-// hedgeBodies materializes distinct /solve payloads from the bundle's added
-// queries, so the load run spreads across shards.
-func hedgeBodies(a clusterArgs, bundle []incr.SessionStream) ([][]byte, error) {
-	var queries [][]string
-	seen := map[string]bool{}
-	for _, ss := range bundle {
-		for _, d := range ss.Deltas {
-			if d.Op != incr.OpAdd {
-				continue
-			}
-			key := fmt.Sprint(d.Props)
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			queries = append(queries, d.Props)
-			if len(queries) >= 64 {
-				break
-			}
-		}
-	}
-	return cluster.SolveBodies(queries, a.uniformCost, 32)
-}
-
 // buildClusterTable shapes the replay records as a bench table.
 func buildClusterTable(res *cluster.ReplayResult) *bench.Table {
 	tab := &bench.Table{
@@ -271,38 +154,6 @@ func buildClusterTable(res *cluster.ReplayResult) *bench.Table {
 			reloaded = 1
 		}
 		series[4].Values = append(series[4].Values, reloaded)
-	}
-	tab.Series = series
-	return tab
-}
-
-// buildHedgeTable shapes the hedging experiment as a bench table.
-func buildHedgeTable(h *hedgeOutcome) *bench.Table {
-	tab := &bench.Table{
-		ID:     "cluster_hedge",
-		Title:  "router /solve latency with one slow shard: hedging off vs on",
-		XLabel: "hedging",
-		Unit:   "seconds (counts for hedges/wins)",
-		Notes:  "one shard slowed by injected latency; the hedged run re-issues requests outliving the configured latency quantile to the next replica",
-	}
-	series := []bench.Series{
-		{Name: "p50_seconds"}, {Name: "p95_seconds"}, {Name: "p99_seconds"},
-		{Name: "mean_seconds"}, {Name: "hedges"}, {Name: "hedge_wins"},
-	}
-	for i, st := range []*cluster.LoadStats{h.off, h.on} {
-		label := "off"
-		hedges, wins := 0.0, 0.0
-		if i == 1 {
-			label = "on"
-			hedges, wins = float64(h.hedges), float64(h.wins)
-		}
-		tab.XValues = append(tab.XValues, label)
-		series[0].Values = append(series[0].Values, st.P50)
-		series[1].Values = append(series[1].Values, st.P95)
-		series[2].Values = append(series[2].Values, st.P99)
-		series[3].Values = append(series[3].Values, st.Mean)
-		series[4].Values = append(series[4].Values, hedges)
-		series[5].Values = append(series[5].Values, wins)
 	}
 	tab.Series = series
 	return tab

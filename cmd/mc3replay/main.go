@@ -14,17 +14,13 @@
 //
 // Cluster mode (see docs/CLUSTER.md):
 //
-//	mc3replay -cluster -stream bundle.txt [-shards 2] [-slow-shard -1]
-//	          [-slow 50ms] [-hedge-quantile 0] [-hedge-requests 0]
+//	mc3replay -cluster -stream bundle.txt [-shards 2] [-router URL]
 //
 // -cluster reads -stream as a session bundle (mc3gen -sessions), boots an
 // in-process router + -shards shard servers (or targets a running router
 // via -router URL), replays every session over HTTP, and hard-differential-
 // checks the cluster's cost against a local shadow engine after every
-// batch — any disagreement is a non-zero exit. -hedge-requests > 0
-// additionally runs the hedging experiment: a /solve load with one shard
-// slowed by -slow, measured with hedging off and on (-hedge-quantile), both
-// recorded in the report.
+// batch — any disagreement is a non-zero exit.
 //
 // -load seeds the session with an instance file (its cost model prices all
 // classifiers); without it, classifiers cost -uniform-cost. Events within
@@ -86,13 +82,9 @@ func run(args []string, out, errw io.Writer) (retErr error) {
 		outPath     = fs.String("out", "", "output file (default stdout)")
 		seed        = fs.Int64("seed", 0, "seed recorded in the JSON report")
 
-		clusterMode   = fs.Bool("cluster", false, "replay -stream as a session bundle against a sharded cluster, differential-checking every batch (see docs/CLUSTER.md)")
-		routerURL     = fs.String("router", "", "cluster: replay against this running router instead of booting an in-process harness")
-		shards        = fs.Int("shards", 2, "cluster: shard servers in the in-process harness")
-		slowShard     = fs.Int("slow-shard", -1, "cluster: inject -slow of latency in front of this shard index (-1 = none)")
-		slowDelay     = fs.Duration("slow", 50*time.Millisecond, "cluster: injected latency for -slow-shard")
-		hedgeQuantile = fs.Float64("hedge-quantile", 0.25, "cluster: latency quantile for the hedging experiment's hedged run (low on purpose: with one slow shard the mixed latency distribution is bimodal, and the hedge delay must sit near the fast mode)")
-		hedgeRequests = fs.Int("hedge-requests", 0, "cluster: /solve requests per hedging-experiment run (0 skips the experiment)")
+		clusterMode = fs.Bool("cluster", false, "replay -stream as a session bundle against a sharded cluster, differential-checking every batch (see docs/CLUSTER.md)")
+		routerURL   = fs.String("router", "", "cluster: replay against this running router instead of booting an in-process harness")
+		shards      = fs.Int("shards", 2, "cluster: shard servers in the in-process harness")
 	)
 	var obsCfg obs.CLIConfig
 	obsCfg.RegisterFlags(fs)
@@ -117,21 +109,17 @@ func run(args []string, out, errw io.Writer) (retErr error) {
 
 	if *clusterMode {
 		return runCluster(clusterArgs{
-			streamPath:    *streamPath,
-			routerURL:     *routerURL,
-			shards:        *shards,
-			slowShard:     *slowShard,
-			slowDelay:     *slowDelay,
-			hedgeQuantile: *hedgeQuantile,
-			hedgeRequests: *hedgeRequests,
-			algo:          *algo,
-			window:        *window,
-			uniformCost:   *uniformCost,
-			parallel:      *parallel,
-			validate:      *validate,
-			asJSON:        *asJSON,
-			outPath:       *outPath,
-			seed:          *seed,
+			streamPath:  *streamPath,
+			routerURL:   *routerURL,
+			shards:      *shards,
+			algo:        *algo,
+			window:      *window,
+			uniformCost: *uniformCost,
+			parallel:    *parallel,
+			validate:    *validate,
+			asJSON:      *asJSON,
+			outPath:     *outPath,
+			seed:        *seed,
 		}, out, errw)
 	}
 

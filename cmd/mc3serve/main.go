@@ -15,15 +15,12 @@
 //
 // Router mode (see docs/CLUSTER.md):
 //
-//	mc3serve -route shard1:8080,shard2:8080 [-addr :8080] [-vnodes 64]
-//	         [-hedge-quantile 0] [-hedge-min 2ms] [-retries 3]
-//	         [-retry-backoff 5ms] [-retry-budget 0.2] [-probe-interval 500ms]
-//	         [-breaker-failures 3] [-bounded-load 0]
+//	mc3serve -route shard1:8080,shard2:8080 [-addr :8080] [-probe-interval 500ms]
 //
 // With -route the process serves no solves itself: it proxies the same API
 // over the listed shards — sessions pinned by consistent hashing, stateless
-// solves fanned by payload hash with bounded retries and optional hedging,
-// dead shards circuit-broken out of rotation.
+// solves fanned by payload hash with budgeted retries, dead shards
+// circuit-broken out of rotation.
 //
 // API (see docs/SERVING.md and docs/INCREMENTAL.md):
 //
@@ -105,20 +102,12 @@ func run(args []string, logw io.Writer) (retErr error) {
 
 		// Router mode.
 		route         = fs.String("route", "", "comma-separated shard addresses: run as a cluster router instead of a solve server (see docs/CLUSTER.md)")
-		vnodes        = fs.Int("vnodes", cluster.DefaultVNodes, "router: virtual nodes per shard on the consistent-hash ring")
-		hedgeQuantile = fs.Float64("hedge-quantile", 0, "router: hedge stateless solves after this observed latency quantile, e.g. 0.95 (0 disables hedging)")
-		hedgeMin      = fs.Duration("hedge-min", 2*time.Millisecond, "router: minimum hedge delay")
-		retries       = fs.Int("retries", 3, "router: total attempts per idempotent request across replicas")
-		retryBackoff  = fs.Duration("retry-backoff", 5*time.Millisecond, "router: initial exponential backoff between retries")
-		retryBudget   = fs.Float64("retry-budget", 0.2, "router: sustained retries-per-request ratio allowed")
 		probeInterval = fs.Duration("probe-interval", 500*time.Millisecond, "router: shard /readyz probing period (0 disables)")
-		breakerFails  = fs.Int("breaker-failures", 3, "router: consecutive failures opening a shard's circuit breaker")
-		boundedLoad   = fs.Float64("bounded-load", 0, "router: bounded-load factor c (skip shards above c x mean in-flight + 1; 0 = strict hashing)")
 	)
 	fs.StringVar(&cfg.Algo, "algo", cfg.Algo, "algorithm: auto|ktwo|general|short-first|portfolio")
 	fs.StringVar(&cfg.WSC, "wsc", cfg.WSC, "Algorithm 3 set-cover engine: auto|greedy|primal-dual|lp-rounding|auto-lp")
 	fs.StringVar(&cfg.Prep, "prep", cfg.Prep, "preprocessing level: full|minimal")
-	fs.StringVar(&cfg.Engine, "engine", cfg.Engine, "Algorithm 2 max-flow engine: dinic|push-relabel|capacity-scaling")
+	fs.StringVar(&cfg.Engine, "engine", cfg.Engine, "Algorithm 2 max-flow engine: dinic|push-relabel")
 	fs.IntVar(&cfg.Parallel, "parallel", cfg.Parallel, "components solved concurrently per request: 0 or 1 solves serially, n > 1 uses n workers, -1 (the default) uses GOMAXPROCS")
 	fs.IntVar(&cfg.CacheSize, "cache-size", cache.DefaultMaxEntries, "component-solution cache entries (0 disables the cache)")
 	fs.Float64Var(&cfg.CacheQuantum, "cache-quantum", 0, "cost quantum for cache keys (0 = exact costs)")
@@ -162,19 +151,11 @@ func run(args []string, logw io.Writer) (retErr error) {
 
 	if *route != "" {
 		rcfg := cluster.RouterConfig{
-			Shards:          strings.Split(*route, ","),
-			VNodes:          *vnodes,
-			HedgeQuantile:   *hedgeQuantile,
-			HedgeMinDelay:   *hedgeMin,
-			MaxAttempts:     *retries,
-			RetryBackoff:    *retryBackoff,
-			RetryBudget:     *retryBudget,
-			ProbeInterval:   *probeInterval,
-			BreakerFailures: *breakerFails,
-			BoundedLoad:     *boundedLoad,
-			MaxBody:         cfg.MaxBody,
-			Registry:        obs.NewRegistry(),
-			Tracer:          obsCLI.Tracer,
+			Shards:        strings.Split(*route, ","),
+			ProbeInterval: *probeInterval,
+			MaxBody:       cfg.MaxBody,
+			Registry:      obs.NewRegistry(),
+			Tracer:        obsCLI.Tracer,
 		}
 		router, err := cluster.NewRouter(rcfg)
 		if err != nil {
@@ -185,8 +166,7 @@ func run(args []string, logw io.Writer) (retErr error) {
 		banner := fmt.Sprintf("mc3serve: routing %d shard(s): %s", len(rcfg.Shards), *route)
 		return serveUntilSignal(logw, *addr, banner, obsCLI.DebugAddr, *drainGrace, router, router.StartDrain, func(w io.Writer) {
 			st := router.Stats()
-			fmt.Fprintf(w, "mc3serve: routed %d requests (%d errors, %d hedges, %d hedge wins)\n",
-				st.Requests, st.Errors, st.Hedges, st.HedgeWins)
+			fmt.Fprintf(w, "mc3serve: routed %d requests (%d errors)\n", st.Requests, st.Errors)
 		})
 	}
 

@@ -55,7 +55,7 @@ func run(args []string, out io.Writer) (retErr error) {
 		algo     = fs.String("algo", "auto", "algorithm: auto|ktwo|general|short-first|exact|mixed|property-oriented|query-oriented|local-greedy")
 		wsc      = fs.String("wsc", "auto", "Algorithm 3 set-cover engine: auto|greedy|primal-dual|lp-rounding|auto-lp")
 		prepStr  = fs.String("prep", "full", "preprocessing level: full|minimal")
-		engine   = fs.String("engine", "dinic", "Algorithm 2 max-flow engine: dinic|push-relabel|capacity-scaling")
+		engine   = fs.String("engine", "dinic", "Algorithm 2 max-flow engine: dinic|push-relabel")
 		parallel = fs.Int("parallel", 0, "components solved concurrently (0/1 serial, -1 = GOMAXPROCS)")
 		quiet    = fs.Bool("quiet", false, "print only the total cost")
 		asJSON   = fs.Bool("json", false, "emit the solution as JSON")

@@ -74,7 +74,7 @@ func AblationEngine(cfg Config) (*Table, error) {
 		Title:  "Algorithm 2 max-flow engine ablation (synthetic k=2 loads)",
 		XLabel: "#queries",
 		Unit:   "seconds",
-		Series: []Series{{Name: "dinic"}, {Name: "push-relabel"}, {Name: "capacity-scaling"}},
+		Series: []Series{{Name: "dinic"}, {Name: "push-relabel"}},
 		Notes:  "paper (Section 6.1): Dinic [10] was the consistently best performer in their study",
 	}
 	for _, n := range cfg.SyntheticSizes {
@@ -85,8 +85,8 @@ func AblationEngine(cfg Config) (*Table, error) {
 		}
 		t.XValues = append(t.XValues, fmt.Sprintf("%d", n))
 
-		var costs [3]float64
-		for i, engine := range []bipartite.Engine{bipartite.Dinic, bipartite.PushRelabel, bipartite.CapacityScaling} {
+		var costs [2]float64
+		for i, engine := range []bipartite.Engine{bipartite.Dinic, bipartite.PushRelabel} {
 			opts := cfg.SolverOptions()
 			opts.Engine = engine
 			secs, sol, err := timedRun(cfg.Repeats, func() (*core.Solution, error) { return solver.KTwo(inst, opts) })
@@ -96,8 +96,8 @@ func AblationEngine(cfg Config) (*Table, error) {
 			t.Series[i].Values = append(t.Series[i].Values, secs)
 			costs[i] = sol.Cost
 		}
-		if costs[0] != costs[1] || costs[0] != costs[2] {
-			return nil, fmt.Errorf("bench: engines disagree at n=%d: %v / %v / %v", n, costs[0], costs[1], costs[2])
+		if costs[0] != costs[1] {
+			return nil, fmt.Errorf("bench: engines disagree at n=%d: %v / %v", n, costs[0], costs[1])
 		}
 	}
 	return t, nil

@@ -27,8 +27,6 @@ const (
 	// PushRelabel is the FIFO push-relabel alternative, used for
 	// cross-checking and ablation.
 	PushRelabel
-	// CapacityScaling is the capacity-scaling augmenting-path engine.
-	CapacityScaling
 )
 
 // String returns the engine name.
@@ -38,8 +36,6 @@ func (e Engine) String() string {
 		return "dinic"
 	case PushRelabel:
 		return "push-relabel"
-	case CapacityScaling:
-		return "capacity-scaling"
 	default:
 		return fmt.Sprintf("engine(%d)", int(e))
 	}
@@ -122,8 +118,6 @@ func (w *WVC) SolveCtx(ctx context.Context, engine Engine, st *maxflow.Stats) (c
 		weight, err = maxflow.DinicCtx(ctx, g, s, t, st)
 	case PushRelabel:
 		weight, err = maxflow.PushRelabelCtx(ctx, g, s, t, st)
-	case CapacityScaling:
-		weight, err = maxflow.CapacityScalingCtx(ctx, g, s, t, st)
 	default:
 		return nil, nil, 0, fmt.Errorf("bipartite: unknown engine %v", engine)
 	}

@@ -239,7 +239,7 @@ func TestWVCNoEdges(t *testing.T) {
 
 func TestWVCAllEnginesAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(2027))
-	engines := []Engine{Dinic, PushRelabel, CapacityScaling}
+	engines := []Engine{Dinic, PushRelabel}
 	for trial := 0; trial < 60; trial++ {
 		nL := 1 + rng.Intn(10)
 		nR := 1 + rng.Intn(10)
@@ -267,14 +267,14 @@ func TestWVCAllEnginesAgree(t *testing.T) {
 			}
 			weights = append(weights, wt)
 		}
-		if math.Abs(weights[0]-weights[1]) > 1e-9 || math.Abs(weights[0]-weights[2]) > 1e-9 {
+		if math.Abs(weights[0]-weights[1]) > 1e-9 {
 			t.Fatalf("trial %d: engines disagree: %v", trial, weights)
 		}
 	}
 }
 
 func TestEngineString(t *testing.T) {
-	if Dinic.String() != "dinic" || PushRelabel.String() != "push-relabel" || CapacityScaling.String() != "capacity-scaling" {
+	if Dinic.String() != "dinic" || PushRelabel.String() != "push-relabel" {
 		t.Error("engine names wrong")
 	}
 	if Engine(99).String() == "" {

@@ -34,9 +34,6 @@ func startTestHarness(t *testing.T, cfg HarnessConfig) *Harness {
 	if cfg.ShardConfig.Algo == "" {
 		cfg.ShardConfig = testShardConfig()
 	}
-	if cfg.SlowShard == 0 && cfg.SlowDelay == 0 {
-		cfg.SlowShard = -1
-	}
 	h, err := StartHarness(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -295,9 +292,8 @@ func TestClusterFailover(t *testing.T) {
 	h := startTestHarness(t, HarnessConfig{
 		Shards: 3,
 		Router: RouterConfig{
-			Registry:        reg,
-			ProbeInterval:   50 * time.Millisecond,
-			BreakerFailures: 2,
+			Registry:      reg,
+			ProbeInterval: 50 * time.Millisecond,
 		},
 	})
 
@@ -364,75 +360,12 @@ func splitRouted(id string) (int, string, error) {
 	return n, rest, err
 }
 
-// TestClusterHedging: with one shard slowed by injected latency, hedging
-// fires, hedges win, and the measured p99 beats the unhedged run.
-func TestClusterHedging(t *testing.T) {
-	const slow = 40 * time.Millisecond
-	// 32 distinct bodies: consistent hashing spreads them across both
-	// shards, so the latency histogram is bimodal and p25 sits near the
-	// fast mode.
-	bodies, err := SolveBodies(hedgeQueries(32), 10, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(quantile float64) (*LoadStats, RouterStats) {
-		h := startTestHarness(t, HarnessConfig{
-			Shards:    2,
-			SlowShard: 1,
-			SlowDelay: slow,
-			Router:    RouterConfig{HedgeQuantile: quantile, Registry: obs.NewRegistry()},
-		})
-		ctx := context.Background()
-		// Warmup feeds the latency histogram past HedgeMinSamples.
-		if _, err := SolveLoad(ctx, nil, h.RouterURL(), bodies, 32); err != nil {
-			t.Fatal(err)
-		}
-		st, err := SolveLoad(ctx, nil, h.RouterURL(), bodies, 48)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st, h.Router().Stats()
-	}
-
-	off, offStats := run(0)
-	if offStats.Hedges != 0 {
-		t.Errorf("hedging-off run hedged %d times", offStats.Hedges)
-	}
-	on, onStats := run(0.25)
-	if onStats.Hedges == 0 {
-		t.Fatal("hedging-on run never hedged")
-	}
-	if onStats.HedgeWins == 0 {
-		t.Error("no hedge ever won")
-	}
-	if on.P99 >= off.P99 {
-		t.Errorf("hedging did not cut the tail: p99 %.1fms on vs %.1fms off",
-			1e3*on.P99, 1e3*off.P99)
-	}
-	if off.P99 < slow.Seconds() {
-		t.Errorf("unhedged p99 %.1fms below the injected %.0fms — slow shard never hit, test vacuous",
-			1e3*off.P99, 1e3*slow.Seconds())
-	}
-}
-
-// hedgeQueries builds n small overlapping queries for SolveBodies.
-func hedgeQueries(n int) [][]string {
-	out := make([][]string, n)
-	for i := range out {
-		out[i] = []string{
-			fmt.Sprintf("p:%d", i),
-			fmt.Sprintf("p:%d", (i+1)%n),
-		}
-	}
-	return out
-}
-
 // TestRouterNoHealthyShards: with every shard dead the router reports
 // unready and fails solves fast with 502s.
 func TestRouterNoHealthyShards(t *testing.T) {
 	h := startTestHarness(t, HarnessConfig{
 		Shards: 2,
-		Router: RouterConfig{ProbeInterval: 30 * time.Millisecond, BreakerFailures: 2},
+		Router: RouterConfig{ProbeInterval: 30 * time.Millisecond},
 	})
 	h.KillShard(0)
 	h.KillShard(1)
@@ -472,7 +405,7 @@ func TestRouterDrain(t *testing.T) {
 func TestSessionGoneAnswersReloadHint(t *testing.T) {
 	h := startTestHarness(t, HarnessConfig{
 		Shards: 2,
-		Router: RouterConfig{ProbeInterval: 30 * time.Millisecond, BreakerFailures: 1, MaxAttempts: 1},
+		Router: RouterConfig{ProbeInterval: 30 * time.Millisecond},
 	})
 	_, raw := doReq(t, http.MethodPost, h.RouterURL()+"/load", paperInstance, nil)
 	var load struct {

@@ -24,12 +24,6 @@ type HarnessConfig struct {
 	// ShardConfig configures every shard server (DefaultConfig when zero;
 	// detected by an empty Algo).
 	ShardConfig serve.Config
-	// SlowShard, when >= 0, injects SlowDelay of latency in front of that
-	// shard's handler — the tail-latency fault the hedging experiment
-	// measures against.
-	SlowShard int
-	// SlowDelay is the injected latency (default 50ms when SlowShard >= 0).
-	SlowDelay time.Duration
 	// Router configures the fronting router; its Shards list is filled in
 	// by the harness.
 	Router RouterConfig
@@ -37,13 +31,10 @@ type HarnessConfig struct {
 	Tracer *obs.Tracer
 }
 
-// harnessShard is one in-process shard: server, listener, and its
-// adjustable injected latency.
+// harnessShard is one in-process shard: its server and listener.
 type harnessShard struct {
 	server   *serve.Server
 	hs       *http.Server
-	url      string
-	delay    atomic.Int64 // injected latency, nanoseconds
 	killed   atomic.Bool
 	doneServ chan struct{}
 }
@@ -64,12 +55,6 @@ func StartHarness(cfg HarnessConfig) (*Harness, error) {
 	}
 	if cfg.ShardConfig.Algo == "" {
 		cfg.ShardConfig = serve.DefaultConfig()
-	}
-	if cfg.SlowShard >= cfg.Shards {
-		return nil, fmt.Errorf("cluster: slow shard %d out of range (have %d shards)", cfg.SlowShard, cfg.Shards)
-	}
-	if cfg.SlowShard >= 0 && cfg.SlowDelay <= 0 {
-		cfg.SlowDelay = 50 * time.Millisecond
 	}
 
 	h := &Harness{}
@@ -102,11 +87,7 @@ func StartHarness(cfg HarnessConfig) (*Harness, error) {
 			h.Close()
 			return nil, fmt.Errorf("cluster: shard %d: %w", i, err)
 		}
-		sh := &harnessShard{server: srv, url: url, doneServ: make(chan struct{})}
-		if cfg.SlowShard == i {
-			sh.delay.Store(int64(cfg.SlowDelay))
-		}
-		sh.hs = &http.Server{Handler: sh.handler()}
+		sh := &harnessShard{server: srv, hs: &http.Server{Handler: srv}, doneServ: make(chan struct{})}
 		go func(sh *harnessShard, ln net.Listener) {
 			defer close(sh.doneServ)
 			sh.hs.Serve(ln)
@@ -141,39 +122,14 @@ func StartHarness(cfg HarnessConfig) (*Harness, error) {
 	return h, nil
 }
 
-// handler wraps the shard server with the latency injector.
-func (sh *harnessShard) handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if d := time.Duration(sh.delay.Load()); d > 0 {
-			select {
-			case <-time.After(d):
-			case <-r.Context().Done():
-				return
-			}
-		}
-		sh.server.ServeHTTP(w, r)
-	})
-}
-
 // RouterURL returns the router's base URL.
 func (h *Harness) RouterURL() string { return h.routerURL }
 
 // Router returns the fronting router (for stats and metrics assertions).
 func (h *Harness) Router() *Router { return h.router }
 
-// NumShards returns the shard count.
-func (h *Harness) NumShards() int { return len(h.shards) }
-
-// ShardURL returns shard i's base URL.
-func (h *Harness) ShardURL(i int) string { return h.shards[i].url }
-
 // ShardServer returns shard i's in-process server.
 func (h *Harness) ShardServer(i int) *serve.Server { return h.shards[i].server }
-
-// SetShardDelay adjusts shard i's injected latency at runtime.
-func (h *Harness) SetShardDelay(i int, d time.Duration) {
-	h.shards[i].delay.Store(int64(d))
-}
 
 // KillShard hard-stops shard i: the listener closes and in-flight
 // connections are torn down, like a process crash (no drain, no goodbye).

@@ -29,8 +29,6 @@ import (
 type ReplayConfig struct {
 	// RouterURL is the cluster front door (required).
 	RouterURL string
-	// Client performs the HTTP requests (default shared client).
-	Client *http.Client
 	// Algo is the session algorithm (?algo=...; empty for the server
 	// default).
 	Algo string
@@ -83,9 +81,6 @@ type ReplayResult struct {
 func ReplayBundle(ctx context.Context, cfg ReplayConfig, sessions []incr.SessionStream) (*ReplayResult, error) {
 	if cfg.RouterURL == "" {
 		return nil, fmt.Errorf("cluster: replay needs a router URL")
-	}
-	if cfg.Client == nil {
-		cfg.Client = &http.Client{}
 	}
 	if cfg.Window <= 0 {
 		cfg.Window = 1
@@ -282,7 +277,7 @@ func (m *sessionMirror) post(ctx context.Context, method, path string, body []by
 	}
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set("X-Session-Key", m.name)
-	resp, err := m.cfg.Client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -478,7 +473,7 @@ func (m *sessionMirror) fetchSolutionCost(ctx context.Context) (float64, error) 
 	if err != nil {
 		return 0, err
 	}
-	resp, err := m.cfg.Client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return 0, fmt.Errorf("final solution fetch: %w", err)
 	}

@@ -1,16 +1,16 @@
 // Package cluster scales mc3serve horizontally: a consistent-hash shard
 // ring maps sessions (stateful traffic) and solve payloads (stateless
 // traffic) onto N shared-nothing mc3serve shards, and a Router process
-// proxies the HTTP API with health probing, circuit breaking, bounded
-// retries, and latency-quantile request hedging. A multi-process replay
-// harness (Harness + ReplayBundle) drives a router plus K shards with
-// recorded delta streams and hard-differential-checks the cluster's costs
-// against single-process incremental engines after every batch.
+// proxies the HTTP API with /readyz health probing, circuit breaking, and
+// budgeted sequential failover. A multi-process replay harness (Harness +
+// ReplayBundle) drives a router plus K shards with recorded delta streams
+// and hard-differential-checks the cluster's costs against single-process
+// incremental engines after every batch.
 //
 // The design follows the routing template of "Efficient Routing for Cost
 // Effective Scale-out Data Architectures" (see PAPERS.md): a thin stateless
-// routing tier over replicated shards, replica selection by consistent
-// hashing with bounded load, and hedged requests to cut tail latency.
+// routing tier over replicated shards with replica selection by consistent
+// hashing.
 package cluster
 
 import (
@@ -19,10 +19,10 @@ import (
 	"sort"
 )
 
-// DefaultVNodes is the default number of virtual nodes per shard. 64 points
-// per shard keeps the maximum/mean key-share ratio within a few percent for
+// vnodesPerShard is the number of virtual nodes per shard. 64 points per
+// shard keeps the maximum/mean key-share ratio within a few percent for
 // small fleets while the ring stays tiny (K·64 points).
-const DefaultVNodes = 64
+const vnodesPerShard = 64
 
 // ringPoint is one virtual node: a position on the hash circle owned by a
 // shard.
@@ -39,19 +39,15 @@ type ringPoint struct {
 type Ring struct {
 	shards []string
 	points []ringPoint
-	vnodes int
 }
 
-// NewRing builds a ring over the given shard addresses with vnodes virtual
-// nodes per shard (DefaultVNodes when vnodes <= 0). Addresses must be
-// non-empty and distinct; order does not matter (the ring is canonical under
-// permutation because point positions hash the address, not the index).
-func NewRing(shards []string, vnodes int) (*Ring, error) {
+// NewRing builds a ring over the given shard addresses with vnodesPerShard
+// virtual nodes per shard. Addresses must be non-empty and distinct; order
+// does not matter (the ring is canonical under permutation because point
+// positions hash the address, not the index).
+func NewRing(shards []string) (*Ring, error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("cluster: ring needs at least one shard")
-	}
-	if vnodes <= 0 {
-		vnodes = DefaultVNodes
 	}
 	sorted := append([]string(nil), shards...)
 	sort.Strings(sorted)
@@ -65,10 +61,10 @@ func NewRing(shards []string, vnodes int) (*Ring, error) {
 		}
 		seen[s] = true
 	}
-	r := &Ring{shards: sorted, vnodes: vnodes}
-	r.points = make([]ringPoint, 0, len(sorted)*vnodes)
+	r := &Ring{shards: sorted}
+	r.points = make([]ringPoint, 0, len(sorted)*vnodesPerShard)
 	for i, addr := range sorted {
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < vnodesPerShard; v++ {
 			r.points = append(r.points, ringPoint{hash: pointHash(addr, v), shard: i})
 		}
 	}
@@ -142,8 +138,8 @@ func (r *Ring) search(h uint64) int {
 }
 
 // Sequence returns all shards in ring order starting from key's position,
-// each exactly once: the preference order for replica selection, retries,
-// and hedging. Sequence(key)[0] == Primary(key).
+// each exactly once: the preference order for replica selection and
+// retries. Sequence(key)[0] == Primary(key).
 func (r *Ring) Sequence(key string) []int {
 	out := make([]int, 0, len(r.shards))
 	seen := make([]bool, len(r.shards))
@@ -156,20 +152,4 @@ func (r *Ring) Sequence(key string) []int {
 		}
 	}
 	return out
-}
-
-// Pick walks key's preference order and returns the first shard accepted by
-// ok — the bounded-load consistent-hashing step: the router's ok predicate
-// rejects circuit-broken and overloaded shards, so keys spill to the next
-// virtual node instead of queueing on a hot or dead shard. When no shard is
-// acceptable, Pick falls back to the primary (the caller then reports the
-// failure rather than routing nowhere).
-func (r *Ring) Pick(key string, ok func(shard int) bool) int {
-	seq := r.Sequence(key)
-	for _, s := range seq {
-		if ok == nil || ok(s) {
-			return s
-		}
-	}
-	return seq[0]
 }

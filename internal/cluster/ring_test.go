@@ -14,13 +14,13 @@ func testShards(n int) []string {
 }
 
 func TestRingValidation(t *testing.T) {
-	if _, err := NewRing(nil, 0); err == nil {
+	if _, err := NewRing(nil); err == nil {
 		t.Error("empty membership accepted")
 	}
-	if _, err := NewRing([]string{"a", ""}, 0); err == nil {
+	if _, err := NewRing([]string{"a", ""}); err == nil {
 		t.Error("empty address accepted")
 	}
-	if _, err := NewRing([]string{"a", "b", "a"}, 0); err == nil {
+	if _, err := NewRing([]string{"a", "b", "a"}); err == nil {
 		t.Error("duplicate address accepted")
 	}
 }
@@ -29,12 +29,12 @@ func TestRingValidation(t *testing.T) {
 // membership in any order routes every key identically.
 func TestRingDeterministicUnderPermutation(t *testing.T) {
 	shards := testShards(5)
-	r1, err := NewRing(shards, 0)
+	r1, err := NewRing(shards)
 	if err != nil {
 		t.Fatal(err)
 	}
 	perm := []string{shards[3], shards[0], shards[4], shards[2], shards[1]}
-	r2, err := NewRing(perm, 0)
+	r2, err := NewRing(perm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestRingDeterministicUnderPermutation(t *testing.T) {
 // wildly disproportionate key share.
 func TestRingBalance(t *testing.T) {
 	const keys = 20000
-	r, err := NewRing(testShards(4), 0)
+	r, err := NewRing(testShards(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,12 +71,12 @@ func TestRingBalance(t *testing.T) {
 // every other key keeps its shard (deterministic minimal rebalance).
 func TestRingRebalance(t *testing.T) {
 	shards := testShards(5)
-	before, err := NewRing(shards, 0)
+	before, err := NewRing(shards)
 	if err != nil {
 		t.Fatal(err)
 	}
 	removed := shards[2]
-	after, err := NewRing(append(append([]string{}, shards[:2]...), shards[3:]...), 0)
+	after, err := NewRing(append(append([]string{}, shards[:2]...), shards[3:]...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestRingRebalance(t *testing.T) {
 // TestRingSequence: the preference order visits every shard exactly once
 // and starts at the primary.
 func TestRingSequence(t *testing.T) {
-	r, err := NewRing(testShards(6), 0)
+	r, err := NewRing(testShards(6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,26 +126,5 @@ func TestRingSequence(t *testing.T) {
 			}
 			seen[s] = true
 		}
-	}
-}
-
-// TestRingPick: the bounded-load predicate skips rejected shards in
-// preference order and falls back to the primary when nothing is
-// acceptable.
-func TestRingPick(t *testing.T) {
-	r, err := NewRing(testShards(3), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := "some-session"
-	seq := r.Sequence(key)
-	if got := r.Pick(key, nil); got != seq[0] {
-		t.Errorf("nil predicate: picked %d, want primary %d", got, seq[0])
-	}
-	if got := r.Pick(key, func(s int) bool { return s != seq[0] }); got != seq[1] {
-		t.Errorf("primary rejected: picked %d, want next replica %d", got, seq[1])
-	}
-	if got := r.Pick(key, func(int) bool { return false }); got != seq[0] {
-		t.Errorf("all rejected: picked %d, want primary fallback %d", got, seq[0])
 	}
 }

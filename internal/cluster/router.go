@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -21,98 +22,39 @@ type RouterConfig struct {
 	// Shards lists the shard base addresses ("host:port" or full
 	// "http://host:port" URLs). Required, at least one.
 	Shards []string
-	// VNodes is the virtual nodes per shard on the ring (DefaultVNodes when
-	// <= 0).
-	VNodes int
-	// Client performs shard requests. Nil uses a default client with no
-	// global timeout (per-request contexts bound each call).
-	Client *http.Client
-
-	// HedgeQuantile, in (0, 1), enables hedging of stateless /solve
-	// requests: when the primary has not answered within the observed
-	// latency quantile (but at least HedgeMinDelay), the router issues the
-	// same request to the next healthy replica and answers with whichever
-	// finishes first. 0 disables hedging.
-	HedgeQuantile float64
-	// HedgeMinDelay floors the hedge delay (default 2ms), so a cold
-	// latency histogram cannot cause a hedge storm.
-	HedgeMinDelay time.Duration
-	// HedgeMinSamples is the number of observed solves required before
-	// hedging engages (default 16).
-	HedgeMinSamples int64
-
-	// MaxAttempts bounds the total tries per idempotent request across
-	// replicas (default 3: one primary try plus two retries).
-	MaxAttempts int
-	// RetryBackoff is the initial exponential backoff between retries
-	// (default 5ms; doubled per retry).
-	RetryBackoff time.Duration
-	// RetryBudget is the sustained retries-per-request ratio allowed
-	// (default 0.2). Each arriving request earns this many retry tokens;
-	// each retry spends one. The bucket caps at 50 tokens, so a burst of
-	// failures cannot turn into a retry storm against a struggling fleet.
-	RetryBudget float64
-
-	// ProbeInterval is the /readyz probing period (default 500ms; 0
-	// disables active probing — breakers then only open from request
-	// failures and never close).
+	// ProbeInterval is the /readyz probing period (0 disables active
+	// probing — breakers then only open from request failures and never
+	// close).
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one probe (default ProbeInterval, min 100ms).
-	ProbeTimeout time.Duration
-	// BreakerFailures is the consecutive-failure count that opens a
-	// shard's circuit breaker (default 3).
-	BreakerFailures int
-
-	// BoundedLoad is the load-balancing factor c of bounded-load
-	// consistent hashing: a shard is skipped while its in-flight count
-	// exceeds c · (total in-flight / healthy shards) + 1. 0 disables
-	// (strict hashing). Typical: 1.25.
-	BoundedLoad float64
-
 	// MaxBody bounds proxied request bodies (default 8 MiB).
 	MaxBody int64
-
-	// Registry receives the mc3_cluster_* metrics (nil-safe).
+	// Registry receives the mc3_cluster_* metrics (a private registry when
+	// nil: /stats reads the per-shard counters back from it).
 	Registry *obs.Registry
 	// Tracer traces routed requests: a "cluster.route" root span per
 	// request with one "cluster.forward" child per shard attempt.
 	Tracer *obs.Tracer
 }
 
-// withDefaults fills the zero values.
-func (c RouterConfig) withDefaults() RouterConfig {
-	if c.Client == nil {
-		c.Client = &http.Client{}
-	}
-	if c.HedgeMinDelay <= 0 {
-		c.HedgeMinDelay = 2 * time.Millisecond
-	}
-	if c.HedgeMinSamples <= 0 {
-		c.HedgeMinSamples = 16
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 3
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 5 * time.Millisecond
-	}
-	if c.RetryBudget <= 0 {
-		c.RetryBudget = 0.2
-	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = c.ProbeInterval
-		if c.ProbeTimeout < 100*time.Millisecond {
-			c.ProbeTimeout = 100 * time.Millisecond
-		}
-	}
-	if c.BreakerFailures <= 0 {
-		c.BreakerFailures = 3
-	}
-	if c.MaxBody <= 0 {
-		c.MaxBody = 8 << 20
-	}
-	return c
-}
+// The routing policy.
+const (
+	// maxAttempts bounds the tries per request: one try plus two retries.
+	maxAttempts = 3
+	// retryBackoff is the wait before the first retry, doubled per retry.
+	retryBackoff = 5 * time.Millisecond
+	// Each arriving request earns retryEarn retry tokens and each retry
+	// spends one; the bucket holds at most retryCap. Sustained retries
+	// thus stay below a fifth of the traffic, so a burst of shard failures
+	// cannot turn into a retry storm against a struggling fleet.
+	retryEarn = 0.2
+	retryCap  = 50
+	// breakerFailures consecutive failures (requests and probes) open a
+	// shard's circuit breaker.
+	breakerFailures = 3
+	// minProbeTimeout floors one probe's timeout, which is otherwise the
+	// probe interval.
+	minProbeTimeout = 100 * time.Millisecond
+)
 
 // shardState is the router's per-shard health and accounting record.
 type shardState struct {
@@ -130,10 +72,10 @@ type shardState struct {
 
 // Router is the cluster front door: an http.Handler proxying the mc3serve
 // API over the shard ring. Stateless /solve requests hash by payload and
-// may be retried and hedged across replicas; sessions are pinned to the
-// shard that created them (the shard index is embedded in the routed
-// session ID), and a pinned shard's failure is answered 503 with a reload
-// hint so the client re-POSTs its load onto a healthy shard.
+// may be retried across replicas; sessions are pinned to the shard that
+// created them (the shard index is embedded in the routed session ID), and
+// a pinned shard's failure is answered 503 with a reload hint so the client
+// re-POSTs its load onto a healthy shard.
 type Router struct {
 	cfg    RouterConfig
 	ring   *Ring
@@ -141,21 +83,12 @@ type Router struct {
 	mux    *http.ServeMux
 
 	tracer   *obs.Tracer
-	registry *obs.Registry
-
-	hedges    *obs.Counter
-	hedgeWins *obs.Counter
-	reloads   *obs.Counter
-	solveLat  *obs.Histogram // router-observed /solve latency: hedge-delay source
+	reloads  *obs.Counter
+	solveLat *obs.Histogram // router-observed /solve latency
 
 	budget struct {
 		sync.Mutex
 		tokens float64
-	}
-
-	sessions struct {
-		sync.Mutex
-		m map[string]int // routed session ID → shard index
 	}
 
 	started  time.Time
@@ -172,7 +105,9 @@ type Router struct {
 // NewRouter validates cfg and assembles the router. Call Start to begin
 // health probing and Close to stop it.
 func NewRouter(cfg RouterConfig) (*Router, error) {
-	cfg = cfg.withDefaults()
+	if cfg.MaxBody <= 0 {
+		cfg.MaxBody = 8 << 20
+	}
 	addrs := make([]string, len(cfg.Shards))
 	for i, a := range cfg.Shards {
 		a = strings.TrimSuffix(a, "/")
@@ -184,25 +119,18 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		}
 		addrs[i] = a
 	}
-	ring, err := NewRing(addrs, cfg.VNodes)
+	ring, err := NewRing(addrs)
 	if err != nil {
 		return nil, err
 	}
 	reg := cfg.Registry
 	if reg == nil {
-		// The router's own accounting must work without a caller-provided
-		// registry: hedging reads its delay quantile from the mc3_cluster
-		// solve-latency histogram, which a nil registry would leave
-		// permanently cold (Count() == 0 never reaches HedgeMinSamples).
 		reg = obs.NewRegistry()
 	}
 	rt := &Router{
 		cfg:       cfg,
 		ring:      ring,
 		tracer:    cfg.Tracer,
-		registry:  reg,
-		hedges:    reg.Counter("mc3_cluster_hedges_total"),
-		hedgeWins: reg.Counter("mc3_cluster_hedge_wins_total"),
 		reloads:   reg.Counter("mc3_cluster_reloads_total"),
 		solveLat:  reg.Histogram("mc3_cluster_solve_seconds"),
 		started:   time.Now(),
@@ -210,7 +138,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		probeDone: make(chan struct{}),
 	}
 	rt.bootID = "r" + strconv.FormatInt(rt.started.UnixNano(), 36)
-	rt.sessions.m = make(map[string]int)
 	rt.shards = make([]*shardState, ring.Len())
 	for i := 0; i < ring.Len(); i++ {
 		addr := ring.Addr(i)
@@ -236,9 +163,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	})
 	rt.mux.HandleFunc("GET /readyz", rt.handleReady)
 	rt.mux.HandleFunc("GET /stats", rt.handleStats)
-	if reg != nil {
-		rt.mux.Handle("GET /metrics", reg)
-	}
+	rt.mux.Handle("GET /metrics", reg)
 	return rt, nil
 }
 
@@ -298,14 +223,14 @@ func (rt *Router) probeAll() {
 // probe checks one shard's /readyz; a success closes its breaker, a failure
 // counts toward opening it.
 func (rt *Router) probe(sh *shardState) {
-	ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), max(rt.cfg.ProbeInterval, minProbeTimeout))
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, sh.addr+"/readyz", nil)
 	if err != nil {
 		rt.markFailure(sh)
 		return
 	}
-	resp, err := rt.cfg.Client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		rt.markFailure(sh)
 		return
@@ -319,10 +244,10 @@ func (rt *Router) probe(sh *shardState) {
 	}
 }
 
-// markFailure records a failed request or probe; BreakerFailures
+// markFailure records a failed request or probe; breakerFailures
 // consecutive failures open the breaker.
 func (rt *Router) markFailure(sh *shardState) {
-	if int(sh.fails.Add(1)) >= rt.cfg.BreakerFailures {
+	if sh.fails.Add(1) >= breakerFailures {
 		if !sh.open.Swap(true) {
 			sh.breaker.Set(1)
 		}
@@ -340,52 +265,25 @@ func (rt *Router) markSuccess(sh *shardState) {
 // healthy reports whether shard i is routable (breaker closed).
 func (rt *Router) healthy(i int) bool { return !rt.shards[i].open.Load() }
 
-// routable implements the ring's bounded-load predicate: breaker closed
-// and, when BoundedLoad is set, in-flight below c·mean + 1.
-func (rt *Router) routable(i int) bool {
-	if !rt.healthy(i) {
-		return false
-	}
-	if rt.cfg.BoundedLoad <= 0 {
-		return true
-	}
-	var total, healthy int64
-	for j, sh := range rt.shards {
-		if rt.healthy(j) {
-			total += sh.inflight.Load()
-			healthy++
-		}
-	}
-	if healthy == 0 {
-		return true
-	}
-	bound := rt.cfg.BoundedLoad*float64(total)/float64(healthy) + 1
-	return float64(rt.shards[i].inflight.Load()) < bound
-}
-
-// candidates returns key's replica preference order restricted to healthy
-// shards, with the bounded-load pick first; when every breaker is open it
-// returns the full ring order (the attempt then fails fast and reports).
+// candidates is a stateless request's attempt order: key's healthy
+// replicas in preference order, at most maxAttempts of them. When every
+// breaker is open it falls back to the full ring order (the attempts then
+// fail fast and report).
 func (rt *Router) candidates(key string) []int {
 	seq := rt.ring.Sequence(key)
 	out := make([]int, 0, len(seq))
-	first := rt.ring.Pick(key, rt.routable)
-	if rt.healthy(first) {
-		out = append(out, first)
-	}
 	for _, s := range seq {
-		if s != first && rt.healthy(s) {
+		if rt.healthy(s) {
 			out = append(out, s)
 		}
 	}
 	if len(out) == 0 {
-		return seq
+		out = seq
 	}
-	return out
+	return out[:min(len(out), maxAttempts)]
 }
 
-// retryAllowed spends one token from the retry budget, earning
-// RetryBudget per arriving request (bucket capped at 50).
+// retryAllowed spends one token from the retry budget.
 func (rt *Router) retryAllowed() bool {
 	rt.budget.Lock()
 	defer rt.budget.Unlock()
@@ -399,10 +297,7 @@ func (rt *Router) retryAllowed() bool {
 // earnRetry credits the budget for one arriving request.
 func (rt *Router) earnRetry() {
 	rt.budget.Lock()
-	rt.budget.tokens += rt.cfg.RetryBudget
-	if rt.budget.tokens > 50 {
-		rt.budget.tokens = 50
-	}
+	rt.budget.tokens = min(rt.budget.tokens+retryEarn, retryCap)
 	rt.budget.Unlock()
 }
 
@@ -463,9 +358,21 @@ func (rt *Router) requestID(w http.ResponseWriter, r *http.Request) string {
 	return id
 }
 
-// readBody buffers the request body under the configured bound.
-func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	return io.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBody))
+// readBody buffers the request body under the configured bound. When the
+// body cannot be read it answers the request — 413 when the body exceeds
+// MaxBody, 400 otherwise — and reports false.
+func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBody))
+	if err != nil {
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		rt.failRouter(w, code, fmt.Errorf("read request body: %w", err), false)
+		return nil, false
+	}
+	return body, true
 }
 
 // forward performs one shard request and buffers the answer. Transport
@@ -493,7 +400,7 @@ func (rt *Router) forward(ctx context.Context, span *obs.Span, shard int, method
 		req.Header.Set("Content-Type", "application/json")
 	}
 	start := time.Now()
-	resp, err := rt.cfg.Client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		sh.errors.Inc()
 		rt.markFailure(sh)
@@ -521,48 +428,66 @@ func (rt *Router) forward(ctx context.Context, span *obs.Span, shard int, method
 	return &shardResponse{status: resp.StatusCode, header: resp.Header, body: respBody}, nil
 }
 
-// retryable reports whether an attempt outcome should move to the next
-// replica: transport errors and 502/503/504 (the shard is down, draining,
-// or out of time); 4xx answers are the client's problem and final.
-func retryable(sr *shardResponse, err error) bool {
-	if err != nil {
-		return true
-	}
-	switch sr.status {
+// retryable reports whether a shard's answer should move the request to
+// its next attempt: 502/503/504 mean the shard is down, draining, or out of
+// time; 4xx answers are the client's problem and final.
+func retryable(status int) bool {
+	switch status {
 	case http.StatusBadGateway, http.StatusServiceUnavailable, http.StatusGatewayTimeout:
 		return true
 	}
 	return false
 }
 
-// hedgeDelay returns the delay after which a stateless request is hedged,
-// or 0 when hedging is disabled or the latency histogram is still cold.
-func (rt *Router) hedgeDelay() time.Duration {
-	q := rt.cfg.HedgeQuantile
-	if q <= 0 || q >= 1 {
-		return 0
+// retry sends a request to plan's shards in order — plan[i] is attempt
+// i's shard — and returns the first answer that is not retryable, with the
+// shard that gave it. Every retry spends a token from the retry budget and
+// first backs off, retryBackoff doubled per retry, on the request context.
+// A cancelled context ends the attempts with ctx.Err(); otherwise, when
+// every attempt fails or the budget runs dry, retry returns the last
+// attempt's failure.
+func (rt *Router) retry(ctx context.Context, span *obs.Span, plan []int, method, path, reqID string, body []byte) (*shardResponse, int, error) {
+	var lastErr error
+	for i, shard := range plan {
+		if i > 0 {
+			if !rt.retryAllowed() {
+				break
+			}
+			rt.shards[shard].retries.Inc()
+			span.SetAttr(obs.Int("retries", i))
+			backoff := time.NewTimer(retryBackoff << (i - 1))
+			select {
+			case <-ctx.Done():
+				backoff.Stop()
+				return nil, 0, ctx.Err()
+			case <-backoff.C:
+			}
+		}
+		sr, err := rt.forward(ctx, span, shard, method, path, reqID, body)
+		if err == nil {
+			if !retryable(sr.status) {
+				return sr, shard, nil
+			}
+			err = fmt.Errorf("shard answered HTTP %d", sr.status)
+		}
+		if ctx.Err() != nil {
+			return nil, 0, ctx.Err()
+		}
+		lastErr = err
 	}
-	if rt.solveLat.Count() < rt.cfg.HedgeMinSamples {
-		return 0
-	}
-	d := time.Duration(rt.solveLat.Quantile(q) * float64(time.Second))
-	if d < rt.cfg.HedgeMinDelay {
-		d = rt.cfg.HedgeMinDelay
-	}
-	return d
+	return nil, 0, lastErr
 }
 
 // handleSolve proxies a stateless solve: consistent-hash by payload (a
 // deterministic proxy for the component cache signature — identical loads
-// land on the same shard, so its component cache amortizes them), with
-// bounded retries on replica failure and a latency-quantile hedge.
+// land on the same shard, so its component cache amortizes them), retried
+// on the next replicas when a shard fails.
 func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
 	rt.requests.Add(1)
 	rt.earnRetry()
 	reqID := rt.requestID(w, r)
-	body, err := rt.readBody(w, r)
-	if err != nil {
-		rt.failRouter(w, http.StatusRequestEntityTooLarge, err, false)
+	body, ok := rt.readBody(w, r)
+	if !ok {
 		return
 	}
 	key := "solve:" + strconv.FormatUint(KeyHash(string(body)), 16)
@@ -570,10 +495,14 @@ func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
 		obs.Str("endpoint", "solve"), obs.Str("request_id", reqID), obs.Str("key", key))
 
 	start := time.Now()
-	sr, err := rt.hedgedSolve(ctx, sp, key, reqID, body)
+	sr, _, err := rt.retry(ctx, sp, rt.candidates(key), http.MethodPost, "/solve", reqID, body)
 	if err != nil {
 		sp.EndErr(err)
-		rt.failRouter(w, http.StatusBadGateway, err, false)
+		if ctx.Err() != nil {
+			rt.failRouter(w, statusClientClosedRequest, err, false)
+			return
+		}
+		rt.failRouter(w, http.StatusBadGateway, fmt.Errorf("all replicas failed: %w", err), false)
 		return
 	}
 	if sr.status < 400 {
@@ -582,101 +511,6 @@ func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
 	sp.SetAttr(obs.Int("status", sr.status))
 	sp.End()
 	sr.send(w)
-}
-
-// hedgedSolve races the solve across key's replica preference order:
-// sequential bounded retries on failure, plus — once the latency histogram
-// is warm — a hedge to the next replica when the current attempt outlives
-// the configured quantile. The first acceptable answer wins; the loser's
-// context is cancelled.
-func (rt *Router) hedgedSolve(ctx context.Context, span *obs.Span, key, reqID string, body []byte) (*shardResponse, error) {
-	cands := rt.candidates(key)
-	maxAttempts := rt.cfg.MaxAttempts
-	if maxAttempts > len(cands) {
-		maxAttempts = len(cands)
-	}
-
-	type outcome struct {
-		sr    *shardResponse
-		err   error
-		hedge bool
-	}
-	results := make(chan outcome, len(cands))
-	actx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	next := 0
-	inflight := 0
-	launch := func(hedge bool) {
-		shard := cands[next]
-		next++
-		inflight++
-		go func() {
-			sr, err := rt.forward(actx, span, shard, http.MethodPost, "/solve", reqID, body)
-			results <- outcome{sr: sr, err: err, hedge: hedge}
-		}()
-	}
-	launch(false)
-
-	var hedgeTimer <-chan time.Time
-	hedged := false
-	if d := rt.hedgeDelay(); d > 0 && len(cands) > 1 {
-		t := time.NewTimer(d)
-		defer t.Stop()
-		hedgeTimer = t.C
-	}
-
-	attempts := 1
-	var lastErr error
-	for {
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-hedgeTimer:
-			hedgeTimer = nil
-			if next < len(cands) {
-				hedged = true
-				rt.hedges.Inc()
-				span.SetAttr(obs.Int("hedged", 1))
-				launch(true)
-			}
-		case out := <-results:
-			inflight--
-			if !retryable(out.sr, out.err) {
-				if out.hedge {
-					rt.hedgeWins.Inc()
-					span.SetAttr(obs.Int("hedge_win", 1))
-				}
-				return out.sr, nil
-			}
-			if out.err != nil {
-				lastErr = out.err
-			} else {
-				lastErr = fmt.Errorf("shard answered HTTP %d", out.sr.status)
-			}
-			// The attempt failed: retry on the next replica if attempts,
-			// budget, and candidates allow; otherwise wait out any
-			// still-running hedge, then report.
-			canRetry := attempts < maxAttempts && next < len(cands) && rt.retryAllowed()
-			if canRetry {
-				if backoff := rt.cfg.RetryBackoff << (attempts - 1); backoff > 0 && !hedged {
-					select {
-					case <-ctx.Done():
-						return nil, ctx.Err()
-					case <-time.After(backoff):
-					}
-				}
-				rt.shards[cands[next]].retries.Inc()
-				span.SetAttr(obs.Int("retries", attempts))
-				attempts++
-				launch(out.hedge)
-				continue
-			}
-			if inflight == 0 {
-				return nil, fmt.Errorf("all replicas failed (%d attempt(s)): %w", attempts, lastErr)
-			}
-		}
-	}
 }
 
 // failRouter answers a router-level error (no shard answered).
@@ -722,9 +556,8 @@ func (rt *Router) handleLoad(w http.ResponseWriter, r *http.Request) {
 	rt.requests.Add(1)
 	rt.earnRetry()
 	reqID := rt.requestID(w, r)
-	body, err := rt.readBody(w, r)
-	if err != nil {
-		rt.failRouter(w, http.StatusRequestEntityTooLarge, err, false)
+	body, ok := rt.readBody(w, r)
+	if !ok {
 		return
 	}
 	key := r.Header.Get("X-Session-Key")
@@ -738,43 +571,14 @@ func (rt *Router) handleLoad(w http.ResponseWriter, r *http.Request) {
 	if q := r.URL.RawQuery; q != "" {
 		path += "?" + q
 	}
-	cands := rt.candidates(key)
-	maxAttempts := rt.cfg.MaxAttempts
-	if maxAttempts > len(cands) {
-		maxAttempts = len(cands)
-	}
-	var (
-		sr      *shardResponse
-		lastErr error
-		shard   int
-	)
-	for attempt := 0; attempt < maxAttempts; attempt++ {
-		if attempt > 0 {
-			if !rt.retryAllowed() {
-				break
-			}
-			rt.shards[cands[attempt]].retries.Inc()
-			select {
-			case <-ctx.Done():
-				sp.EndErr(ctx.Err())
-				rt.failRouter(w, statusClientClosedRequest, ctx.Err(), false)
-				return
-			case <-time.After(rt.cfg.RetryBackoff << (attempt - 1)):
-			}
+	sr, shard, err := rt.retry(ctx, sp, rt.candidates(key), http.MethodPost, path, reqID, body)
+	if err != nil {
+		sp.EndErr(err)
+		if ctx.Err() != nil {
+			rt.failRouter(w, statusClientClosedRequest, err, false)
+			return
 		}
-		shard = cands[attempt]
-		sr, lastErr = rt.forward(ctx, sp, shard, http.MethodPost, path, reqID, body)
-		if !retryable(sr, lastErr) {
-			break
-		}
-		if lastErr == nil {
-			lastErr = fmt.Errorf("shard answered HTTP %d", sr.status)
-		}
-		sr = nil
-	}
-	if sr == nil {
-		sp.EndErr(lastErr)
-		rt.failRouter(w, http.StatusBadGateway, fmt.Errorf("load placement failed: %w", lastErr), false)
+		rt.failRouter(w, http.StatusBadGateway, fmt.Errorf("load placement failed: %w", err), false)
 		return
 	}
 	sp.SetAttr(obs.Int("status", sr.status), obs.Str("shard", rt.shards[shard].addr))
@@ -784,8 +588,7 @@ func (rt *Router) handleLoad(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Rewrite the shard-local session ID into the routed form and remember
-	// the pin.
+	// Rewrite the shard-local session ID into the routed form.
 	var doc map[string]any
 	if err := json.Unmarshal(sr.body, &doc); err != nil {
 		sp.EndErr(err)
@@ -801,9 +604,6 @@ func (rt *Router) handleLoad(w http.ResponseWriter, r *http.Request) {
 	routed := sessionID(shard, sid)
 	doc["session"] = routed
 	doc["shard"] = rt.shards[shard].addr
-	rt.sessions.Lock()
-	rt.sessions.m[routed] = shard
-	rt.sessions.Unlock()
 	sp.End()
 	writeJSON(w, http.StatusOK, doc)
 }
@@ -829,9 +629,8 @@ func (rt *Router) handleSession(w http.ResponseWriter, r *http.Request) {
 	suffix := strings.TrimPrefix(r.URL.Path, "/session/"+id)
 	path := "/session/" + shardSession + suffix
 
-	body, err := rt.readBody(w, r)
-	if err != nil {
-		rt.failRouter(w, http.StatusRequestEntityTooLarge, err, false)
+	body, ok := rt.readBody(w, r)
+	if !ok {
 		return
 	}
 	if len(body) == 0 {
@@ -849,44 +648,24 @@ func (rt *Router) handleSession(w http.ResponseWriter, r *http.Request) {
 
 	attempts := 1
 	if r.Method == http.MethodGet {
-		attempts = rt.cfg.MaxAttempts
+		attempts = maxAttempts
 	}
-	var (
-		sr      *shardResponse
-		lastErr error
-	)
-	for a := 0; a < attempts; a++ {
-		if a > 0 {
-			if !rt.retryAllowed() {
-				break
-			}
-			rt.shards[shard].retries.Inc()
-			time.Sleep(rt.cfg.RetryBackoff << (a - 1))
+	plan := make([]int, attempts)
+	for i := range plan {
+		plan[i] = shard
+	}
+	sr, _, err := rt.retry(ctx, sp, plan, r.Method, path, reqID, body)
+	if err != nil {
+		sp.EndErr(err)
+		if ctx.Err() != nil {
+			rt.failRouter(w, statusClientClosedRequest, err, false)
+			return
 		}
-		sr, lastErr = rt.forward(ctx, sp, shard, r.Method, path, reqID, body)
-		if !retryable(sr, lastErr) {
-			break
-		}
-		sr = nil
-	}
-	if sr == nil {
-		// The pinned shard did not answer: its session state must be
-		// assumed lost. Tell the client to reload.
-		sp.EndErr(lastErr)
-		rt.dropSession(id)
-		rt.sessionGone(w, id, fmt.Errorf("session %s shard failed: %v", id, lastErr))
+		// The pinned shard did not answer, or is draining or out of time:
+		// its session state must be assumed lost. Tell the client to
+		// reload.
+		rt.sessionGone(w, id, fmt.Errorf("session %s shard failed: %w", id, err))
 		return
-	}
-	if retryable(sr, nil) {
-		// The shard answered but is draining or out of time (503/504): the
-		// session may be gone with it.
-		sp.EndErr(fmt.Errorf("HTTP %d", sr.status))
-		rt.dropSession(id)
-		rt.sessionGone(w, id, fmt.Errorf("session %s shard answered HTTP %d", id, sr.status))
-		return
-	}
-	if r.Method == http.MethodDelete && sr.status == http.StatusNoContent {
-		rt.dropSession(id)
 	}
 	sp.SetAttr(obs.Int("status", sr.status))
 	sp.End()
@@ -915,13 +694,6 @@ func (rt *Router) sessionGone(w http.ResponseWriter, id string, err error) {
 		fmt.Errorf("%v; re-POST the load to place the session on a healthy shard", err), true)
 }
 
-// dropSession forgets a routed session pin.
-func (rt *Router) dropSession(id string) {
-	rt.sessions.Lock()
-	delete(rt.sessions.m, id)
-	rt.sessions.Unlock()
-}
-
 // handleReady answers 200 while at least one shard is routable.
 func (rt *Router) handleReady(w http.ResponseWriter, _ *http.Request) {
 	for i := range rt.shards {
@@ -940,11 +712,7 @@ type RouterStats struct {
 	UptimeSeconds float64      `json:"uptime_seconds"`
 	Requests      int64        `json:"requests"`
 	Errors        int64        `json:"errors"`
-	Hedges        int64        `json:"hedges"`
-	HedgeWins     int64        `json:"hedge_wins"`
 	Reloads       int64        `json:"reloads"`
-	Sessions      int          `json:"sessions"`
-	HedgeDelay    float64      `json:"hedge_delay_seconds"` // current, 0 = off/cold
 	Shards        []ShardStats `json:"shards"`
 }
 
@@ -964,18 +732,11 @@ type ShardStats struct {
 
 // Stats snapshots the router's counters.
 func (rt *Router) Stats() RouterStats {
-	rt.sessions.Lock()
-	nSessions := len(rt.sessions.m)
-	rt.sessions.Unlock()
 	st := RouterStats{
 		UptimeSeconds: time.Since(rt.started).Seconds(),
 		Requests:      rt.requests.Load(),
 		Errors:        rt.errored.Load(),
-		Hedges:        rt.hedges.Value(),
-		HedgeWins:     rt.hedgeWins.Value(),
 		Reloads:       rt.reloads.Value(),
-		Sessions:      nSessions,
-		HedgeDelay:    rt.hedgeDelay().Seconds(),
 	}
 	for i, sh := range rt.shards {
 		st.Shards = append(st.Shards, ShardStats{

@@ -31,39 +31,23 @@ const sessionMarker = "# session "
 
 // ReadSessionBundle parses a session bundle. Deltas before the first marker
 // (including an entire marker-less stream) form a session named "default".
-// Duplicate session names are an error; sessions keep file order.
+// Duplicate session names are an error, as are names WriteSessionBundle
+// could not write back; sessions keep file order. Errors carry the 1-based
+// line number in the file.
 func ReadSessionBundle(r io.Reader) ([]SessionStream, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
 	var (
-		out     []SessionStream
-		cur     *SessionStream
-		seen    = map[string]bool{}
-		pending []string // delta lines of the current session
-		line    int
+		out  []SessionStream
+		seen = map[string]bool{}
+		line int
 	)
-	flush := func() error {
-		if cur == nil {
-			return nil
-		}
-		deltas, err := ReadDeltaStream(strings.NewReader(strings.Join(pending, "\n")))
-		if err != nil {
-			return fmt.Errorf("incr: session %q: %w", cur.Name, err)
-		}
-		cur.Deltas = deltas
-		out = append(out, *cur)
-		cur, pending = nil, pending[:0]
-		return nil
-	}
 	open := func(name string) error {
-		if err := flush(); err != nil {
-			return err
-		}
 		if seen[name] {
 			return fmt.Errorf("incr: line %d: duplicate session %q", line, name)
 		}
 		seen[name] = true
-		cur = &SessionStream{Name: name}
+		out = append(out, SessionStream{Name: name})
 		return nil
 	}
 	for sc.Scan() {
@@ -80,6 +64,11 @@ func ReadSessionBundle(r io.Reader) ([]SessionStream, error) {
 			if name == "" {
 				return nil, fmt.Errorf("incr: line %d: session marker without a name", line)
 			}
+			// The scanner splits lines at '\n' only, so a '\r' can sit
+			// inside a name; such a name cannot be written back.
+			if strings.Contains(name, "\r") {
+				return nil, fmt.Errorf("incr: line %d: session name %q contains a carriage return", line, name)
+			}
 			if err := open(name); err != nil {
 				return nil, err
 			}
@@ -88,18 +77,20 @@ func ReadSessionBundle(r io.Reader) ([]SessionStream, error) {
 		if text == "" || strings.HasPrefix(text, "#") {
 			continue
 		}
-		if cur == nil {
+		if len(out) == 0 {
 			if err := open("default"); err != nil {
 				return nil, err
 			}
 		}
-		pending = append(pending, text)
+		cur := &out[len(out)-1]
+		d, err := parseDeltaLine(text)
+		if err != nil {
+			return nil, fmt.Errorf("incr: session %q: line %d: %w", cur.Name, line, err)
+		}
+		cur.Deltas = append(cur.Deltas, d)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("incr: reading session bundle: %w", err)
-	}
-	if err := flush(); err != nil {
-		return nil, err
 	}
 	return out, nil
 }

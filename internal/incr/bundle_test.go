@@ -75,3 +75,23 @@ func TestSessionBundleErrors(t *testing.T) {
 		t.Error("newline in session name written without error")
 	}
 }
+
+// TestReadSessionBundleErrorNamesFileLine: a bad delta line is reported with
+// its session and its line number in the file, under one "incr:" prefix.
+func TestReadSessionBundleErrorNamesFileLine(t *testing.T) {
+	in := "# session a\n0 add x\n1 add y\n\n# session b\n0 add x\n# comment\n1 bogus p\n"
+	_, err := ReadSessionBundle(strings.NewReader(in))
+	const want = `incr: session "b": line 8: unknown op "bogus"`
+	if err == nil || err.Error() != want {
+		t.Fatalf("got error %v, want %q", err, want)
+	}
+}
+
+// TestReadSessionBundleRejectsUnwritableName: a session name that
+// WriteSessionBundle would refuse (a carriage return inside it) is rejected
+// on read too.
+func TestReadSessionBundleRejectsUnwritableName(t *testing.T) {
+	if got, err := ReadSessionBundle(strings.NewReader("# session a\rb\n0 add x\n")); err == nil {
+		t.Fatalf("name with a carriage return accepted: %+v", got)
+	}
+}

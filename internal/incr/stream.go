@@ -33,37 +33,9 @@ func ReadDeltaStream(r io.Reader) ([]Delta, error) {
 		if text == "" || strings.HasPrefix(text, "#") {
 			continue
 		}
-		fields := strings.Fields(text)
-		if len(fields) < 3 {
-			return nil, fmt.Errorf("incr: line %d: want \"<time> <op> <props> [cost]\", got %d field(s)", line, len(fields))
-		}
-		t, err := strconv.ParseFloat(fields[0], 64)
-		if err != nil || math.IsNaN(t) || math.IsInf(t, 0) || t < 0 {
-			return nil, fmt.Errorf("incr: line %d: bad time %q", line, fields[0])
-		}
-		op, err := ParseOp(fields[1])
+		d, err := parseDeltaLine(text)
 		if err != nil {
-			return nil, fmt.Errorf("incr: line %d: %v", line, err)
-		}
-		props, err := splitProps(fields[2])
-		if err != nil {
-			return nil, fmt.Errorf("incr: line %d: %v", line, err)
-		}
-		d := Delta{Time: t, Op: op, Props: props}
-		switch op {
-		case OpUpdateCost:
-			if len(fields) != 4 {
-				return nil, fmt.Errorf("incr: line %d: cost op wants 4 fields, got %d", line, len(fields))
-			}
-			c, err := strconv.ParseFloat(fields[3], 64)
-			if err != nil || math.IsNaN(c) || c < 0 {
-				return nil, fmt.Errorf("incr: line %d: bad cost %q", line, fields[3])
-			}
-			d.Cost = c
-		default:
-			if len(fields) != 3 {
-				return nil, fmt.Errorf("incr: line %d: %s op wants 3 fields, got %d", line, op, len(fields))
-			}
+			return nil, fmt.Errorf("incr: line %d: %w", line, err)
 		}
 		out = append(out, d)
 	}
@@ -71,6 +43,45 @@ func ReadDeltaStream(r io.Reader) ([]Delta, error) {
 		return nil, fmt.Errorf("incr: reading delta stream: %w", err)
 	}
 	return out, nil
+}
+
+// parseDeltaLine parses one delta line of the stream format: trimmed,
+// neither blank nor a comment. Its errors carry no position; the readers
+// add the line number.
+func parseDeltaLine(text string) (Delta, error) {
+	fields := strings.Fields(text)
+	if len(fields) < 3 {
+		return Delta{}, fmt.Errorf("want \"<time> <op> <props> [cost]\", got %d field(s)", len(fields))
+	}
+	t, err := strconv.ParseFloat(fields[0], 64)
+	if err != nil || math.IsNaN(t) || math.IsInf(t, 0) || t < 0 {
+		return Delta{}, fmt.Errorf("bad time %q", fields[0])
+	}
+	op, err := ParseOp(fields[1])
+	if err != nil {
+		return Delta{}, fmt.Errorf("unknown op %q", fields[1])
+	}
+	props, err := splitProps(fields[2])
+	if err != nil {
+		return Delta{}, err
+	}
+	d := Delta{Time: t, Op: op, Props: props}
+	switch op {
+	case OpUpdateCost:
+		if len(fields) != 4 {
+			return Delta{}, fmt.Errorf("cost op wants 4 fields, got %d", len(fields))
+		}
+		c, err := strconv.ParseFloat(fields[3], 64)
+		if err != nil || math.IsNaN(c) || c < 0 {
+			return Delta{}, fmt.Errorf("bad cost %q", fields[3])
+		}
+		d.Cost = c
+	default:
+		if len(fields) != 3 {
+			return Delta{}, fmt.Errorf("%s op wants 3 fields, got %d", op, len(fields))
+		}
+	}
+	return d, nil
 }
 
 // splitProps parses a comma-separated property list, rejecting empties.

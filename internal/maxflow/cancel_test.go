@@ -39,7 +39,6 @@ var engines = []struct {
 }{
 	{"dinic", DinicCtx},
 	{"push-relabel", PushRelabelCtx},
-	{"capacity-scaling", CapacityScalingCtx},
 }
 
 func TestEnginesReturnErrOnCancelledContext(t *testing.T) {

@@ -48,6 +48,3 @@ func BenchmarkDinicBipartite(b *testing.B) { benchEngine(b, Dinic) }
 
 // BenchmarkPushRelabelBipartite measures push-relabel on the same shape.
 func BenchmarkPushRelabelBipartite(b *testing.B) { benchEngine(b, PushRelabel) }
-
-// BenchmarkCapacityScalingBipartite measures capacity scaling likewise.
-func BenchmarkCapacityScalingBipartite(b *testing.B) { benchEngine(b, CapacityScaling) }

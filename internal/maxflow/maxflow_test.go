@@ -302,71 +302,3 @@ func TestLargeSparseRandomAgreement(t *testing.T) {
 		t.Errorf("large graph: Dinic=%v PushRelabel=%v", f1, f2)
 	}
 }
-
-func TestCapacityScalingClassicExample(t *testing.T) {
-	edges := [][3]float64{
-		{0, 1, 16}, {0, 2, 13}, {1, 2, 10}, {2, 1, 4},
-		{1, 3, 12}, {3, 2, 9}, {2, 4, 14}, {4, 3, 7},
-		{3, 5, 20}, {4, 5, 4},
-	}
-	g := buildGraph(6, edges)
-	if got := CapacityScaling(g, 0, 5); got != 23 {
-		t.Errorf("CapacityScaling = %v, want 23", got)
-	}
-}
-
-func TestCapacityScalingAgainstDinicRandom(t *testing.T) {
-	rng := rand.New(rand.NewSource(314))
-	for trial := 0; trial < 200; trial++ {
-		n := 2 + rng.Intn(10)
-		m := rng.Intn(4 * n)
-		edges := make([][3]float64, 0, m)
-		for i := 0; i < m; i++ {
-			u, v := rng.Intn(n), rng.Intn(n)
-			if u == v {
-				continue
-			}
-			edges = append(edges, [3]float64{float64(u), float64(v), float64(1 + rng.Intn(50))})
-		}
-		gd := buildGraph(n, edges)
-		gs := buildGraph(n, edges)
-		fd := Dinic(gd, 0, n-1)
-		fs := CapacityScaling(gs, 0, n-1)
-		if math.Abs(fd-fs) > 1e-9 {
-			t.Fatalf("trial %d: Dinic=%v CapacityScaling=%v (edges=%v)", trial, fd, fs, edges)
-		}
-	}
-}
-
-func TestCapacityScalingFractionalCapacities(t *testing.T) {
-	g := NewGraph(3)
-	g.AddEdge(0, 1, 0.75)
-	g.AddEdge(1, 2, 0.5)
-	if got := CapacityScaling(g, 0, 2); math.Abs(got-0.5) > 1e-9 {
-		t.Errorf("fractional flow = %v, want 0.5", got)
-	}
-}
-
-func TestCapacityScalingInfiniteEdges(t *testing.T) {
-	g := NewGraph(4)
-	g.AddEdge(0, 1, 3)
-	g.AddEdge(1, 2, math.Inf(1))
-	g.AddEdge(2, 3, 4)
-	if got := CapacityScaling(g, 0, 3); got != 3 {
-		t.Errorf("flow = %v, want 3", got)
-	}
-	side := g.SourceSide(0)
-	if side[3] {
-		t.Error("sink reachable after max flow")
-	}
-}
-
-func TestCapacityScalingTrivial(t *testing.T) {
-	g := NewGraph(2)
-	if CapacityScaling(g, 0, 1) != 0 {
-		t.Error("no edges → zero flow")
-	}
-	if CapacityScaling(g, 0, 0) != 0 {
-		t.Error("s == t → zero flow")
-	}
-}

@@ -2,13 +2,12 @@ package maxflow
 
 // Stats counts the work a max-flow engine performed during one run. The
 // counters are engine-specific: Dinic reports Phases (BFS level rebuilds)
-// and Augments, capacity scaling reports Phases (Δ halvings) and Augments,
-// push-relabel reports Discharges and Relabels. Zero-valued counters simply
+// and Augments, push-relabel reports Discharges and Relabels. Zero-valued counters simply
 // mean the engine does not use that notion of work.
 type Stats struct {
-	// Phases counts Dinic BFS phases or capacity-scaling Δ phases.
+	// Phases counts Dinic BFS phases.
 	Phases int
-	// Augments counts augmenting paths pushed (Dinic, CapacityScaling).
+	// Augments counts Dinic augmenting paths pushed.
 	Augments int
 	// Discharges counts push-relabel discharge operations.
 	Discharges int

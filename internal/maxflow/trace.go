@@ -7,9 +7,8 @@ import (
 )
 
 // SpanRun is the span name wrapping one max-flow engine run (see
-// internal/obs). Attrs: "engine" ("dinic", "push-relabel",
-// "capacity-scaling") plus this run's work counters ("phases", "augments",
-// "discharges", "relabels"). Solvers' stats sinks match it to accumulate
+// internal/obs). Attrs: "engine" ("dinic" or "push-relabel") plus this
+// run's work counters ("phases", "augments", "discharges", "relabels"). Solvers' stats sinks match it to accumulate
 // max-flow work.
 const SpanRun = "maxflow"
 

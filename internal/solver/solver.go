@@ -162,7 +162,7 @@ func DefaultOptions() Options {
 // preprocessing level, and the max-flow engine named in the vocabulary the
 // CLIs' -wsc, -prep, and -engine flags and the serve configuration share:
 // wsc is auto|greedy|primal-dual|lp-rounding|auto-lp, prepLevel is
-// full|minimal, engine is dinic|push-relabel|capacity-scaling.
+// full|minimal, engine is dinic|push-relabel.
 func ParseOptions(wsc, prepLevel, engine string) (Options, error) {
 	opts := DefaultOptions()
 	switch wsc {
@@ -192,8 +192,6 @@ func ParseOptions(wsc, prepLevel, engine string) (Options, error) {
 		opts.Engine = bipartite.Dinic
 	case "push-relabel":
 		opts.Engine = bipartite.PushRelabel
-	case "capacity-scaling":
-		opts.Engine = bipartite.CapacityScaling
 	default:
 		return opts, fmt.Errorf("unknown -engine %q", engine)
 	}

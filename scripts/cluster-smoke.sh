@@ -2,8 +2,7 @@
 # Cluster smoke gate: genuinely separate OS processes — two mc3serve shards
 # and one mc3serve router — replayed against with mc3replay -cluster, which
 # hard-differential-checks every batch's cost against a local incremental
-# engine and exits non-zero on any disagreement. An additional in-process
-# hedging run records the hedging-off-vs-on tail-latency experiment.
+# engine and exits non-zero on any disagreement.
 #
 # Usage: scripts/cluster-smoke.sh [outdir]   (default: ./cluster-smoke)
 set -eu
@@ -56,10 +55,5 @@ echo "== replaying the bundle through the external router (differential gate)"
 echo "== router stats after replay"
 curl -fsS http://127.0.0.1:19100/stats | tee "$OUT/router-stats.json"
 echo
-
-echo "== hedging experiment (in-process harness, one shard slowed)"
-"$BIN/mc3replay" -cluster -stream "$OUT/bundle.txt" -shards 3 \
-    -slow-shard 0 -slow 40ms -hedge-quantile 0.25 -hedge-requests 48 \
-    -window 2 -json -out "$OUT/cluster-hedge.json"
 
 echo "== cluster smoke clean"
