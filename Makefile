@@ -84,11 +84,13 @@ experiments-quick:
 serve:
 	$(GO) run ./cmd/mc3serve -addr localhost:8080
 
-# Short fuzzing passes over the parsers and the set algebra.
+# Short fuzzing passes over the parsers, the set algebra and the C_Q
+# enumeration kernel (against its reference enumeration).
 fuzz:
 	$(GO) test -fuzz FuzzRead -fuzztime 30s ./internal/textio/
 	$(GO) test -fuzz FuzzReadSessionBundle -fuzztime 30s ./internal/incr/
 	$(GO) test -fuzz FuzzPropSetAlgebra -fuzztime 30s ./internal/core/
+	$(GO) test -fuzz FuzzNewInstance -fuzztime 30s .
 
 clean:
 	$(GO) clean ./...

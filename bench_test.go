@@ -15,6 +15,7 @@ import (
 	"repro/internal/incr"
 	"repro/internal/prep"
 	"repro/internal/solver"
+	"repro/internal/textio"
 	"repro/internal/workload"
 )
 
@@ -99,6 +100,30 @@ func BenchmarkInstanceBuild(b *testing.B) {
 			}
 		})
 	}
+	// The 10k-query Private load priced by the explicit cost table its
+	// instance file carries — the table mc3solve -in and /solve build from
+	// the JSON costs — so every classifier lookup is a table probe.
+	b.Run("private", func(b *testing.B) {
+		d := workload.Private(1)
+		inst, err := d.Instance()
+		if err != nil {
+			b.Fatal(err)
+		}
+		f := textio.FromInstance(inst)
+		u := NewUniverse()
+		queries := make([]PropSet, len(f.Queries))
+		for i, q := range f.Queries {
+			queries[i] = u.Set(q...)
+		}
+		cm := f.CostModelFor(u)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := NewInstance(u, queries, cm, InstanceOptions{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkPreprocessing measures Algorithm 1 on synthetic loads.

@@ -109,7 +109,7 @@ func run(args []string, logw io.Writer) (retErr error) {
 	fs.StringVar(&cfg.Prep, "prep", cfg.Prep, "preprocessing level: full|minimal")
 	fs.StringVar(&cfg.Engine, "engine", cfg.Engine, "Algorithm 2 max-flow engine: dinic|push-relabel")
 	fs.IntVar(&cfg.Parallel, "parallel", cfg.Parallel, "components solved concurrently per request: 0 or 1 solves serially, n > 1 uses n workers, -1 (the default) uses GOMAXPROCS")
-	fs.IntVar(&cfg.CacheSize, "cache-size", cache.DefaultMaxEntries, "component-solution cache entries (0 disables the cache)")
+	fs.IntVar(&cfg.CacheSize, "cache-size", cache.DefaultMaxEntries, "component-solution cache bound in 4 KiB slots: an entry holds one per started 4 KiB of its key and picks (0 disables the cache)")
 	fs.Float64Var(&cfg.CacheQuantum, "cache-quantum", 0, "cost quantum for cache keys (0 = exact costs)")
 	fs.DurationVar(&cfg.ReqTimeout, "request-timeout", cfg.ReqTimeout, "per-request solve deadline (0 = client-controlled only)")
 	fs.Int64Var(&cfg.MaxBody, "max-body", cfg.MaxBody, "maximum request body bytes")
@@ -174,7 +174,7 @@ func run(args []string, logw io.Writer) (retErr error) {
 	if err != nil {
 		return err
 	}
-	banner := fmt.Sprintf("mc3serve: cache %d entries, timeout %v", cfg.CacheSize, cfg.ReqTimeout)
+	banner := fmt.Sprintf("mc3serve: cache %d slots, timeout %v", cfg.CacheSize, cfg.ReqTimeout)
 	return serveUntilSignal(logw, *addr, banner, obsCLI.DebugAddr, *drainGrace, srv, srv.StartDrain, func(w io.Writer) {
 		requests, errored := srv.Counts()
 		fmt.Fprintf(w, "mc3serve: served %d solves (%d errors), cache hit rate %.1f%%\n",

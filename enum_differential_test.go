@@ -1,12 +1,11 @@
 package mc3
 
-// Differential testing for the allocation-free classifier-universe
-// enumeration: NewInstance's scratch-buffer/byte-key/shape-memoized hot path
-// must materialize exactly the instance the straightforward per-mask
-// enumeration produces. The reference below is the pre-optimization
-// algorithm, kept verbatim in test form; the comparison runs over all three
-// workload generators plus the duplicate-heavy shapes the memoization
-// targets.
+// Differential testing for the classifier-universe enumeration kernel:
+// NewInstance's hash-indexed, flat-array, shape-memoized build must
+// materialize exactly the instance the straightforward per-mask enumeration
+// produces. The reference below is the pre-optimization algorithm, kept in
+// test form; the comparison runs over all three workload generators, the
+// duplicate-heavy shapes the memoization targets, and fuzzed small loads.
 
 import (
 	"math"
@@ -25,9 +24,17 @@ type refInstance struct {
 	costs       []float64
 	queryCls    [][]core.QueryClassifier
 	clsQueries  [][]int32
+	unavailable []PropSet // enumerated subsets the cost model priced +Inf
 }
 
 func refEnumerate(t *testing.T, queries []PropSet, cm CostModel, keepDups bool) *refInstance {
+	t.Helper()
+	return refEnumerateBounded(t, queries, cm, keepDups, 0)
+}
+
+// refEnumerateBounded is refEnumerate with the bounded-classifiers option:
+// maxLen > 0 skips subsets longer than maxLen.
+func refEnumerateBounded(t *testing.T, queries []PropSet, cm CostModel, keepDups bool, maxLen int) *refInstance {
 	t.Helper()
 	var kept []PropSet
 	seen := map[string]bool{}
@@ -46,6 +53,9 @@ func refEnumerate(t *testing.T, queries []PropSet, cm CostModel, keepDups bool) 
 	for qi, q := range kept {
 		full := uint64(1)<<uint(q.Len()) - 1
 		for mask := uint64(1); mask <= full; mask++ {
+			if maxLen > 0 && bits.OnesCount64(mask) > maxLen {
+				continue
+			}
 			sub := q.SubsetByMask(mask)
 			key := sub.Key()
 			id, ok := byKey[key]
@@ -53,6 +63,7 @@ func refEnumerate(t *testing.T, queries []PropSet, cm CostModel, keepDups bool) 
 				c := cm.Cost(sub)
 				if math.IsInf(c, 1) {
 					byKey[key] = NoClassifier
+					ref.unavailable = append(ref.unavailable, sub)
 					continue
 				}
 				id = ClassifierID(len(ref.classifiers))
@@ -71,8 +82,9 @@ func refEnumerate(t *testing.T, queries []PropSet, cm CostModel, keepDups bool) 
 }
 
 // compareInstance checks inst against the reference field by field: same
-// classifier numbering, costs, per-query classifier lists with masks, and
-// per-classifier incidence lists.
+// classifier numbering, costs, per-query classifier lists with masks,
+// per-classifier incidence lists, and ClassifierIDOf answers for every
+// classifier, every +Inf-priced subset and a set outside every query.
 func compareInstance(t *testing.T, name string, inst *Instance, ref *refInstance) {
 	t.Helper()
 	if inst.NumClassifiers() != len(ref.classifiers) {
@@ -82,6 +94,9 @@ func compareInstance(t *testing.T, name string, inst *Instance, ref *refInstance
 		cid := ClassifierID(id)
 		if !inst.Classifier(cid).Equal(ref.classifiers[id]) {
 			t.Fatalf("%s: classifier %d = %v, reference %v", name, id, inst.Classifier(cid), ref.classifiers[id])
+		}
+		if got, ok := inst.ClassifierIDOf(ref.classifiers[id]); !ok || got != cid {
+			t.Fatalf("%s: ClassifierIDOf(%v) = %d, %v; want %d, true", name, ref.classifiers[id], got, ok, id)
 		}
 		if inst.Cost(cid) != ref.costs[id] {
 			t.Fatalf("%s: cost(%d) = %v, reference %v", name, id, inst.Cost(cid), ref.costs[id])
@@ -120,6 +135,20 @@ func compareInstance(t *testing.T, name string, inst *Instance, ref *refInstance
 	}
 	if inst.SumQueryLen() != sumLen {
 		t.Errorf("%s: SumQueryLen = %d, recomputed %d", name, inst.SumQueryLen(), sumLen)
+	}
+	for _, s := range ref.unavailable {
+		if id, ok := inst.ClassifierIDOf(s); ok {
+			t.Fatalf("%s: ClassifierIDOf(%v) = %d for a subset priced +Inf", name, s, id)
+		}
+	}
+	var maxID PropID
+	for _, q := range inst.Queries() {
+		if last := q[q.Len()-1]; last > maxID {
+			maxID = last
+		}
+	}
+	if id, ok := inst.ClassifierIDOf(core.NewPropSet(maxID + 1)); ok {
+		t.Fatalf("%s: ClassifierIDOf found %d for a set in no query", name, id)
 	}
 }
 
@@ -195,5 +224,71 @@ func TestEnumerationDifferentialDuplicates(t *testing.T) {
 				t.Fatalf("bounded instance kept a length-%d classifier", got)
 			}
 		}
+	}
+}
+
+// FuzzNewInstance compares the kernel against the reference on small random
+// loads over at most 12 properties: each pair of input bytes is one query's
+// property bitmask, salt decides which subsets are priced +Inf, and the
+// duplicate-keeping and bounded-classifier options vary with the input.
+func FuzzNewInstance(f *testing.F) {
+	f.Add([]byte{0x07, 0x00, 0x06, 0x00, 0x07, 0x00, 0x18, 0x00}, uint64(1), false, uint8(0))
+	f.Add([]byte{0x07, 0x00, 0x06, 0x00, 0x07, 0x00, 0x18, 0x00}, uint64(7), true, uint8(2))
+	f.Add([]byte{0xff, 0x0f, 0x0f, 0x00, 0xf0, 0x0f, 0xff, 0x0f}, uint64(3), true, uint8(3))
+	f.Fuzz(func(t *testing.T, load []byte, salt uint64, keepDups bool, maxLen uint8) {
+		const maxQueries = 24
+		var queries []PropSet
+		for i := 0; i+1 < len(load) && len(queries) < maxQueries; i += 2 {
+			m := (uint16(load[i]) | uint16(load[i+1])<<8) & 0xfff
+			var ids []PropID
+			for p := 0; m != 0; p, m = p+1, m>>1 {
+				if m&1 != 0 {
+					ids = append(ids, PropID(p))
+				}
+			}
+			if len(ids) > 0 {
+				queries = append(queries, core.NewPropSet(ids...))
+			}
+		}
+		if len(queries) == 0 {
+			return
+		}
+		cm := CostFunc(func(s PropSet) float64 {
+			h := salt ^ 0xcbf29ce484222325
+			for _, id := range s {
+				h = (h ^ uint64(id)) * 0x100000001b3
+			}
+			if h%5 == 0 {
+				return math.Inf(1)
+			}
+			return float64(h % 17)
+		})
+		k := int(maxLen % 13)
+		inst, err := NewInstance(NewUniverse(), queries, cm, InstanceOptions{KeepDuplicateQueries: keepDups, MaxClassifierLen: k})
+		if err != nil {
+			t.Fatalf("NewInstance: %v", err)
+		}
+		compareInstance(t, "fuzz", inst, refEnumerateBounded(t, queries, cm, keepDups, k))
+	})
+}
+
+// TestEnumerationAllocsPerClassifier gates the kernel's allocation budget:
+// one allocation per classifier's property set plus a constant number of
+// flat arrays, not per-subset keys or per-row slices.
+func TestEnumerationAllocsPerClassifier(t *testing.T) {
+	d := workload.Synthetic(2000, 1)
+	cm := UniformCost(1)
+	inst, err := NewInstance(d.Universe, d.Queries, cm, InstanceOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := NewInstance(d.Universe, d.Queries, cm, InstanceOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if per := allocs / float64(inst.NumClassifiers()); per > 1.5 {
+		t.Errorf("NewInstance allocates %.0f times for %d classifiers (%.2f per classifier), want ≤ 1.5",
+			allocs, inst.NumClassifiers(), per)
 	}
 }

@@ -11,11 +11,19 @@ import (
 // DefaultMaxEntries bounds the cache when Config.MaxEntries is unset.
 const DefaultMaxEntries = 4096
 
+// slotBytes is the unit of the cache bound: an entry whose signature and
+// picks take b bytes holds ⌈b/slotBytes⌉ of the MaxEntries slots.
+const slotBytes = 4096
+
 // Config configures a Cache.
 type Config struct {
-	// MaxEntries bounds the number of cached component solutions; the
-	// least-recently-used entry is evicted beyond it. Zero or negative means
-	// DefaultMaxEntries.
+	// MaxEntries bounds the cache's memory in slotBytes slots: an entry
+	// holds one slot per started 4 KiB of its signature and picks, and
+	// least-recently-used entries are evicted while the slots in use exceed
+	// the bound. Entries under 4 KiB — every component of a typical /solve
+	// body — hold one slot each, so the bound is then an entry count. An
+	// entry larger than the whole bound is not stored. Zero or negative
+	// means DefaultMaxEntries.
 	MaxEntries int
 	// CostQuantum, when positive, rounds effective costs to multiples of
 	// this value inside signatures, letting components whose costs differ
@@ -53,7 +61,15 @@ func (s Stats) HitRate() float64 {
 type entry struct {
 	key        string
 	picks      []int32 // canonical local classifier indices
+	slots      int     // share of the bound: see entrySlots
 	prev, next *entry
+}
+
+// entrySlots returns the number of slotBytes slots an entry with this
+// signature and these picks holds.
+func entrySlots(key string, picks []int32) int {
+	b := len(key) + 4*len(picks)
+	return max(1, (b+slotBytes-1)/slotBytes)
 }
 
 // Cache is a concurrency-safe, bounded LRU memoization of component
@@ -69,6 +85,7 @@ type Cache struct {
 
 	mu         sync.Mutex
 	entries    map[string]*entry
+	used       int    // slots held by all entries
 	head, tail *entry // LRU list: head = most recent, tail = next to evict
 }
 
@@ -147,20 +164,28 @@ func (c *Cache) Store(k Key, picks []core.ClassifierID) {
 		enc[i] = li
 	}
 
-	c.mu.Lock()
-	if e, ok := c.entries[k.id]; ok {
-		// Deterministic solvers re-derive the same solution; keep the fresh
-		// one and just refresh recency.
-		e.picks = enc
-		c.moveToFront(e)
-		c.mu.Unlock()
+	slots := entrySlots(k.id, enc)
+	if slots > c.max {
 		return
 	}
-	e := &entry{key: k.id, picks: enc}
-	c.entries[k.id] = e
-	c.pushFront(e)
+
+	c.mu.Lock()
+	e, ok := c.entries[k.id]
+	if ok {
+		// Deterministic solvers re-derive the same solution; keep the fresh
+		// one and refresh recency.
+		c.used += slots - e.slots
+		e.picks, e.slots = enc, slots
+		c.moveToFront(e)
+	} else {
+		e = &entry{key: k.id, picks: enc, slots: slots}
+		c.entries[k.id] = e
+		c.used += slots
+		c.pushFront(e)
+	}
+	// e fits the bound on its own, so eviction stops before reaching it.
 	var evicted int
-	for len(c.entries) > c.max {
+	for c.used > c.max {
 		c.evictTail()
 		evicted++
 	}
@@ -207,6 +232,7 @@ func (c *Cache) Reset() {
 	}
 	c.mu.Lock()
 	c.entries = make(map[string]*entry)
+	c.used = 0
 	c.head, c.tail = nil, nil
 	c.mu.Unlock()
 	c.metrics.Gauge("mc3_cache_entries").Set(0)
@@ -250,6 +276,7 @@ func (c *Cache) evictTail() {
 		return
 	}
 	delete(c.entries, e.key)
+	c.used -= e.slots
 	c.tail = e.prev
 	if c.tail != nil {
 		c.tail.next = nil

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -271,4 +272,53 @@ func TestManyEntriesStayConsistent(t *testing.T) {
 	if st.Evictions != 24 {
 		t.Errorf("evictions = %d, want 24", st.Evictions)
 	}
+}
+
+// storedBytes sums the signature and pick bytes of every cached entry.
+func storedBytes(c *Cache) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var b int
+	for _, e := range c.entries {
+		b += len(e.key) + 4*len(e.picks)
+	}
+	return b
+}
+
+// TestBoundCountsSlots checks that MaxEntries bounds memory, not just the
+// entry count: large signatures (a session's giant component changing every
+// batch) hold one slot per started 4 KiB, while small entries still fill
+// exactly MaxEntries.
+func TestBoundCountsSlots(t *testing.T) {
+	const bound = 64
+	t.Run("large", func(t *testing.T) {
+		c := New(Config{MaxEntries: bound})
+		for i := 0; i < bound; i++ {
+			c.Store(Key{id: fmt.Sprintf("%040000d", i)}, nil)
+		}
+		if b := storedBytes(c); b > bound*slotBytes {
+			t.Errorf("cache holds %d bytes in %d entries, want ≤ %d", b, c.Len(), bound*slotBytes)
+		}
+		if c.Len() == 0 {
+			t.Error("entries within the bound must be stored")
+		}
+		// An entry larger than the whole bound is not stored.
+		huge := Key{id: strings.Repeat("x", (bound+1)*slotBytes)}
+		c.Store(huge, nil)
+		if _, ok := c.Lookup(huge); ok {
+			t.Error("an entry larger than the bound must not be stored")
+		}
+	})
+	t.Run("small", func(t *testing.T) {
+		c := New(Config{MaxEntries: bound})
+		for i := 0; i < 2*bound; i++ {
+			c.Store(Key{id: fmt.Sprintf("%03000d", i)}, []core.ClassifierID{})
+		}
+		if c.Len() != bound {
+			t.Errorf("Len = %d after %d stores of sub-4 KiB entries, want %d", c.Len(), 2*bound, bound)
+		}
+		if st := c.Stats(); st.Evictions != bound {
+			t.Errorf("evictions = %d, want %d", st.Evictions, bound)
+		}
+	})
 }

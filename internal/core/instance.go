@@ -109,7 +109,7 @@ type Instance struct {
 	queries     []PropSet
 	classifiers []PropSet
 	costs       []float64
-	byKey       map[string]ClassifierID
+	index       setIndex // C_Q by property set; +Inf subsets stay as tombstones
 
 	queryCls   [][]QueryClassifier // per query: available classifiers ⊆ q
 	clsQueries [][]int32           // per classifier: indices of queries containing it
@@ -125,6 +125,10 @@ type Instance struct {
 // opts.KeepDuplicateQueries is set. The classifier universe C_Q is enumerated
 // per Section 2.1: every non-empty subset of every query, keeping those the
 // cost model prices below +Inf.
+//
+// Classifiers are numbered in order of first sighting (queries in load
+// order, each query's subsets in ascending mask order), so the numbering is
+// a function of the load's presentation alone.
 func NewInstance(u *Universe, queries []PropSet, cm CostModel, opts Options) (*Instance, error) {
 	if u == nil {
 		return nil, errors.New("core: nil Universe")
@@ -137,18 +141,18 @@ func NewInstance(u *Universe, queries []PropSet, cm CostModel, opts Options) (*I
 		maxQ = MaxEnumQueryLen
 	}
 
-	inst := &Instance{
-		Universe: u,
-		byKey:    make(map[string]ClassifierID),
-	}
-
-	// keyBuf is the one scratch buffer every canonical key of the
-	// construction is byte-encoded into; map lookups go through
-	// m[string(keyBuf)], which the compiler compiles without allocating, so
-	// a key string is only materialized when a new entry is stored.
-	keyBuf := make([]byte, 0, 4*MaxEnumQueryLen)
-
-	seen := make(map[string]bool, len(queries))
+	// Group the load by query shape. shapeQuery[s] is the first query of
+	// shape s, shapeOf[qi] the shape of query qi, and shapeMult[s] the
+	// number of kept queries of that shape (1 unless KeepDuplicateQueries):
+	// a repeated query shares its first occurrence's row, so C_Q is walked
+	// once per distinct shape.
+	inst := &Instance{Universe: u, queries: make([]PropSet, 0, len(queries))}
+	var (
+		shapes     = newSetIndex(len(queries))
+		shapeQuery []int32
+		shapeMult  []int32
+		shapeOf    = make([]int32, 0, len(queries))
+	)
 	for qi, q := range queries {
 		if q.Empty() {
 			return nil, fmt.Errorf("core: query %d is empty", qi)
@@ -156,13 +160,17 @@ func NewInstance(u *Universe, queries []PropSet, cm CostModel, opts Options) (*I
 		if q.Len() > maxQ {
 			return nil, fmt.Errorf("core: query %d has length %d, exceeding the limit %d", qi, q.Len(), maxQ)
 		}
-		if !opts.KeepDuplicateQueries {
-			keyBuf = q.AppendKey(keyBuf[:0])
-			if seen[string(keyBuf)] {
-				continue
-			}
-			seen[string(keyBuf)] = true
+		slot, s := shapes.find(setHash(q), func(s int32) bool { return inst.queries[shapeQuery[s]].Equal(q) })
+		if s < 0 {
+			s = int32(len(shapeQuery))
+			shapes.slots[slot] = s
+			shapeQuery = append(shapeQuery, int32(len(inst.queries)))
+			shapeMult = append(shapeMult, 0)
+		} else if !opts.KeepDuplicateQueries {
+			continue
 		}
+		shapeMult[s]++
+		shapeOf = append(shapeOf, s)
 		inst.queries = append(inst.queries, q)
 		if q.Len() > inst.maxQueryLen {
 			inst.maxQueryLen = q.Len()
@@ -178,52 +186,53 @@ func NewInstance(u *Universe, queries []PropSet, cm CostModel, opts Options) (*I
 		kPrime = inst.maxQueryLen
 	}
 
-	// shapeOf memoizes enumeration per unique query shape: with
-	// KeepDuplicateQueries set, a repeated query shares the first
-	// occurrence's classifier list instead of re-walking its 2^|q|−1 subsets
-	// (without the option duplicates were merged above and every shape is
-	// seen once, so the map stays cold).
-	var shapeOf map[string]int32
-	if opts.KeepDuplicateQueries {
-		shapeOf = make(map[string]int32, len(inst.queries))
+	// The per-classifier and per-row arrays are sized once from the subset
+	// count Σ_shapes Σ_{j≤k'} C(|q|, j): an upper bound on |C_Q|, and the
+	// exact row count when no subset is priced +Inf.
+	subsets := 0
+	for _, qi := range shapeQuery {
+		subsets += subsetCount(inst.queries[qi].Len(), kPrime)
 	}
-	// scratch is the reusable subset buffer handed to the cost model; a
-	// durable PropSet is materialized only for classifiers that join the
-	// universe (CostModel documents that Cost must not retain its argument).
+	inst.classifiers = make([]PropSet, 0, subsets)
+	inst.costs = make([]float64, 0, subsets)
+	inst.index = newSetIndex(subsets)
+	rows := make([]QueryClassifier, 0, subsets)
+	rowOff := make([]int32, 1, len(shapeQuery)+1) // shape s owns rows[rowOff[s]:rowOff[s+1]]
+	incidence := make([]int32, 0, subsets)        // per classifier: queries containing it
+
+	// +Inf verdicts stay in the index as tombstones, so a subset is priced
+	// once. A tombstone's slot holds −2−off, where tombs[off] is the subset's
+	// length and its members follow; tombs lives only for the build.
+	var tombs []PropID
+
+	// hashes[mask] is the set hash of the subset mask selects, built from
+	// the subset without its lowest member; scratch is the subset handed to
+	// the cost model (CostModel documents that Cost must not retain it).
+	hashes := make([]uint64, 1<<uint(inst.maxQueryLen))
+	var propHashes [MaxEnumQueryLen]uint64
 	scratch := make(PropSet, 0, inst.maxQueryLen)
 
-	inst.queryCls = make([][]QueryClassifier, len(inst.queries))
-	for qi, q := range inst.queries {
-		if shapeOf != nil {
-			keyBuf = q.AppendKey(keyBuf[:0])
-			if prev, ok := shapeOf[string(keyBuf)]; ok {
-				// Identical query: same subsets, same verdicts, same masks.
-				// queryCls rows are immutable after construction, so sharing
-				// the backing array is safe.
-				inst.queryCls[qi] = inst.queryCls[prev]
-				for _, qc := range inst.queryCls[qi] {
-					inst.clsQueries[qc.ID] = append(inst.clsQueries[qc.ID], int32(qi))
-				}
-				continue
-			}
-			shapeOf[string(keyBuf)] = int32(qi)
+	for s, qi := range shapeQuery {
+		q := inst.queries[qi]
+		for i, p := range q {
+			propHashes[i] = propHash(p)
 		}
-		L := q.Len()
-		full := uint64(1)<<uint(L) - 1
+		full := uint64(1)<<uint(q.Len()) - 1
 		for mask := uint64(1); mask <= full; mask++ {
-			if bits.OnesCount64(mask) > kPrime {
+			h := hashes[mask&(mask-1)] + propHashes[bits.TrailingZeros64(mask)]
+			hashes[mask] = h
+			n := bits.OnesCount64(mask)
+			if n > kPrime {
 				continue
 			}
-			// Byte-encode the subset's canonical key straight from the mask:
-			// q is sorted, so visiting set bits low-to-high yields the
-			// canonical order with no intermediate PropSet.
-			keyBuf = keyBuf[:0]
-			for m := mask; m != 0; m &= m - 1 {
-				id := q[bits.TrailingZeros64(m)]
-				keyBuf = append(keyBuf, byte(id>>24), byte(id>>16), byte(id>>8), byte(id))
-			}
-			id, ok := inst.byKey[string(keyBuf)]
-			if !ok {
+			slot, v := inst.index.find(h, func(v int32) bool {
+				if v >= 0 {
+					return maskEqual(inst.classifiers[v], q, mask, n)
+				}
+				off := -2 - v
+				return maskEqual(tombs[off+1:off+1+int32(tombs[off])], q, mask, n)
+			})
+			if v == emptySlot {
 				scratch = scratch[:0]
 				for m := mask; m != 0; m &= m - 1 {
 					scratch = append(scratch, q[bits.TrailingZeros64(m)])
@@ -235,35 +244,145 @@ func NewInstance(u *Universe, queries []PropSet, cm CostModel, opts Options) (*I
 				if math.IsInf(c, 1) {
 					// Unavailable classifiers are omitted from the input
 					// entirely; remember the verdict to avoid re-pricing.
-					inst.byKey[string(keyBuf)] = NoClassifier
+					inst.index.slots[slot] = -2 - int32(len(tombs))
+					tombs = append(append(tombs, PropID(n)), scratch...)
 					continue
 				}
-				sub := make(PropSet, len(scratch))
-				copy(sub, scratch)
-				id = ClassifierID(len(inst.classifiers))
-				inst.classifiers = append(inst.classifiers, sub)
+				v = int32(len(inst.classifiers))
+				inst.index.slots[slot] = v
+				// One allocation per classifier: solutions hand these sets
+				// out and may outlive the instance.
+				inst.classifiers = append(inst.classifiers, append(make(PropSet, 0, n), scratch...))
 				inst.costs = append(inst.costs, c)
-				inst.clsQueries = append(inst.clsQueries, nil)
-				inst.byKey[string(keyBuf)] = id
+				incidence = append(incidence, 0)
 				inst.totalFiniteCost += c
-				if sub.Len() > inst.maxClassifierLen {
-					inst.maxClassifierLen = sub.Len()
+				if n > inst.maxClassifierLen {
+					inst.maxClassifierLen = n
 				}
-			} else if id == NoClassifier {
+			} else if v < 0 {
 				continue
 			}
-			inst.queryCls[qi] = append(inst.queryCls[qi], QueryClassifier{ID: id, Mask: mask})
-			inst.clsQueries[id] = append(inst.clsQueries[id], int32(qi))
+			rows = append(rows, QueryClassifier{ID: ClassifierID(v), Mask: mask})
+			incidence[v] += shapeMult[s]
 		}
+		rowOff = append(rowOff, int32(len(rows)))
 	}
 
-	// Drop the negative cache entries so byKey maps only real classifiers.
-	for k, id := range inst.byKey {
-		if id == NoClassifier {
-			delete(inst.byKey, k)
+	// Rows are windows of the flat row array, shared by a shape's queries.
+	inst.queryCls = make([][]QueryClassifier, len(inst.queries))
+	for qi, s := range shapeOf {
+		lo, hi := rowOff[s], rowOff[s+1]
+		inst.queryCls[qi] = rows[lo:hi:hi]
+	}
+
+	// Incidence lists, count-then-fill into one flat array: incidence[id]
+	// becomes id's fill cursor, starting at its window's offset, and ends at
+	// the offset of the next window. Filling in query order keeps every list
+	// ascending.
+	total := int32(0)
+	for id, c := range incidence {
+		incidence[id] = total
+		total += c
+	}
+	flat := make([]int32, total)
+	for qi, row := range inst.queryCls {
+		for _, qc := range row {
+			flat[incidence[qc.ID]] = int32(qi)
+			incidence[qc.ID]++
 		}
 	}
+	inst.clsQueries = make([][]int32, len(inst.classifiers))
+	lo := int32(0)
+	for id, hi := range incidence {
+		inst.clsQueries[id] = flat[lo:hi:hi]
+		lo = hi
+	}
 	return inst, nil
+}
+
+// subsetCount returns Σ_{1≤j≤min(k,l)} C(l, j), the number of classifiers of
+// length at most k a length-l query has.
+func subsetCount(l, k int) int {
+	if k >= l {
+		return 1<<uint(l) - 1
+	}
+	total, c := 0, 1
+	for j := 1; j <= k; j++ {
+		c = c * (l - j + 1) / j
+		total += c
+	}
+	return total
+}
+
+// maskEqual reports whether s is the subset of q that mask selects; n is the
+// number of set bits in mask.
+func maskEqual(s, q PropSet, mask uint64, n int) bool {
+	if len(s) != n {
+		return false
+	}
+	for i := 0; mask != 0; mask &= mask - 1 {
+		if s[i] != q[bits.TrailingZeros64(mask)] {
+			return false
+		}
+		i++
+	}
+	return true
+}
+
+// emptySlot marks an unused setIndex slot.
+const emptySlot = -1
+
+// setIndex is an open-addressed hash index over property sets with linear
+// probing. Slots hold emptySlot or a caller-defined int32: the index keeps
+// no keys of its own, so find takes the probed set's hash and an equality
+// test against the value stored in a slot.
+type setIndex struct {
+	slots []int32
+	shift uint
+}
+
+// newSetIndex returns an index for up to n values at load factor ≤ 1/2.
+func newSetIndex(n int) setIndex {
+	size := 2
+	for size < 2*n {
+		size <<= 1
+	}
+	slots := make([]int32, size)
+	for i := range slots {
+		slots[i] = emptySlot
+	}
+	return setIndex{slots: slots, shift: uint(64 - bits.TrailingZeros(uint(size)))}
+}
+
+// find probes for the set with hash h. It returns the slot holding the value
+// eq accepts, or the empty slot where such a value belongs and emptySlot.
+func (x setIndex) find(h uint64, eq func(int32) bool) (int, int32) {
+	mask := len(x.slots) - 1
+	// Fibonacci hashing: the top bits of h·φ pick the home slot.
+	for i := int((h * 0x9e3779b97f4a7c15) >> x.shift); ; i = (i + 1) & mask {
+		if v := x.slots[i]; v == emptySlot || eq(v) {
+			return i, v
+		}
+	}
+}
+
+// propHash scrambles one property ID (the splitmix64 finalizer).
+func propHash(p PropID) uint64 {
+	z := uint64(p) + 0x9e3779b97f4a7c15
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
+}
+
+// setHash is the hash setIndex keys a set by: the sum of its members'
+// propHash values. A sum is order-free, so the enumeration extends a
+// subset's hash by one member with one addition.
+func setHash(s PropSet) uint64 {
+	var h uint64
+	for _, p := range s {
+		h += propHash(p)
+	}
+	return h
 }
 
 // NumQueries returns n, the number of (distinct) queries.
@@ -292,8 +411,11 @@ func (inst *Instance) Costs() []float64 { return inst.costs }
 // ClassifierIDOf returns the ID of the classifier testing exactly s, if it is
 // part of the instance's universe.
 func (inst *Instance) ClassifierIDOf(s PropSet) (ClassifierID, bool) {
-	id, ok := inst.byKey[s.Key()]
-	return id, ok
+	// A tombstone never matches: its set, if equal to s, is in no classifier.
+	_, v := inst.index.find(setHash(s), func(v int32) bool {
+		return v >= 0 && inst.classifiers[v].Equal(s)
+	})
+	return ClassifierID(v), v >= 0
 }
 
 // QueryClassifiers returns the classifiers available for query i (all

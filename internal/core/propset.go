@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -21,7 +22,7 @@ func NewPropSet(ids ...PropID) PropSet {
 	}
 	s := make(PropSet, len(ids))
 	copy(s, ids)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	slices.Sort(s)
 	// Deduplicate in place.
 	w := 1
 	for r := 1; r < len(s); r++ {

@@ -209,10 +209,14 @@ type overlayCost struct {
 	over map[string]float64
 }
 
-// Cost implements core.CostModel.
+// Cost implements core.CostModel. The override key is byte-encoded into a
+// stack buffer (as core.CostTable does), so pricing allocates nothing.
 func (o overlayCost) Cost(s core.PropSet) float64 {
-	if c, ok := o.over[s.Key()]; ok {
-		return c
+	if len(o.over) > 0 {
+		var buf [4 * core.MaxEnumQueryLen]byte
+		if c, ok := o.over[string(s.AppendKey(buf[:0]))]; ok {
+			return c
+		}
 	}
 	return o.base.Cost(s)
 }

@@ -261,3 +261,29 @@ func TestEngineMetricsAndStats(t *testing.T) {
 		t.Fatalf("stats: %+v", st)
 	}
 }
+
+// TestOverlayCostNoAlloc gates the session cost model's hot path: pricing a
+// classifier allocates nothing, with and without cost overrides (the
+// override key is byte-encoded into a stack buffer).
+func TestOverlayCostNoAlloc(t *testing.T) {
+	hit, miss := core.NewPropSet(3, 7, 12), core.NewPropSet(4, 8)
+	for _, tc := range []struct {
+		name string
+		over map[string]float64
+	}{
+		{"empty", map[string]float64{}},
+		{"overrides", map[string]float64{hit.Key(): 2}},
+	} {
+		cm := overlayCost{base: sqCost{}, over: tc.over}
+		var sink float64
+		if avg := testing.AllocsPerRun(100, func() {
+			sink += cm.Cost(hit) + cm.Cost(miss)
+		}); avg != 0 {
+			t.Errorf("%s: overlayCost.Cost allocates %.1f times per pair of prices, want 0", tc.name, avg)
+		}
+		if want := 2.0; len(tc.over) > 0 && cm.Cost(hit) != want {
+			t.Errorf("%s: overridden price = %v, want %v", tc.name, cm.Cost(hit), want)
+		}
+		_ = sink
+	}
+}

@@ -35,7 +35,7 @@ type Config struct {
 	Prep         string  // preprocessing level: full|minimal
 	Engine       string  // Algorithm 2 max-flow engine
 	Parallel     int     // components solved concurrently per request
-	CacheSize    int     // component-solution cache entries (0 disables)
+	CacheSize    int     // component-solution cache bound in 4 KiB slots (0 disables)
 	CacheQuantum float64 // cost quantum for cache keys
 	ReqTimeout   time.Duration
 	MaxBody      int64

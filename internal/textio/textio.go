@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -170,18 +171,31 @@ func (f *File) CostModelFor(u *core.Universe) core.CostModel {
 	if f.DefaultCost != nil {
 		def = *f.DefaultCost
 	}
-	table := core.NewCostTable(def)
+	table := &core.CostTable{Costs: make(map[string]float64, len(f.Costs)), Default: def}
 	// Intern cost keys in sorted order, not map order: interning assigns
 	// property IDs, and two processes building a model from the same file
 	// must end with identical universes for their solves to tie-break
-	// identically (the cluster differential depends on this).
+	// identically (the cluster differential depends on this). Within a key,
+	// names are interned left to right.
 	keys := make([]string, 0, len(f.Costs))
 	for key := range f.Costs {
 		keys = append(keys, key)
 	}
-	sort.Strings(keys)
+	slices.Sort(keys)
+	var (
+		set core.PropSet // one key's properties, canonicalized in place
+		buf []byte       // the set's table key
+	)
 	for _, key := range keys {
-		table.Set(u.Set(strings.Split(key, KeySep)...), f.Costs[key])
+		set = set[:0]
+		for rest, more := key, true; more; {
+			var name string
+			name, rest, more = strings.Cut(rest, KeySep)
+			set = append(set, u.Intern(name))
+		}
+		slices.Sort(set)
+		buf = slices.Compact(set).AppendKey(buf[:0])
+		table.Costs[string(buf)] = f.Costs[key]
 	}
 	return table
 }

@@ -3,11 +3,14 @@ package textio
 import (
 	"bytes"
 	"math"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/solver"
+	"repro/internal/workload"
 )
 
 const exampleJSON = `{
@@ -246,5 +249,79 @@ func TestQueryWeightsMergeDuplicates(t *testing.T) {
 	w2 := f2.QueryWeights()
 	if len(w2) != 2 || w2[0] != 2 || w2[1] != 1 {
 		t.Errorf("QueryWeights = %v, want [2 1]", w2)
+	}
+}
+
+// refCostModelFor is CostModelFor as first written — strings.Split per key,
+// interning through Universe.Set, one map insert per key into an unsized
+// table — kept as the reference for the interning order and table the
+// production version must reproduce.
+func refCostModelFor(f *File, u *core.Universe) *core.CostTable {
+	def := math.Inf(1)
+	if f.DefaultCost != nil {
+		def = *f.DefaultCost
+	}
+	table := core.NewCostTable(def)
+	keys := make([]string, 0, len(f.Costs))
+	for key := range f.Costs {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	for _, key := range keys {
+		table.Set(u.Set(strings.Split(key, KeySep)...), f.Costs[key])
+	}
+	return table
+}
+
+// TestCostModelForInterningOrder pins the property IDs CostModelFor assigns
+// (the cluster differential replays loads in a second process and relies on
+// both ending with the same universe) and the prices it stores, against the
+// reference, on the Private cost table and on keys with unsorted, repeated
+// and empty names.
+func TestCostModelForInterningOrder(t *testing.T) {
+	d := workload.Private(1)
+	inst, err := d.Instance()
+	if err != nil {
+		t.Fatal(err)
+	}
+	one := 1.0
+	files := map[string]*File{
+		"private": FromInstance(inst),
+		"hand-made": {
+			Queries:     [][]string{{"a", "b"}},
+			Costs:       map[string]float64{"b|a": 2, "a|a": 3, "a": 4, "x||y": 5},
+			DefaultCost: &one,
+		},
+	}
+	for name, f := range files {
+		for _, preload := range []bool{false, true} {
+			got, want := core.NewUniverse(), core.NewUniverse()
+			if preload {
+				// File.Build interns the queries before the cost keys.
+				for _, q := range f.Queries {
+					got.Set(q...)
+					want.Set(q...)
+				}
+			}
+			cm, ref := f.CostModelFor(got), refCostModelFor(f, want)
+			if g, w := got.Names(), want.Names(); !slices.Equal(g, w) {
+				t.Fatalf("%s (preload %v): interned %d names %q…, reference %d names %q…",
+					name, preload, len(g), g[:min(len(g), 8)], len(w), w[:min(len(w), 8)])
+			}
+			table, ok := cm.(*core.CostTable)
+			if !ok {
+				t.Fatalf("%s: CostModelFor returned %T, want *core.CostTable", name, cm)
+			}
+			if len(table.Costs) != len(ref.Costs) || table.Default != ref.Default {
+				t.Fatalf("%s: table has %d keys and default %v, reference %d and %v",
+					name, len(table.Costs), table.Default, len(ref.Costs), ref.Default)
+			}
+			for key := range f.Costs {
+				s := want.Set(strings.Split(key, KeySep)...)
+				if g, w := cm.Cost(s), ref.Cost(s); g != w {
+					t.Errorf("%s: price of %q = %v, reference %v", name, key, g, w)
+				}
+			}
+		}
 	}
 }
