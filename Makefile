@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-race race check bench bench-full bench-sched bench-baseline bench-compare cluster-smoke stream-smoke experiments experiments-quick serve fuzz clean
+.PHONY: all build vet test test-race race check bench bench-full bench-sched cluster-smoke stream-smoke experiments experiments-quick serve fuzz clean
 
 all: build vet test
 
@@ -35,6 +35,8 @@ bench-full:
 
 # Serial-vs-parallel scheduler comparison: the BenchmarkSched* pairs plus the
 # mc3bench parallelism sweep (which also verifies cost-identity per level).
+BENCH_COUNT ?= 5
+
 bench-sched:
 	$(GO) test -bench Sched -benchmem -count=$(BENCH_COUNT) -run xxx .
 	$(GO) run ./cmd/mc3bench -exp sched
@@ -52,26 +54,6 @@ cluster-smoke:
 stream-smoke:
 	sh scripts/stream-smoke.sh
 
-# Before/after comparison flow (see docs/PERFORMANCE.md):
-#   git stash / git checkout <old>; make bench-baseline   # writes bench-old.txt
-#   git checkout <new>;            make bench-compare     # writes bench-new.txt, diffs
-# benchstat (golang.org/x/perf) sharpens the diff when installed; without it
-# the two files are kept for manual comparison.
-BENCH_COUNT ?= 5
-BENCH_PKGS  ?= .
-
-bench-baseline:
-	$(GO) test -bench=. -benchmem -count=$(BENCH_COUNT) -run xxx $(BENCH_PKGS) | tee bench-old.txt
-
-bench-compare:
-	$(GO) test -bench=. -benchmem -count=$(BENCH_COUNT) -run xxx $(BENCH_PKGS) | tee bench-new.txt
-	@if command -v benchstat >/dev/null 2>&1; then \
-		benchstat bench-old.txt bench-new.txt; \
-	else \
-		echo "benchstat not installed; compare bench-old.txt and bench-new.txt by hand"; \
-		echo "  (go install golang.org/x/perf/cmd/benchstat@latest)"; \
-	fi
-
 # Regenerate the paper's experimental study at full scale (≈ half a minute).
 experiments:
 	$(GO) run ./cmd/mc3bench
@@ -84,13 +66,16 @@ experiments-quick:
 serve:
 	$(GO) run ./cmd/mc3serve -addr localhost:8080
 
-# Short fuzzing passes over the parsers, the set algebra and the C_Q
-# enumeration kernel (against its reference enumeration).
+# Short fuzzing passes over the parsers, the set algebra, the C_Q
+# enumeration kernel and the preprocessing Step 3 kernel (each kernel
+# against its reference).
 fuzz:
 	$(GO) test -fuzz FuzzRead -fuzztime 30s ./internal/textio/
 	$(GO) test -fuzz FuzzReadSessionBundle -fuzztime 30s ./internal/incr/
+	$(GO) test -fuzz FuzzParseQueryLog -fuzztime 30s ./internal/workload/
 	$(GO) test -fuzz FuzzPropSetAlgebra -fuzztime 30s ./internal/core/
 	$(GO) test -fuzz FuzzNewInstance -fuzztime 30s .
+	$(GO) test -fuzz FuzzPrep -fuzztime 30s ./internal/prep/
 
 clean:
 	$(GO) clean ./...

@@ -43,9 +43,11 @@ const (
 	// retryBackoff is the wait before the first retry, doubled per retry.
 	retryBackoff = 5 * time.Millisecond
 	// Each arriving request earns retryEarn retry tokens and each retry
-	// spends one; the bucket holds at most retryCap. Sustained retries
-	// thus stay below a fifth of the traffic, so a burst of shard failures
-	// cannot turn into a retry storm against a struggling fleet.
+	// spends one; the bucket holds at most retryCap and starts full, as
+	// gRPC retry throttling does, so a freshly started router can fail
+	// over at once. Sustained retries still stay below a fifth of the
+	// traffic, so a burst of shard failures cannot turn into a retry storm
+	// against a struggling fleet.
 	retryEarn = 0.2
 	retryCap  = 50
 	// breakerFailures consecutive failures (requests and probes) open a
@@ -137,6 +139,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		probeStop: make(chan struct{}),
 		probeDone: make(chan struct{}),
 	}
+	rt.budget.tokens = retryCap
 	rt.bootID = "r" + strconv.FormatInt(rt.started.UnixNano(), 36)
 	rt.shards = make([]*shardState, ring.Len())
 	for i := 0; i < ring.Len(); i++ {

@@ -109,14 +109,54 @@ func TestSessionDrainedShardNamesStatus(t *testing.T) {
 	}
 }
 
+// TestFreshRouterLoadFailsOver: a router that has just started moves a
+// /load off a shard that dies while the request is in flight, because its
+// retry budget starts full. The dying shard accepts the request and drops
+// the connection; the replica places the session.
+func TestFreshRouterLoadFailsOver(t *testing.T) {
+	dying := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		conn, _, err := w.(http.Hijacker).Hijack()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		conn.Close()
+	}))
+	defer dying.Close()
+	replica := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, `{"session":"s1"}`)
+	}))
+	defer replica.Close()
+
+	reg := obs.NewRegistry()
+	rt, err := NewRouter(RouterConfig{Shards: []string{dying.URL, replica.URL}, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := ""
+	for i := 0; key == ""; i++ {
+		if k := "fresh-" + strconv.Itoa(i); rt.Ring().Addr(rt.Ring().Sequence(k)[0]) == dying.URL {
+			key = k
+		}
+	}
+	rec := httptest.NewRecorder()
+	req := httptest.NewRequest(http.MethodPost, "/load", strings.NewReader(paperInstance))
+	req.Header.Set("X-Session-Key", key)
+	rt.ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("first /load with its primary dying mid-request: HTTP %d: %s", rec.Code, rec.Body)
+	}
+	if got := reg.Counter(fmt.Sprintf(`mc3_cluster_retries_total{shard=%q}`, replica.URL)).Value(); got != 1 {
+		t.Errorf("replica retries = %d, want 1", got)
+	}
+}
+
 // TestRouterRetryPaths pins each path through the router's retry loop. A
 // /solve or /load whose primary shard is dead is retried once on the
 // replica; a session delta is tried once on its pinned shard; a session
 // solution GET is tried three times there. Probes are effectively
-// off so breakers stay closed, and warm-up solves first fill the retry
-// budget (each request earns retryEarn tokens).
+// off so breakers stay closed.
 func TestRouterRetryPaths(t *testing.T) {
-	const warmup = 20
 	cases := []struct {
 		name string
 		run  func(t *testing.T, h *Harness, counter func(string, int) int64)
@@ -176,11 +216,6 @@ func TestRouterRetryPaths(t *testing.T) {
 				Shards: 2,
 				Router: RouterConfig{ProbeInterval: time.Hour, Registry: reg},
 			})
-			for i := 0; i < warmup; i++ {
-				if resp, raw := doReq(t, http.MethodPost, h.RouterURL()+"/solve", paperInstance, nil); resp.StatusCode != http.StatusOK {
-					t.Fatalf("warm-up solve: HTTP %d: %s", resp.StatusCode, raw)
-				}
-			}
 			counter := func(name string, shard int) int64 {
 				return reg.Counter(fmt.Sprintf(`mc3_cluster_%s_total{shard=%q}`, name, h.Router().Ring().Addr(shard))).Value()
 			}

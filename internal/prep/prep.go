@@ -148,34 +148,26 @@ type state struct {
 	ops  int
 	err  error
 
-	propCls map[core.PropID][]core.ClassifierID
+	// The property → classifiers index (Step 3's line 11, Step 4's S_X),
+	// built count-then-fill by buildPropIndex: the classifiers containing
+	// property p, in ascending ID order, are
+	// propCls[propOff[p-propLo]:propOff[p-propLo+1]].
+	propLo  core.PropID
+	propOff []int32
+	propCls []core.ClassifierID
 
-	// maskToID caches, per query, a dense mask → classifier-ID table
-	// (size 2^|q|), built lazily; core.NoClassifier marks absent subsets.
-	maskToID [][]core.ClassifierID
-
-	// Reusable scratch for step 3's per-classifier decomposition DP
-	// (avoids an allocation per examined classifier).
-	scratchEff []float64
-	scratchH   []float64
+	// val is Step 3's effective-value array, one slot per classifier plus
+	// a +Inf sentinel at index NumClassifiers(): the working cost of an
+	// alive classifier, 0 for a selected one, and the replacement cost of
+	// a removed one. Tests read replacement costs from it.
+	val []float64
 }
 
-// maskTable returns (building if needed) query qi's mask → ID table.
-func (st *state) maskTable(qi int) []core.ClassifierID {
-	if st.maskToID == nil {
-		st.maskToID = make([][]core.ClassifierID, st.inst.NumQueries())
-	}
-	if st.maskToID[qi] == nil {
-		tbl := make([]core.ClassifierID, st.inst.FullMask(qi)+1)
-		for i := range tbl {
-			tbl[i] = core.NoClassifier
-		}
-		for _, qc := range st.inst.QueryClassifiers(qi) {
-			tbl[qc.Mask] = qc.ID
-		}
-		st.maskToID[qi] = tbl
-	}
-	return st.maskToID[qi]
+// classifiersWith returns the classifiers containing property p, in
+// ascending ID order. p must occur in the instance.
+func (st *state) classifiersWith(p core.PropID) []core.ClassifierID {
+	i := p - st.propLo
+	return st.propCls[st.propOff[i]:st.propOff[i+1]]
 }
 
 // Run executes preprocessing at the given level. It fails if some query
@@ -226,6 +218,16 @@ func RunCtxAmbient(ctx context.Context, inst *core.Instance, level Level, ambien
 // runCtx is RunCtx's body, split out so the prep span observes the final
 // error uniformly.
 func runCtx(ctx context.Context, inst *core.Instance, level Level, ambientLen int) (*Result, error) {
+	st, err := run(ctx, inst, level, ambientLen)
+	if err != nil {
+		return nil, err
+	}
+	return st.r, nil
+}
+
+// run executes Algorithm 1 and returns its final working state, so tests
+// can read Step 3's replacement costs beside the Result.
+func run(ctx context.Context, inst *core.Instance, level Level, ambientLen int) (*state, error) {
 	// Fail fast on an already-dead context: small instances can otherwise
 	// finish before the first batched checkpoint fires.
 	if err := ctx.Err(); err != nil {
@@ -324,7 +326,7 @@ func runCtx(ctx context.Context, inst *core.Instance, level Level, ambientLen in
 			r.Stats.QueriesCovered++
 		}
 	}
-	return r, nil
+	return st, nil
 }
 
 // selectClassifier marks id selected: zero working cost, propagate coverage.
@@ -370,15 +372,37 @@ func (st *state) maskIn(qi int, id core.ClassifierID) uint64 {
 }
 
 // buildPropIndex builds the property → classifiers index used to find
-// classifiers intersecting a selected classifier (Step 3, line 11).
+// classifiers intersecting a selected classifier (Step 3, line 11) and Step
+// 4's S_X, count-then-fill into one flat array over the instance's property
+// range. Filling in ID order keeps every list ascending.
 func (st *state) buildPropIndex() {
-	st.propCls = make(map[core.PropID][]core.ClassifierID)
-	for id := 0; id < st.inst.NumClassifiers(); id++ {
-		cid := core.ClassifierID(id)
-		for _, p := range st.inst.Classifier(cid) {
-			st.propCls[p] = append(st.propCls[p], cid)
+	inst := st.inst
+	lo, hi := inst.Query(0)[0], inst.Query(0)[0]
+	for _, q := range inst.Queries() {
+		lo, hi = min(lo, q[0]), max(hi, q[q.Len()-1])
+	}
+	// off[i+1] counts property lo+i's classifiers, then becomes its list's
+	// end after the prefix sum; the fill advances off[i] from the start of
+	// the list to its end, and the final shift restores the starts.
+	off := make([]int32, hi-lo+2)
+	for id := 0; id < inst.NumClassifiers(); id++ {
+		for _, p := range inst.Classifier(core.ClassifierID(id)) {
+			off[p-lo+1]++
 		}
 	}
+	for i := 1; i < len(off); i++ {
+		off[i] += off[i-1]
+	}
+	cls := make([]core.ClassifierID, off[len(off)-1])
+	for id := 0; id < inst.NumClassifiers(); id++ {
+		for _, p := range inst.Classifier(core.ClassifierID(id)) {
+			cls[off[p-lo]] = core.ClassifierID(id)
+			off[p-lo]++
+		}
+	}
+	copy(off[1:], off)
+	off[0] = 0
+	st.propLo, st.propOff, st.propCls = lo, off, cls
 }
 
 // components computes Step 2's partition over uncovered queries.
@@ -435,40 +459,156 @@ func (st *state) components(level Level) [][]int {
 	return out
 }
 
+// site locates a classifier for Step 3's gather: a query containing it and
+// its mask within that query, which fits 32 bits because queries are at most
+// core.MaxEnumQueryLen long. The query is the first uncovered one containing
+// the classifier at the start of Step 3; any query containing it would
+// serve, since the classifier's subsets and their IDs are the same in every
+// such query.
+type site struct {
+	q    int32
+	mask uint32
+}
+
+// buildSites returns Step 3's flat mask tables, each query's table offset
+// (−1 for none) and every examinable classifier's site. A query gets a
+// table, 2^|q| entries mapping each query-local mask to its classifier's ID
+// or to the sentinel m, only when it is the site of some classifier of
+// length ≥ 2. Classifiers of length 1 and those contained in no uncovered
+// query keep a zero site; Step 3 never examines them.
+func (st *state) buildSites() ([]int32, []int, []site) {
+	inst := st.inst
+	r := st.r
+	m := inst.NumClassifiers()
+	sites := make([]site, m)
+	qOff := make([]int, inst.NumQueries())
+	size := 0
+	for qi := range qOff {
+		qOff[qi] = -1
+		if r.CoveredQuery[qi] {
+			continue
+		}
+		for _, qc := range inst.QueryClassifiers(qi) {
+			if qc.Mask&(qc.Mask-1) == 0 || sites[qc.ID].mask != 0 {
+				continue
+			}
+			if qOff[qi] < 0 {
+				qOff[qi] = size
+				size += int(inst.FullMask(qi)) + 1
+			}
+			sites[qc.ID] = site{q: int32(qi), mask: uint32(qc.Mask)}
+		}
+	}
+	tbl := make([]int32, size)
+	for i := range tbl {
+		tbl[i] = int32(m)
+	}
+	for qi, off := range qOff {
+		if off < 0 {
+			continue
+		}
+		t := tbl[off:]
+		for _, qc := range inst.QueryClassifiers(qi) {
+			t[qc.Mask] = int32(qc.ID)
+		}
+	}
+	return tbl, qOff, sites
+}
+
+// decompose returns the cheapest replacement of a classifier of length
+// L ≥ 2 by two proper subsets (lines 8–9): the minimum of val[A] + val[B]
+// over pairs of proper subsets A, B with A ∪ B the whole classifier. t is the
+// mask table of a query containing the classifier, mask the classifier's
+// mask in it, and h scratch of at least 2^L entries.
+//
+// The kernel runs in the classifier's local bit space: bit compaction
+// (query-local mask → local index) is an order isomorphism between the 2^L
+// submasks of mask and [0, 2^L).
+//   - Gather: h[T] = val of subset T, +Inf for the empty and the full set
+//     and, through the sentinel slot, for subsets that are not classifiers.
+//   - Superset-min: h[T] becomes the minimum over proper supersets of T, by
+//     branch-free min passes over bit blocks, bits 0 and 1 unrolled.
+//   - Combine: the minimum of h[A] + h[full^A] over A without the top bit.
+//     Every covering pair (X, Y) appears: one of them, say Y, holds the top
+//     bit, and A = full^Y lies in X. Each term is itself a covering pair's
+//     sum, because IEEE addition is monotone. So the result is the exact
+//     minimum over covering pairs, bit for bit.
+func decompose(val []float64, t []int32, mask uint64, h []float64) float64 {
+	size := 1 << uint(bits.OnesCount64(mask))
+	full := size - 1
+	h = h[:size]
+
+	// Walking submasks in decreasing order walks the local index down from
+	// full one step at a time.
+	h[full] = math.Inf(1)
+	lm := full
+	for sub := (mask - 1) & mask; ; sub = (sub - 1) & mask {
+		lm--
+		h[lm] = val[t[sub]]
+		if sub == 0 {
+			break
+		}
+	}
+
+	for i := 0; i < size; i += 4 {
+		b := h[i : i+4 : i+4]
+		b[0] = min(b[0], b[1], b[2], b[3])
+		b[1] = min(b[1], b[3])
+		b[2] = min(b[2], b[3])
+	}
+	for bit := 4; bit < size; bit <<= 1 {
+		for base := 0; base < size; base += bit << 1 {
+			lo := h[base : base+bit]
+			hi := h[base+bit : base+bit<<1]
+			for i, v := range hi[:len(lo)] {
+				lo[i] = min(lo[i], v)
+			}
+		}
+	}
+
+	// lo[i] is h[A] for A = i and hi[half-1-i] is h[full^A]. A = 0 pairs
+	// with h[full] = +Inf, so it adds nothing and keeps the count even for
+	// the two interleaved minimum chains.
+	half := size >> 1
+	lo, hi := h[:half], h[half:size]
+	b0, b1 := math.Inf(1), math.Inf(1)
+	for i := 0; i < half; i += 2 {
+		j := half - 1 - i
+		b0 = min(b0, lo[i]+hi[j])
+		b1 = min(b1, lo[i+1]+hi[j-1])
+	}
+	return min(b0, b1)
+}
+
 // step3 removes classifiers with no-more-costly decompositions and selects
 // forced classifiers, repeating to a fixpoint (lines 7–11).
 func (st *state) step3() {
 	inst := st.inst
 	r := st.r
 
-	repl := make([]float64, inst.NumClassifiers()) // replacement cost of removed classifiers
-
-	// effVal is the cost of "obtaining" classifier id: its working cost if
-	// alive, or the cost of its recorded replacement decomposition.
-	effVal := func(id core.ClassifierID) float64 {
-		if r.Removed[id] {
-			return repl[id]
-		}
-		return r.EffCost[id]
-	}
+	tbl, qOff, sites := st.buildSites()
+	m := inst.NumClassifiers()
+	val := make([]float64, m+1)
+	copy(val, r.EffCost)
+	val[m] = math.Inf(1)
+	st.val = val
+	h := make([]float64, 1<<uint(inst.MaxQueryLen()))
 
 	// Classifier examination worklist, bucketed by classifier length and
 	// processed in increasing length (line 7).
 	maxLen := inst.MaxQueryLen()
-	st.scratchEff = make([]float64, 1<<uint(maxLen))
-	st.scratchH = make([]float64, 1<<uint(maxLen))
-	inQueue := bitset.New(inst.NumClassifiers())
+	inQueue := bitset.New(m)
 	buckets := make([][]core.ClassifierID, maxLen+1)
 	push := func(id core.ClassifierID) {
 		if inQueue.Test(int(id)) || r.Removed[id] || r.SelectedSet[id] || r.relCount[id] <= 0 {
 			return
 		}
-		if l := inst.Classifier(id).Len(); l >= 2 {
+		if l := bits.OnesCount32(sites[id].mask); l >= 2 {
 			inQueue.Set(int(id))
 			buckets[l] = append(buckets[l], id)
 		}
 	}
-	for id := 0; id < inst.NumClassifiers(); id++ {
+	for id := 0; id < m; id++ {
 		push(core.ClassifierID(id))
 	}
 
@@ -490,99 +630,25 @@ func (st *state) step3() {
 	}
 
 	// examine tests classifier id for removal by decomposition (lines 8–9).
-	examine := func(id core.ClassifierID) bool {
-		s := inst.Classifier(id)
-		L := s.Len()
-		qi := int(inst.ClassifierQueries(id)[0]) // any query containing s
-		sMask, ok := s.MaskIn(inst.Query(qi))
-		if !ok {
-			panic("prep: classifier not a subset of its incidence query")
-		}
-		tbl := st.maskTable(qi)
-
-		effOf := func(cid core.ClassifierID) float64 {
-			if cid == core.NoClassifier {
-				return math.Inf(1)
-			}
-			return effVal(cid)
-		}
-
-		// Fast path for pairs: the only size-2 decomposition of XY is
-		// {X, Y}.
-		if L == 2 {
-			lo := sMask & -sMask
-			best := effOf(tbl[lo]) + effOf(tbl[sMask^lo])
-			if best <= r.EffCost[id] {
-				r.Removed[id] = true
-				repl[id] = best
-				r.Stats.Step3Removed++
-				for _, q := range inst.ClassifierQueries(id) {
-					pushQuery(int(q))
-				}
-				return true
-			}
-			return false
-		}
-
-		// Collect eff costs of all classifiers that are subsets of s, in
-		// s-local bit space, by enumerating submasks of sMask. Bit
-		// compaction (query-local mask → s-local index) is an order
-		// isomorphism between the 2^L submasks of sMask and [0, 2^L), so
-		// walking submasks in decreasing order walks the local index down
-		// from full one step at a time — no per-submask bit extraction.
-		size := 1 << uint(L)
-		full := uint64(size - 1)
-		eff := st.scratchEff[:size]
-		for i := range eff {
-			eff[i] = math.Inf(1)
-		}
-		lm := full
-		for sub := (sMask - 1) & sMask; sub != 0; sub = (sub - 1) & sMask {
-			lm--
-			if cid := tbl[sub]; cid != core.NoClassifier {
-				if r.Removed[cid] {
-					eff[lm] = repl[cid]
-				} else {
-					eff[lm] = r.EffCost[cid]
-				}
-			}
-		}
-
-		// h[T] = min eff(B) over proper submasks B of s with B ⊇ T.
-		h := st.scratchH[:size]
-		copy(h, eff)
-		h[full] = math.Inf(1)
-		for b := 0; b < L; b++ {
-			bit := uint64(1) << uint(b)
-			for T := full; ; T-- {
-				if T&bit == 0 && h[T|bit] < h[T] {
-					h[T] = h[T|bit]
-				}
-				if T == 0 {
-					break
-				}
-			}
-		}
-
-		best := math.Inf(1)
-		for A := uint64(1); A < full; A++ {
-			if eff[A] == math.Inf(1) {
-				continue
-			}
-			if c := eff[A] + h[full&^A]; c < best {
-				best = c
-			}
+	examine := func(id core.ClassifierID) {
+		s := sites[id]
+		t := tbl[qOff[s.q]:]
+		var best float64
+		if bits.OnesCount32(s.mask) == 2 {
+			// A pair's only decomposition is its two singletons.
+			lo := s.mask & -s.mask
+			best = val[t[lo]] + val[t[s.mask^lo]]
+		} else {
+			best = decompose(val, t, uint64(s.mask), h)
 		}
 		if best <= r.EffCost[id] {
 			r.Removed[id] = true
-			repl[id] = best
+			val[id] = best
 			r.Stats.Step3Removed++
 			for _, q := range inst.ClassifierQueries(id) {
 				pushQuery(int(q))
 			}
-			return true
 		}
-		return false
 	}
 
 	// checkForced selects classifiers forced for query qi (strengthened
@@ -660,8 +726,9 @@ func (st *state) step3() {
 				}
 				r.Stats.Step3Selected++
 				st.selectClassifier(id)
+				val[id] = 0
 				for _, p := range inst.Classifier(id) {
-					for _, other := range st.propCls[p] {
+					for _, other := range st.classifiersWith(p) {
 						push(other)
 					}
 				}
@@ -735,7 +802,7 @@ func (st *state) step4() {
 		// length-2 classifiers containing p whose query is uncovered).
 		var sx []core.ClassifierID
 		var sum float64
-		for _, cid := range st.propCls[p] {
+		for _, cid := range st.classifiersWith(p) {
 			if cid == xid || r.Removed[cid] || !st.relevantNow(cid) {
 				continue
 			}

@@ -2,12 +2,16 @@ package workload
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"strings"
 
 	"repro/internal/core"
 )
+
+// maxLogLine is the longest query-log line the parsers accept, in bytes.
+const maxLogLine = 1 << 20
 
 // ParseQueryLog reads a plain-text query log: one query per line, property
 // names separated by commas, blank lines and "#" comments ignored. This is
@@ -19,9 +23,9 @@ import (
 // where tolerance is safe and strict where it is not: CRLF line endings and
 // whitespace padding around property names are accepted, a property repeated
 // within one line collapses to a single occurrence, but an empty property
-// name or a query whose distinct properties exceed core.MaxEnumQueryLen
-// (the classifier universe would have 2^L−1 members) is rejected with the
-// offending line number.
+// name, a query whose distinct properties exceed core.MaxEnumQueryLen
+// (the classifier universe would have 2^L−1 members) or a line longer than
+// 1 MiB is rejected with the offending line number.
 //
 // Properties are interned into u; queries are returned in file order,
 // duplicates included (instance construction merges them).
@@ -49,7 +53,7 @@ func ParseQueryLogFunc(r io.Reader, u *core.Universe, fn func(core.PropSet) erro
 		return fmt.Errorf("workload: nil universe")
 	}
 	scanner := bufio.NewScanner(r)
-	scanner.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	scanner.Buffer(make([]byte, 0, 64*1024), maxLogLine)
 	lineNo := 0
 	n := 0
 	for scanner.Scan() {
@@ -82,6 +86,11 @@ func ParseQueryLogFunc(r io.Reader, u *core.Universe, fn func(core.PropSet) erro
 		n++
 	}
 	if err := scanner.Err(); err != nil {
+		if errors.Is(err, bufio.ErrTooLong) {
+			// The scanner stops at the line it cannot hold, the one after
+			// the last it returned.
+			return fmt.Errorf("workload: line %d: longer than %d bytes: %w", lineNo+1, maxLogLine, err)
+		}
 		return fmt.Errorf("workload: reading query log: %w", err)
 	}
 	if n == 0 {

@@ -37,20 +37,23 @@ func TestParseQueryLog(t *testing.T) {
 	}
 }
 
+// toleranceCases are messy but valid logs, shared by both parser forms and
+// the fuzz seeds: the query count and lengths each must parse to.
+var toleranceCases = []struct {
+	name, log string
+	queries   int
+	lens      []int
+}{
+	{"crlf line endings", "a,b\r\nc\r\n", 2, []int{2, 1}},
+	{"crlf with trailing blank", "a,b\r\n\r\n", 1, []int{2}},
+	{"whitespace-padded properties", "  a , b\t,  c  \n", 1, []int{3}},
+	{"duplicate property in one line", "a,b,a\n", 1, []int{2}},
+	{"padded duplicate collapses", "a, a ,b\n", 1, []int{2}},
+	{"comment after crlf query", "a,b # padded\r\n", 1, []int{2}},
+}
+
 func TestParseQueryLogTolerance(t *testing.T) {
-	cases := []struct {
-		name, log string
-		queries   int
-		lens      []int
-	}{
-		{"crlf line endings", "a,b\r\nc\r\n", 2, []int{2, 1}},
-		{"crlf with trailing blank", "a,b\r\n\r\n", 1, []int{2}},
-		{"whitespace-padded properties", "  a , b\t,  c  \n", 1, []int{3}},
-		{"duplicate property in one line", "a,b,a\n", 1, []int{2}},
-		{"padded duplicate collapses", "a, a ,b\n", 1, []int{2}},
-		{"comment after crlf query", "a,b # padded\r\n", 1, []int{2}},
-	}
-	for _, tc := range cases {
+	for _, tc := range toleranceCases {
 		t.Run(tc.name, func(t *testing.T) {
 			u := core.NewUniverse()
 			queries, err := ParseQueryLog(strings.NewReader(tc.log), u)
@@ -69,22 +72,26 @@ func TestParseQueryLogTolerance(t *testing.T) {
 	}
 }
 
-func TestParseQueryLogErrors(t *testing.T) {
+// errorCases are logs both parser forms reject, shared with the fuzz seeds,
+// with the line the error must name ("" when no line is at fault).
+func errorCases() []struct{ name, log, wantLine string } {
 	overlong := make([]string, core.MaxEnumQueryLen+1)
 	for i := range overlong {
 		overlong[i] = "p" + strings.Repeat("x", i+1)
 	}
-	cases := []struct {
-		name, log, wantLine string
-	}{
+	return []struct{ name, log, wantLine string }{
 		{"empty log", "", ""},
 		{"comment-only log", "# only comments\n", ""},
 		{"empty property", "a,,b\n", "line 1"},
 		{"empty property with padding", "a, ,b\n", "line 1"},
 		{"trailing comma", "ok\na,b,\n", "line 2"},
 		{"overlong query", "ok\nok2\n" + strings.Join(overlong, ",") + "\n", "line 3"},
+		{"line over the scanner limit", "ok\n" + strings.Repeat("a", 1<<20+1) + "\n", "workload: line 2:"},
 	}
-	for _, tc := range cases {
+}
+
+func TestParseQueryLogErrors(t *testing.T) {
+	for _, tc := range errorCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			u := core.NewUniverse()
 			_, err := ParseQueryLog(strings.NewReader(tc.log), u)

@@ -138,19 +138,7 @@ func TestParseQueryLogFuncStreaming(t *testing.T) {
 
 func TestParseQueryLogFuncTolerance(t *testing.T) {
 	// The same tolerance cases the slice variant passes.
-	cases := []struct {
-		name, log string
-		queries   int
-		lens      []int
-	}{
-		{"crlf line endings", "a,b\r\nc\r\n", 2, []int{2, 1}},
-		{"crlf with trailing blank", "a,b\r\n\r\n", 1, []int{2}},
-		{"whitespace-padded properties", "  a , b\t,  c  \n", 1, []int{3}},
-		{"duplicate property in one line", "a,b,a\n", 1, []int{2}},
-		{"padded duplicate collapses", "a, a ,b\n", 1, []int{2}},
-		{"comment after crlf query", "a,b # padded\r\n", 1, []int{2}},
-	}
-	for _, tc := range cases {
+	for _, tc := range toleranceCases {
 		t.Run(tc.name, func(t *testing.T) {
 			u := core.NewUniverse()
 			var lens []int
