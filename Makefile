@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-race race check bench bench-full bench-sched cluster-smoke stream-smoke experiments experiments-quick serve fuzz clean
+.PHONY: all build vet test test-race race check bench bench-full cluster-smoke stream-smoke experiments experiments-quick serve fuzz clean
 
 all: build vet test
 
@@ -33,14 +33,6 @@ bench:
 bench-full:
 	$(GO) test -bench=. -benchmem -run xxx ./...
 
-# Serial-vs-parallel scheduler comparison: the BenchmarkSched* pairs plus the
-# mc3bench parallelism sweep (which also verifies cost-identity per level).
-BENCH_COUNT ?= 5
-
-bench-sched:
-	$(GO) test -bench Sched -benchmem -count=$(BENCH_COUNT) -run xxx .
-	$(GO) run ./cmd/mc3bench -exp sched
-
 # End-to-end cluster gate: two shard processes + a router process, replayed
 # against with the per-batch differential check (docs/CLUSTER.md). Artifacts
 # land in ./cluster-smoke.
@@ -68,14 +60,21 @@ serve:
 
 # Short fuzzing passes over the parsers, the set algebra, the C_Q
 # enumeration kernel and the preprocessing Step 3 kernel (each kernel
-# against its reference).
+# against its reference), and the instance scanner against encoding/json.
+# Patterns are anchored: go test refuses a -fuzz pattern that matches more
+# than one target. FuzzReadDifferential's seeds include bodies several scan
+# windows long, and minimizing each new input for the default 60 s would
+# take the whole run, so its minimization is capped.
 fuzz:
-	$(GO) test -fuzz FuzzRead -fuzztime 30s ./internal/textio/
-	$(GO) test -fuzz FuzzReadSessionBundle -fuzztime 30s ./internal/incr/
-	$(GO) test -fuzz FuzzParseQueryLog -fuzztime 30s ./internal/workload/
-	$(GO) test -fuzz FuzzPropSetAlgebra -fuzztime 30s ./internal/core/
-	$(GO) test -fuzz FuzzNewInstance -fuzztime 30s .
-	$(GO) test -fuzz FuzzPrep -fuzztime 30s ./internal/prep/
+	$(GO) test -fuzz '^FuzzRead$$' -fuzztime 30s ./internal/textio/
+	$(GO) test -fuzz '^FuzzReadDifferential$$' -fuzztime 30s -fuzzminimizetime 10x ./internal/textio/
+	$(GO) test -fuzz '^FuzzReadSessionBundle$$' -fuzztime 30s ./internal/incr/
+	$(GO) test -fuzz '^FuzzParseQueryLog$$' -fuzztime 30s ./internal/workload/
+	$(GO) test -fuzz '^FuzzParse$$' -fuzztime 30s ./internal/nlq/
+	$(GO) test -fuzz '^FuzzPropSetAlgebra$$' -fuzztime 30s ./internal/core/
+	$(GO) test -fuzz '^FuzzAppendKeyCanonical$$' -fuzztime 30s ./internal/core/
+	$(GO) test -fuzz '^FuzzNewInstance$$' -fuzztime 30s .
+	$(GO) test -fuzz '^FuzzPrep$$' -fuzztime 30s ./internal/prep/
 
 clean:
 	$(GO) clean ./...

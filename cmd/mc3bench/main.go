@@ -45,7 +45,7 @@ func run(args []string, out, errw io.Writer) (retErr error) {
 	var (
 		quick    = fs.Bool("quick", false, "run at reduced scale")
 		seed     = fs.Int64("seed", 1, "dataset generation seed")
-		exps     = fs.String("exp", "all", "comma-separated experiments: table1,fig3a,fig3b,fig3c,fig3d,fig3e,fig3f,sched,ablation,all")
+		exps     = fs.String("exp", "all", "comma-separated experiments: table1,fig3a,fig3b,fig3c,fig3d,fig3e,fig3f,ablation,all")
 		repeats  = fs.Int("repeats", 1, "timing repetitions (min reported)")
 		format   = fs.String("format", "text", "output format: text|csv|markdown")
 		asJSON   = fs.Bool("json", false, "emit one JSON report instead of tables (the BENCH_*.json format; implies -stats data when -stats is set)")
@@ -145,11 +145,10 @@ func run(args []string, out, errw io.Writer) (retErr error) {
 		"fig3d":      bench.Figure3d,
 		"fig3e":      bench.Figure3e,
 		"fig3f":      bench.Figure3f,
-		"sched":      bench.ParallelScaling,
 		"stream-gap": bench.StreamGap,
 		"stream-mem": bench.StreamMem,
 	}
-	order := []string{"table1", "fig3a", "fig3b", "fig3c", "fig3d", "fig3e", "fig3f", "sched"}
+	order := []string{"table1", "fig3a", "fig3b", "fig3c", "fig3d", "fig3e", "fig3f"}
 
 	var selected []string
 	wantAblation := false

@@ -8,7 +8,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -16,7 +15,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -233,42 +231,24 @@ type errorResponse struct {
 // client went away before the answer was ready.
 const statusClientClosedRequest = 499
 
-// bodyBufPool recycles the request-body staging buffers of /solve and /load.
-// Decoding straight off the wire made every request pay the JSON decoder's
-// internal read-buffer churn; staging through a pooled buffer makes the
-// steady-state serving path allocation-free on the transport side.
-var bodyBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// bodyBufKeep caps the capacity of buffers returned to the pool, so one
-// max-body-sized request doesn't pin megabytes for the daemon's lifetime.
-const bodyBufKeep = 1 << 20
-
-// readInstance reads and parses a request body holding an instance file,
-// staging it through a pooled buffer. The returned File does not alias the
-// buffer (textio.Read copies what it keeps).
+// readInstance parses a request body holding an instance file, under a
+// textio.decode span.
 func (s *Server) readInstance(w http.ResponseWriter, r *http.Request) (*textio.File, error) {
-	buf := bodyBufPool.Get().(*bytes.Buffer)
-	defer func() {
-		if buf.Cap() <= bodyBufKeep {
-			buf.Reset()
-			bodyBufPool.Put(buf)
-		}
-	}()
-	buf.Reset()
-	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody)); err != nil {
-		return nil, err
-	}
-	return textio.Read(bytes.NewReader(buf.Bytes()))
+	sp, _ := obs.StartChild(r.Context(), "textio.decode")
+	file, err := textio.Read(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
+	sp.EndErr(err)
+	return file, err
 }
 
-// failParse maps an instance-parse error to its HTTP status and answers it.
-func (s *Server) failParse(w http.ResponseWriter, err error) {
+// failParse maps a request-body parse error to its HTTP status and answers
+// it: 413 for a body over MaxBody, 400 otherwise. what names the body.
+func (s *Server) failParse(w http.ResponseWriter, what string, err error) {
 	code := http.StatusBadRequest
 	var tooBig *http.MaxBytesError
 	if errors.As(err, &tooBig) {
 		code = http.StatusRequestEntityTooLarge
 	}
-	s.fail(w, code, fmt.Errorf("parse instance: %w", err))
+	s.fail(w, code, fmt.Errorf("parse %s: %w", what, err))
 }
 
 // handleSolve answers POST /solve: parse the instance, solve it under the
@@ -276,10 +256,12 @@ func (s *Server) failParse(w http.ResponseWriter, err error) {
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	file, err := s.readInstance(w, r)
 	if err != nil {
-		s.failParse(w, err)
+		s.failParse(w, "instance", err)
 		return
 	}
+	sp, _ := obs.StartChild(r.Context(), "core.build")
 	_, inst, err := file.Build(core.Options{})
+	sp.EndErr(err)
 	if err != nil {
 		s.fail(w, http.StatusUnprocessableEntity, fmt.Errorf("build instance: %w", err))
 		return

@@ -153,7 +153,7 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 	}
 	file, err := s.readInstance(w, r)
 	if err != nil {
-		s.failParse(w, err)
+		s.failParse(w, "instance", err)
 		return
 	}
 	if s.cfg.MaxLoadQueries > 0 && len(file.Queries) > s.cfg.MaxLoadQueries {
@@ -212,7 +212,7 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	dec.DisallowUnknownFields()
 	var req deltaRequest
 	if err := dec.Decode(&req); err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("parse deltas: %w", err))
+		s.failParse(w, "deltas", err)
 		return
 	}
 	deltas := make([]incr.Delta, len(req.Deltas))

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -146,6 +147,26 @@ func TestSessionErrors(t *testing.T) {
 				t.Fatalf("status %d, want %d: %s", rec.Code, tc.code, rec.Body)
 			}
 		})
+	}
+}
+
+// TestDeltaBodyLimit: a delta batch over MaxBody gets 413, as /solve and
+// /load bodies do.
+func TestDeltaBodyLimit(t *testing.T) {
+	s := testServer(t, func(c *Config) { c.MaxBody = 256 })
+	load := createSession(t, s, `{"queries": [["a", "b"]], "uniform_cost": 1}`)
+	var body strings.Builder
+	body.WriteString(`{"deltas": [`)
+	for i := 0; i < 50; i++ {
+		if i > 0 {
+			body.WriteString(",")
+		}
+		fmt.Fprintf(&body, `{"op":"add","props":["a","p%d"]}`, i)
+	}
+	body.WriteString(`]}`)
+	rec := doJSON(t, s, http.MethodPost, "/session/"+load.Session+"/delta", body.String(), nil)
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d, want 413: %s", rec.Code, rec.Body)
 	}
 }
 

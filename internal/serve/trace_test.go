@@ -147,7 +147,7 @@ func TestDebugEndpoints(t *testing.T) {
 		names[sp.Name]++
 		byID[sp.ID] = sp.Name
 	}
-	for _, want := range []string{"http.request", "solve", "component"} {
+	for _, want := range []string{"http.request", "textio.decode", "core.build", "solve", "component"} {
 		if names[want] == 0 {
 			t.Errorf("trace lacks a %q span: have %v", want, names)
 		}
@@ -245,7 +245,7 @@ func TestSlowQueryCapture(t *testing.T) {
 	for _, sp := range r.Spans {
 		spanNames[sp.Name] = true
 	}
-	for _, want := range []string{"http.request", "solve", "component"} {
+	for _, want := range []string{"http.request", "textio.decode", "core.build", "solve", "component"} {
 		if !spanNames[want] {
 			t.Errorf("slow record lacks a %q span", want)
 		}

@@ -8,18 +8,24 @@ import (
 	"repro/internal/core"
 )
 
+// readSeeds seed FuzzRead and FuzzReadDifferential.
+var readSeeds = []string{
+	exampleJSON,
+	`{"queries": [["a"]], "uniform_cost": 1}`,
+	`{"queries": [["a","b"],["b","c"]], "costs": {"a":1,"b":2,"c":3,"a|b":2,"b|c":2}}`,
+	`{"queries": []}`,
+	`{`,
+	``,
+	`{"queries": [["a|b"]]}`,
+}
+
 // FuzzRead checks that arbitrary input never panics the parser, and that
 // anything it accepts survives a full round trip (build → serialize → parse
 // → build) with the instance shape preserved.
 func FuzzRead(f *testing.F) {
-	f.Add(exampleJSON)
-	f.Add(`{"queries": [["a"]], "uniform_cost": 1}`)
-	f.Add(`{"queries": [["a","b"],["b","c"]], "costs": {"a":1,"b":2,"c":3,"a|b":2,"b|c":2}}`)
-	f.Add(`{"queries": []}`)
-	f.Add(`{`)
-	f.Add(``)
-	f.Add(`{"queries": [["a|b"]]}`)
-
+	for _, seed := range readSeeds {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data string) {
 		file, err := Read(strings.NewReader(data))
 		if err != nil {

@@ -4,6 +4,29 @@
 // Classifiers without a listed cost get the default cost (omit the default
 // to make unlisted classifiers unavailable, mirroring the paper's treatment
 // of infinite weights).
+//
+// # Input contract
+//
+// Read scans File's fixed schema by hand. It accepts the inputs that a
+// reflective encoding/json decode into File with DisallowUnknownFields
+// accepts, and returns the File that decode returns, with one exception:
+//
+//   - Field names match case-insensitively after unescaping, as
+//     strings.EqualFold compares them; unknown fields are rejected.
+//   - A top-level field given twice, names compared the same way, is
+//     rejected. encoding/json merged the two; this is the exception.
+//   - null for a whole field means absent, and {} or [] give empty, non-nil
+//     values. Inside a field, a null query or name reads as empty, which
+//     validation rejects, and a null cost or weight reads as 0.
+//   - Numbers follow the JSON grammar and parse as strconv.ParseFloat(s, 64)
+//     does; an out-of-range number is rejected.
+//   - A string holding a backslash or a byte ≥ 0x80 is unquoted by
+//     encoding/json, so escapes, surrogates and the U+FFFD replacement of
+//     invalid UTF-8 are encoding/json's. A raw control byte is rejected.
+//   - Bytes after the top-level object are not read.
+//   - A reader error is returned wrapped with %w.
+//
+// Every string in the returned File is a copy, never a view of the input.
 package textio
 
 import (
@@ -48,18 +71,18 @@ func CostKey(names []string) string {
 	return strings.Join(sorted, KeySep)
 }
 
-// Read parses a File from JSON.
+// Read parses a File from JSON and validates it. It reads r up to the end
+// of the first JSON value, through a fixed-size buffer; the package comment
+// gives the inputs it accepts.
 func Read(r io.Reader) (*File, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var f File
-	if err := dec.Decode(&f); err != nil {
-		return nil, fmt.Errorf("textio: %w", err)
+	f, err := decode(r, window)
+	if err != nil {
+		return nil, err
 	}
 	if err := f.validate(); err != nil {
 		return nil, err
 	}
-	return &f, nil
+	return f, nil
 }
 
 // Write serializes a File as indented JSON.
@@ -172,20 +195,52 @@ func (f *File) CostModelFor(u *core.Universe) core.CostModel {
 		def = *f.DefaultCost
 	}
 	table := &core.CostTable{Costs: make(map[string]float64, len(f.Costs)), Default: def}
-	// Intern cost keys in sorted order, not map order: interning assigns
-	// property IDs, and two processes building a model from the same file
-	// must end with identical universes for their solves to tie-break
-	// identically (the cluster differential depends on this). Within a key,
-	// names are interned left to right.
+	var (
+		set core.PropSet // one key's properties, canonicalized in place
+		buf []byte       // the set's table key
+	)
+	put := func(c float64) {
+		slices.Sort(set)
+		buf = slices.Compact(set).AppendKey(buf[:0])
+		table.Costs[string(buf)] = c
+	}
+	// The table must come out as if the keys were interned in sorted order,
+	// names left to right within a key: interning assigns property IDs, and
+	// two processes building a model from the same file must end with
+	// identical universes for their solves to tie-break identically (the
+	// cluster differential depends on this), and of two keys naming one set
+	// the later in sorted order sets its price. When every key lists names
+	// u already holds, in strictly ascending order, no key interns a name
+	// and no two keys name one set, so map order gives the same universe
+	// and table. That holds for every file FromInstance writes, once Build
+	// has interned its queries. Walk in map order until a key breaks it.
+	canonical := true
+	for key, c := range f.Costs {
+		set = set[:0]
+		prev := ""
+		for rest, more := key, true; more; {
+			var name string
+			name, rest, more = strings.Cut(rest, KeySep)
+			id, ok := u.Lookup(name)
+			if canonical = ok && name > prev; !canonical {
+				break
+			}
+			set, prev = append(set, id), name
+		}
+		if !canonical {
+			break
+		}
+		put(c)
+	}
+	if canonical {
+		return table
+	}
+	clear(table.Costs)
 	keys := make([]string, 0, len(f.Costs))
 	for key := range f.Costs {
 		keys = append(keys, key)
 	}
 	slices.Sort(keys)
-	var (
-		set core.PropSet // one key's properties, canonicalized in place
-		buf []byte       // the set's table key
-	)
 	for _, key := range keys {
 		set = set[:0]
 		for rest, more := key, true; more; {
@@ -193,9 +248,7 @@ func (f *File) CostModelFor(u *core.Universe) core.CostModel {
 			name, rest, more = strings.Cut(rest, KeySep)
 			set = append(set, u.Intern(name))
 		}
-		slices.Sort(set)
-		buf = slices.Compact(set).AppendKey(buf[:0])
-		table.Costs[string(buf)] = f.Costs[key]
+		put(f.Costs[key])
 	}
 	return table
 }

@@ -277,7 +277,8 @@ func refCostModelFor(f *File, u *core.Universe) *core.CostTable {
 // (the cluster differential replays loads in a second process and relies on
 // both ending with the same universe) and the prices it stores, against the
 // reference, on the Private cost table and on keys with unsorted, repeated
-// and empty names.
+// and empty names. With the queries preloaded, "private" takes the
+// map-order walk; every other file has a key that forces the sort.
 func TestCostModelForInterningOrder(t *testing.T) {
 	d := workload.Private(1)
 	inst, err := d.Instance()
@@ -285,8 +286,13 @@ func TestCostModelForInterningOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	one := 1.0
+	unknown := FromInstance(inst)
+	unknown.Costs[inst.Universe.Name(0)+KeySep+"~unknown"] = 7
 	files := map[string]*File{
-		"private": FromInstance(inst),
+		"private":                FromInstance(inst),
+		"private + unknown name": unknown,
+		"twin sorts after a|a|b": {Queries: [][]string{{"a", "b"}}, Costs: map[string]float64{"a|a|b": 2, "a|b": 3, "a": 4, "b": 5}},
+		"twin sorts before b|a":  {Queries: [][]string{{"a", "b"}}, Costs: map[string]float64{"b|a": 2, "a|b": 3, "a": 4, "b": 5}},
 		"hand-made": {
 			Queries:     [][]string{{"a", "b"}},
 			Costs:       map[string]float64{"b|a": 2, "a|a": 3, "a": 4, "x||y": 5},
