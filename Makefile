@@ -60,11 +60,13 @@ serve:
 
 # Short fuzzing passes over the parsers, the set algebra, the C_Q
 # enumeration kernel and the preprocessing Step 3 kernel (each kernel
-# against its reference), and the instance scanner against encoding/json.
+# against its reference), the instance scanner against encoding/json, and
+# the flight recorder's records against the recorder that kept Events.
 # Patterns are anchored: go test refuses a -fuzz pattern that matches more
 # than one target. FuzzReadDifferential's seeds include bodies several scan
-# windows long, and minimizing each new input for the default 60 s would
-# take the whole run, so its minimization is capped.
+# windows long, and FuzzFlightRecorderDifferential's are 1.2 KB operation
+# streams; minimizing each new input for the default 60 s would take the
+# whole run, so their minimization is capped.
 fuzz:
 	$(GO) test -fuzz '^FuzzRead$$' -fuzztime 30s ./internal/textio/
 	$(GO) test -fuzz '^FuzzReadDifferential$$' -fuzztime 30s -fuzzminimizetime 10x ./internal/textio/
@@ -75,6 +77,7 @@ fuzz:
 	$(GO) test -fuzz '^FuzzAppendKeyCanonical$$' -fuzztime 30s ./internal/core/
 	$(GO) test -fuzz '^FuzzNewInstance$$' -fuzztime 30s .
 	$(GO) test -fuzz '^FuzzPrep$$' -fuzztime 30s ./internal/prep/
+	$(GO) test -fuzz '^FuzzFlightRecorderDifferential$$' -fuzztime 30s -fuzzminimizetime 10x ./internal/obs/
 
 clean:
 	$(GO) clean ./...

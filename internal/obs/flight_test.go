@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -270,5 +271,140 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 	wg.Wait()
 	if st := f.Stats(); st.Recorded != 800 {
 		t.Errorf("recorded %d trees, want 800", st.Recorded)
+	}
+}
+
+// blockingWriter blocks every Write until release is closed, announcing on
+// entered that a write has started.
+type blockingWriter struct {
+	entered chan struct{}
+	release chan struct{}
+	mu      sync.Mutex
+	buf     bytes.Buffer
+}
+
+func (w *blockingWriter) Write(p []byte) (int, error) {
+	select {
+	case w.entered <- struct{}{}:
+	default:
+	}
+	<-w.release
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.buf.Write(p)
+}
+
+// TestFlightRecorderSlowLogDoesNotBlockRecording: while the slow log's
+// writer is stuck, other requests' trees still record, and the read paths
+// still answer.
+func TestFlightRecorderSlowLogDoesNotBlockRecording(t *testing.T) {
+	f := obs.NewFlightRecorder(8)
+	w := &blockingWriter{entered: make(chan struct{}, 1), release: make(chan struct{})}
+	f.SetSlowLog(w, 0)
+	tr := obs.New(f)
+
+	captured := make(chan struct{})
+	go func() {
+		defer close(captured)
+		root := tr.StartSpan("http.request", obs.Str("request_id", "stuck"))
+		root.EndErr(errors.New("HTTP 500"))
+	}()
+	<-w.entered
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		runTree(tr, "unblocked")
+		f.Stats()
+		f.Snapshot()
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		close(w.release)
+		t.Fatal("a tree could not be recorded while the slow log's writer was blocked")
+	}
+	close(w.release)
+	<-captured
+
+	if _, ok := f.Trace("unblocked"); !ok {
+		t.Error("tree recorded during the blocked write is not retained")
+	}
+	if st := f.Stats(); st.Recorded != 2 || st.SlowRecords != 1 {
+		t.Errorf("stats = %+v, want 2 recorded, 1 slow record", st)
+	}
+	if !strings.Contains(w.buf.String(), `"request_id":"stuck"`) {
+		t.Errorf("slow log = %q, want the stuck request's record", w.buf.String())
+	}
+}
+
+// TestNonFiniteFloatAttrs: a float attribute JSON has no number for renders
+// as a string, and the rest of its trace still serializes.
+func TestNonFiniteFloatAttrs(t *testing.T) {
+	f := obs.NewFlightRecorder(4)
+	var slow, jsonl bytes.Buffer
+	f.SetSlowLog(&slow, 0)
+	tr := obs.New(f, obs.NewJSONLSink(&jsonl))
+
+	root, ctx := obs.StartSpan(context.Background(), tr, "http.request", obs.Str("request_id", "inf"))
+	c, _ := obs.StartChild(ctx, "solve",
+		obs.F64("ratio", math.Inf(1)), obs.F64("low", math.Inf(-1)), obs.F64("gap", math.NaN()), obs.Int("sets", 3))
+	c.End()
+	root.EndErr(errors.New("HTTP 422"))
+
+	want := `{"gap":"NaN","low":"-Inf","ratio":"+Inf","sets":3}`
+	if st := f.Stats(); st.SlowRecords != 1 || st.SlowErrors != 0 {
+		t.Errorf("stats = %+v, want the slow record written", st)
+	}
+	if !strings.Contains(slow.String(), `"attrs":`+want) {
+		t.Errorf("slow log lacks %s:\n%s", want, slow.String())
+	}
+	tc, ok := f.Trace("inf")
+	if !ok {
+		t.Fatal("trace not retained")
+	}
+	doc, err := json.Marshal(tc.JSON())
+	if err != nil {
+		t.Fatalf("Trace JSON: %v", err)
+	}
+	if !strings.Contains(string(doc), `"attrs":`+want) {
+		t.Errorf("Trace JSON lacks %s:\n%s", want, doc)
+	}
+	if v := tc.Spans[0].F64("ratio"); !math.IsInf(v, 1) {
+		t.Errorf("decoded ratio = %v, want +Inf", v)
+	}
+	line, _, _ := strings.Cut(jsonl.String(), "\n")
+	if !strings.Contains(line, `"attrs":`+want) {
+		t.Errorf("JSONL span lacks %s: %s", want, line)
+	}
+}
+
+// TestFlightRecorderRetainedBytes: retained_bytes counts the ring's buffers,
+// grows as the ring fills, and stays put once it recycles.
+func TestFlightRecorderRetainedBytes(t *testing.T) {
+	f := obs.NewFlightRecorder(4)
+	tr := obs.New(f)
+	var last int64
+	for i := 0; i < 4; i++ {
+		runTree(tr, fmt.Sprintf("req-%d", i))
+		st := f.Stats()
+		if st.RetainedBytes <= last {
+			t.Fatalf("after %d trees retained_bytes = %d, want more than %d", i+1, st.RetainedBytes, last)
+		}
+		last = st.RetainedBytes
+	}
+	// The first tree past capacity leaves the evicted buffer on the free
+	// list; from then on every tree reuses a buffer.
+	runTree(tr, "wrap")
+	last = f.Stats().RetainedBytes
+	for i := 0; i < 8; i++ {
+		runTree(tr, "again")
+	}
+	if st := f.Stats(); st.RetainedBytes != last {
+		t.Errorf("recycling a full ring of same-shaped trees moved retained_bytes from %d to %d", last, st.RetainedBytes)
+	}
+	doc, _ := json.Marshal(f.Stats())
+	if !strings.Contains(string(doc), `"retained_bytes":`) {
+		t.Errorf("stats JSON lacks retained_bytes: %s", doc)
 	}
 }

@@ -28,6 +28,7 @@ import (
 type Registry struct {
 	mu      sync.Mutex
 	metrics map[string]any // name (incl. labels) → *Counter | *Gauge | *Histogram
+	spans   sync.Map       // span name → *spanSeries
 }
 
 // NewRegistry returns an empty registry.
@@ -69,6 +70,41 @@ func (r *Registry) Gauge(name string) *Gauge {
 // Histogram returns the named duration histogram, creating it on first use.
 func (r *Registry) Histogram(name string) *Histogram {
 	return lookup(r, name, func() *Histogram { return new(Histogram) })
+}
+
+// spanSeries holds the metrics Span.End records for one span name, resolved
+// once per registry so that ending a span formats no names and takes no
+// registry lock.
+type spanSeries struct {
+	count    *Counter   // mc3_spans_total{span=…}
+	duration *Histogram // mc3_span_duration_seconds{span=…}
+	errName  string
+	errs     atomic.Pointer[Counter] // mc3_span_errors_total{span=…}, registered at the first error
+}
+
+// spanMetrics returns name's span metrics, registering them on first use.
+func (r *Registry) spanMetrics(name string) *spanSeries {
+	if s, ok := r.spans.Load(name); ok {
+		return s.(*spanSeries)
+	}
+	label := fmt.Sprintf("{span=%q}", name)
+	s, _ := r.spans.LoadOrStore(name, &spanSeries{
+		count:    r.Counter("mc3_spans_total" + label),
+		duration: r.Histogram("mc3_span_duration_seconds" + label),
+		errName:  "mc3_span_errors_total" + label,
+	})
+	return s.(*spanSeries)
+}
+
+// errCounter returns the span's error counter. It is registered only when the
+// span first ends with an error, so /metrics lists it only from then on.
+func (s *spanSeries) errCounter(r *Registry) *Counter {
+	if c := s.errs.Load(); c != nil {
+		return c
+	}
+	c := r.Counter(s.errName)
+	s.errs.Store(c)
+	return c
 }
 
 // Counter is a monotonically increasing integer metric.

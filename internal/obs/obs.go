@@ -18,7 +18,6 @@ package obs
 
 import (
 	"context"
-	"fmt"
 	"sync/atomic"
 	"time"
 )
@@ -270,11 +269,11 @@ func (s *Span) End() {
 		sink.Span(ev)
 	}
 	if m := s.tr.metrics; m != nil {
-		label := fmt.Sprintf("{span=%q}", s.name)
-		m.Counter("mc3_spans_total" + label).Inc()
-		m.Histogram("mc3_span_duration_seconds" + label).Observe(ev.Duration.Seconds())
+		series := m.spanMetrics(s.name)
+		series.count.Inc()
+		series.duration.Observe(ev.Duration.Seconds())
 		if err := ev.Err("err"); err != nil {
-			m.Counter("mc3_span_errors_total" + label).Inc()
+			series.errCounter(m).Inc()
 		}
 	}
 }

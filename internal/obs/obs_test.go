@@ -207,6 +207,35 @@ func TestTracerMetricsAutoRecorded(t *testing.T) {
 	}
 }
 
+// TestSpanMetricsResolvedOnce: once a span name's series exist, ending a
+// span of a metrics-only tracer allocates no more than ending one of a
+// sink-only tracer (no name formatting), and the error series appears only
+// after the name's first error.
+func TestSpanMetricsResolvedOnce(t *testing.T) {
+	reg := obs.NewRegistry()
+	withMetrics := obs.New().WithMetrics(reg)
+	withSink := obs.New(nopSink{})
+	withMetrics.StartSpan("solve").End()
+
+	exposition := func() string {
+		var b strings.Builder
+		reg.WriteTo(&b)
+		return b.String()
+	}
+	if text := exposition(); strings.Contains(text, "mc3_span_errors_total") {
+		t.Errorf("error series listed before any error:\n%s", text)
+	}
+	base := testing.AllocsPerRun(200, func() { withSink.StartSpan("solve").End() })
+	got := testing.AllocsPerRun(200, func() { withMetrics.StartSpan("solve").End() })
+	if got > base {
+		t.Errorf("ending a span with metrics allocates %.1f, without %.1f", got, base)
+	}
+	withMetrics.StartSpan("solve").EndErr(errors.New("x"))
+	if text := exposition(); !strings.Contains(text, `mc3_span_errors_total{span="solve"} 1`) {
+		t.Errorf("error series missing after the first error:\n%s", text)
+	}
+}
+
 func TestConcurrentSpansUniqueIDs(t *testing.T) {
 	sink := &recordSink{}
 	tr := obs.New(sink)

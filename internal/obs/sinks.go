@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"sync"
 	"time"
 )
@@ -74,7 +75,8 @@ func (s *JSONLSink) Dropped() int {
 }
 
 // jsonValue converts an attribute value into something json.Marshal accepts
-// losslessly: errors and durations become strings, marshal failures fall
+// losslessly: errors and durations become strings, and so do the floats
+// JSON has no number for ("+Inf", "-Inf", "NaN"); marshal failures fall
 // back to fmt formatting.
 func jsonValue(v any) any {
 	switch x := v.(type) {
@@ -82,7 +84,17 @@ func jsonValue(v any) any {
 		return x.Error()
 	case time.Duration:
 		return x.String()
-	case string, bool, int64, float64, nil:
+	case float64:
+		switch {
+		case math.IsInf(x, 1):
+			return "+Inf"
+		case math.IsInf(x, -1):
+			return "-Inf"
+		case math.IsNaN(x):
+			return "NaN"
+		}
+		return x
+	case string, bool, int64, nil:
 		return x
 	}
 	if _, err := json.Marshal(v); err != nil {

@@ -86,6 +86,10 @@ type Server struct {
 	bootID   string // request-ID prefix, unique per process
 	sessions sessions
 
+	// flightBytes is mc3_flight_retained_bytes, refreshed from the
+	// recorder's stats at each /metrics scrape (nil when Flight == 0).
+	flightBytes *obs.Gauge
+
 	// solveSecsAll aggregates solve latency across endpoints (the
 	// pre-existing mc3serve_solve_seconds family); solveSecs holds the
 	// per-endpoint split series.
@@ -141,6 +145,7 @@ func New(cfg Config, tracer *obs.Tracer) (*Server, error) {
 			s.flight.SetSlowLog(cfg.SlowW, cfg.SlowThreshold)
 		}
 		tracer = tracer.WithSink(s.flight)
+		s.flightBytes = reg.Gauge("mc3_flight_retained_bytes")
 	}
 	s.opts.Tracer = tracer.WithMetrics(reg)
 	s.tracer = s.opts.Tracer
@@ -160,7 +165,7 @@ func New(cfg Config, tracer *obs.Tracer) (*Server, error) {
 	})
 	s.mux.HandleFunc("GET /readyz", s.handleReady)
 	s.mux.HandleFunc("GET /stats", s.handleStats)
-	s.mux.Handle("GET /metrics", reg)
+	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("POST /load", s.instrument("load", s.handleLoad))
 	s.mux.HandleFunc("POST /session/{id}/delta", s.instrument("delta", s.handleDelta))
 	s.mux.HandleFunc("GET /session/{id}/solution", s.instrument("solution", s.handleSolution))
@@ -358,6 +363,15 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		},
 		Flight: s.flight.Stats(),
 	})
+}
+
+// handleMetrics serves the Prometheus exposition, refreshing the flight
+// recorder's footprint gauge first.
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	if s.flight != nil {
+		s.flightBytes.Set(float64(s.flight.Stats().RetainedBytes))
+	}
+	s.registry.ServeHTTP(w, r)
 }
 
 // fail answers an error as JSON and counts it.

@@ -110,7 +110,7 @@ func TestDebugEndpoints(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
 		t.Fatalf("/debug/requests JSON: %v\n%s", err, rec.Body)
 	}
-	if doc.Stats.Recorded == 0 || len(doc.Requests) == 0 {
+	if doc.Stats.Recorded == 0 || len(doc.Requests) == 0 || doc.Stats.RetainedBytes <= 0 {
 		t.Fatalf("flight recorder retained nothing: %+v", doc.Stats)
 	}
 	found := false
@@ -188,6 +188,9 @@ func TestDebugEndpointsDisabled(t *testing.T) {
 		if rec.Code != http.StatusNotFound {
 			t.Errorf("%s with -flight 0: %d, want 404", path, rec.Code)
 		}
+	}
+	if body := get(t, s, "/metrics").Body.String(); strings.Contains(body, "mc3_flight_retained_bytes") {
+		t.Errorf("/metrics lists the flight recorder's gauge with -flight 0")
 	}
 }
 
@@ -338,6 +341,7 @@ func TestMetricsREDAndLint(t *testing.T) {
 		`mc3serve_solve_seconds_bucket{endpoint="load",le=`,
 		`mc3serve_solve_seconds_bucket{endpoint="delta",le=`,
 		`mc3serve_solve_seconds_count `, // the unlabeled aggregate family survives
+		"# TYPE mc3_flight_retained_bytes gauge\nmc3_flight_retained_bytes ",
 	} {
 		if !strings.Contains(body, series) {
 			t.Errorf("/metrics lacks %s", series)
@@ -358,8 +362,11 @@ func TestMetricsREDAndLint(t *testing.T) {
 	if st.SolveLatency.P50 <= 0 || st.SolveLatency.P99 < st.SolveLatency.P50 {
 		t.Errorf("implausible latency quantiles: %+v", st.SolveLatency)
 	}
-	if st.Flight.Recorded == 0 {
+	if st.Flight.Recorded == 0 || st.Flight.RetainedBytes <= 0 {
 		t.Errorf("flight stats empty in /stats: %+v", st.Flight)
+	}
+	if !strings.Contains(body, fmt.Sprintf("mc3_flight_retained_bytes %d\n", st.Flight.RetainedBytes)) {
+		t.Errorf("/metrics gauge disagrees with /stats retained_bytes %d", st.Flight.RetainedBytes)
 	}
 }
 
