@@ -40,9 +40,10 @@ cluster-smoke:
 	sh scripts/cluster-smoke.sh
 
 # Streaming smoke gate: a generated query log solved materialized, streamed
-# finish-only, and streamed with mid-stream sealing must cost identically;
-# plus the sampling path and the peak-heap stream-mem differential
-# (docs/STREAMING.md). Artifacts land in ./stream-smoke.
+# finish-only, streamed with mid-stream sealing, and streamed with
+# mid-stream sealing on parallel seal workers must cost identically; plus
+# the peak-heap stream-mem differential (docs/STREAMING.md). Artifacts land
+# in ./stream-smoke.
 stream-smoke:
 	sh scripts/stream-smoke.sh
 
@@ -66,11 +67,14 @@ serve:
 # than one target. FuzzReadDifferential's seeds include bodies several scan
 # windows long, and FuzzFlightRecorderDifferential's are 1.2 KB operation
 # streams; minimizing each new input for the default 60 s would take the
-# whole run, so their minimization is capped.
+# whole run, so their minimization is capped. FuzzReadDeltaStream's five
+# arguments stalled the same way (no execs for the last 55 s of a 75 s
+# run), so its minimization is capped too.
 fuzz:
 	$(GO) test -fuzz '^FuzzRead$$' -fuzztime 30s ./internal/textio/
 	$(GO) test -fuzz '^FuzzReadDifferential$$' -fuzztime 30s -fuzzminimizetime 10x ./internal/textio/
 	$(GO) test -fuzz '^FuzzReadSessionBundle$$' -fuzztime 30s ./internal/incr/
+	$(GO) test -fuzz '^FuzzReadDeltaStream$$' -fuzztime 30s -fuzzminimizetime 10x ./internal/incr/
 	$(GO) test -fuzz '^FuzzParseQueryLog$$' -fuzztime 30s ./internal/workload/
 	$(GO) test -fuzz '^FuzzParse$$' -fuzztime 30s ./internal/nlq/
 	$(GO) test -fuzz '^FuzzPropSetAlgebra$$' -fuzztime 30s ./internal/core/

@@ -8,6 +8,7 @@
 //	mc3bench -quick            # reduced-scale smoke run (seconds)
 //	mc3bench -exp fig3a,fig3d  # selected experiments only
 //	mc3bench -exp ablation     # all ablations
+//	mc3bench -exp stream-mem   # peak-heap streaming differential (not in "all")
 //	mc3bench -quick -json      # machine-readable report (BENCH_*.json format)
 //
 // Observability: -spans traces every solve as JSON lines, -log-spans logs
@@ -21,7 +22,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -45,7 +45,7 @@ func run(args []string, out, errw io.Writer) (retErr error) {
 	var (
 		quick    = fs.Bool("quick", false, "run at reduced scale")
 		seed     = fs.Int64("seed", 1, "dataset generation seed")
-		exps     = fs.String("exp", "all", "comma-separated experiments: table1,fig3a,fig3b,fig3c,fig3d,fig3e,fig3f,ablation,all")
+		exps     = fs.String("exp", "all", "comma-separated experiment IDs (table1, fig3a…fig3f, ablation-wsc, …, stream-mem), or ablation for every ablation, or all for the paper's experiments and the ablations")
 		repeats  = fs.Int("repeats", 1, "timing repetitions (min reported)")
 		format   = fs.String("format", "text", "output format: text|csv|markdown")
 		asJSON   = fs.Bool("json", false, "emit one JSON report instead of tables (the BENCH_*.json format; implies -stats data when -stats is set)")
@@ -53,10 +53,8 @@ func run(args []string, out, errw io.Writer) (retErr error) {
 		timeout  = fs.Duration("timeout", 0, "abort any individual solve after this wall time (0 = no limit)")
 		stats    = fs.Bool("stats", false, "print accumulated solve statistics after the run")
 		useCache = fs.Bool("cache", false, "share one component-solution cache across every solve of the run and report its hit/miss stats")
-		streamN  = fs.Int64("stream", 0, "query count for the streaming experiments (stream-gap/stream-mem; 0 = suite default, 1M full / 50k quick)")
+		streamN  = fs.Int64("stream", 0, "query count for the stream-mem experiment (0 = suite default, 1M full / 50k quick)")
 		parts    = fs.Int("partitions", 0, "partition count for the streamed synthetic load (0 = suite default)")
-		gaps     = fs.String("gap", "", "comma-separated certified-gap targets for stream-gap (e.g. 0,0.02,0.1; 0 = exact arm)")
-		sample   = fs.Int("sample", 0, "initial sample size for sampling-based solves (0 = solver default)")
 	)
 	var obsCfg obs.CLIConfig
 	obsCfg.RegisterFlags(fs)
@@ -119,16 +117,6 @@ func run(args []string, out, errw io.Writer) (retErr error) {
 	if *parts > 0 {
 		cfg.StreamPartitions = *parts
 	}
-	if *gaps != "" {
-		for _, g := range strings.Split(*gaps, ",") {
-			v, err := strconv.ParseFloat(strings.TrimSpace(g), 64)
-			if err != nil || v < 0 {
-				return fmt.Errorf("invalid -gap value %q", g)
-			}
-			cfg.GapTargets = append(cfg.GapTargets, v)
-		}
-	}
-	cfg.SampleSize = *sample
 	cfg.Tracer = obsCLI.Tracer
 	if *stats {
 		cfg.Stats = new(solver.SolveStats)
@@ -137,52 +125,34 @@ func run(args []string, out, errw io.Writer) (retErr error) {
 		cfg.Cache = cache.New(cache.Config{})
 	}
 
-	runners := map[string]func(bench.Config) (*bench.Table, error){
-		"table1":     bench.Table1,
-		"fig3a":      bench.Figure3a,
-		"fig3b":      bench.Figure3b,
-		"fig3c":      bench.Figure3c,
-		"fig3d":      bench.Figure3d,
-		"fig3e":      bench.Figure3e,
-		"fig3f":      bench.Figure3f,
-		"stream-gap": bench.StreamGap,
-		"stream-mem": bench.StreamMem,
-	}
-	order := []string{"table1", "fig3a", "fig3b", "fig3c", "fig3d", "fig3e", "fig3f"}
-
-	var selected []string
-	wantAblation := false
-	for _, e := range strings.Split(*exps, ",") {
-		e = strings.TrimSpace(e)
-		switch e {
-		case "", "all":
-			selected = append(selected, order...)
-			wantAblation = true
-		case "ablation", "ablations":
-			wantAblation = true
-		case "stream":
-			// The streaming experiments run at ≥1M queries by default, so
-			// they are opt-in rather than part of "all".
-			selected = append(selected, "stream-gap", "stream-mem")
-		default:
-			if _, ok := runners[e]; !ok {
-				return fmt.Errorf("unknown experiment %q", e)
-			}
+	var selected []bench.Experiment
+	seen := map[string]bool{}
+	pick := func(e bench.Experiment) {
+		if !seen[e.ID] {
+			seen[e.ID] = true
 			selected = append(selected, e)
 		}
 	}
+	for _, name := range strings.Split(*exps, ",") {
+		name = strings.TrimSpace(name)
+		matched := false
+		for _, e := range bench.Experiments {
+			if selects(name, e) {
+				matched = true
+				pick(e)
+			}
+		}
+		if !matched {
+			return fmt.Errorf("unknown experiment %q", name)
+		}
+	}
 
-	seen := map[string]bool{}
 	start := time.Now()
 	var mem *bench.MemCapture
 	if rep != nil {
 		mem = bench.StartMemCapture()
 	}
-	for _, name := range selected {
-		if seen[name] {
-			continue
-		}
-		seen[name] = true
+	for _, e := range selected {
 		t0 := time.Now()
 		var tab *bench.Table
 		var err error
@@ -191,30 +161,17 @@ func run(args []string, out, errw io.Writer) (retErr error) {
 			for i := range seedList {
 				seedList[i] = cfg.Seed + int64(i)
 			}
-			tab, err = bench.Aggregate(runners[name], cfg, seedList)
+			tab, err = bench.Aggregate(e.Run, cfg, seedList)
 		} else {
-			tab, err = runners[name](cfg)
+			tab, err = e.Run(cfg)
 		}
 		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
+			return fmt.Errorf("%s: %w", e.ID, err)
 		}
 		if err := render(tab, time.Since(t0)); err != nil {
 			return err
 		}
-		fmt.Fprintf(errw, "mc3bench: %s done in %v\n", name, time.Since(t0).Round(time.Millisecond))
-	}
-	if wantAblation {
-		t0 := time.Now()
-		tabs, err := bench.Ablations(cfg)
-		if err != nil {
-			return fmt.Errorf("ablations: %w", err)
-		}
-		elapsed := time.Since(t0)
-		for _, tab := range tabs {
-			if err := render(tab, elapsed/time.Duration(len(tabs))); err != nil {
-				return err
-			}
-		}
+		fmt.Fprintf(errw, "mc3bench: %s done in %v\n", e.ID, time.Since(t0).Round(time.Millisecond))
 	}
 	if rep != nil {
 		rep.TotalSeconds = time.Since(start).Seconds()
@@ -240,4 +197,17 @@ func run(args []string, out, errw io.Writer) (retErr error) {
 	}
 	fmt.Fprintf(errw, "mc3bench: total %v\n", time.Since(start).Round(time.Millisecond))
 	return nil
+}
+
+// selects reports whether the -exp keyword name selects experiment e: its
+// ID, "ablation" for every ablation, or "all" for everything but the
+// opt-in streaming experiment.
+func selects(name string, e bench.Experiment) bool {
+	switch name {
+	case "", "all":
+		return e.Group != bench.Stream
+	case "ablation", "ablations":
+		return e.Group == bench.Ablation
+	}
+	return name == e.ID
 }

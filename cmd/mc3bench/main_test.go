@@ -77,3 +77,23 @@ func TestBenchMultiSeed(t *testing.T) {
 		t.Errorf("multi-seed title missing:\n%s", out.String())
 	}
 }
+
+// TestBenchAblationMultiSeed: a single ablation is selectable by its ID and
+// averaged over -seeds like every other experiment.
+func TestBenchAblationMultiSeed(t *testing.T) {
+	var out bytes.Buffer
+	if err := run([]string{"-quick", "-exp", "ablation-wsc", "-seeds", "2"}, &out, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "== ablation-wsc:") || !strings.Contains(out.String(), "(mean of 2 seeds)") {
+		t.Errorf("ablation-wsc multi-seed title missing:\n%s", out.String())
+	}
+}
+
+func TestBenchRejectsRemovedFlags(t *testing.T) {
+	for _, args := range [][]string{{"-gap", "0.1"}, {"-sample", "64"}} {
+		if err := run(args, io.Discard, io.Discard); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%v: got %v, want an unknown-flag error", args, err)
+		}
+	}
+}

@@ -7,6 +7,7 @@
 //	mc3gen -dataset bestbuy -out bb.json
 //	mc3gen -dataset private [-category fashion] [-short] -out p.json
 //	mc3gen -stream -queries 10000000 -partitions 64 -seed 1 -out queries.log
+//	mc3gen -log queries.log [-log-cost 1] -out instance.json
 //	mc3gen -dataset synthetic -n 200 -deltas -delta-events 500 -out stream.txt
 //	mc3gen -dataset synthetic -n 200 -deltas -sessions 4 -out bundle.txt
 //
@@ -14,7 +15,8 @@
 // (the mc3replay input format, see docs/INCREMENTAL.md) drawn from the
 // dataset's queries instead of an instance file. Adding -sessions N emits a
 // deterministic multi-session bundle ("# session <name>" markers, see
-// internal/incr) — the mc3replay -cluster workload.
+// internal/incr) — the mc3replay -cluster workload. Each mode (-stream,
+// -log, -deltas, or an instance file) fails on a flag it does not read.
 package main
 
 import (
@@ -24,6 +26,8 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"slices"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/incr"
@@ -63,6 +67,18 @@ func run(args []string, out, errw io.Writer) error {
 		sessions    = fs.Int("sessions", 0, "with -deltas: emit a multi-session bundle with this many independent sessions (mc3replay -cluster input)")
 	)
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	mode, reads := "instance", []string{"dataset", "n", "seed", "category", "short", "subset", "out"}
+	switch {
+	case *stream:
+		mode, reads = "-stream", []string{"stream", "dataset", "n", "queries", "partitions", "seed", "out"}
+	case *logPath != "":
+		mode, reads = "-log", []string{"log", "log-cost", "subset", "seed", "out"}
+	case *deltas:
+		mode, reads = "-deltas", []string{"deltas", "dataset", "n", "seed", "category", "short", "delta-events", "delta-rate", "sessions", "out"}
+	}
+	if err := rejectUnread(fs, mode, reads); err != nil {
 		return err
 	}
 
@@ -115,9 +131,6 @@ func run(args []string, out, errw io.Writer) error {
 		d = d.ShortSlice()
 	}
 
-	if *sessions > 0 && !*deltas {
-		return fmt.Errorf("-sessions requires -deltas")
-	}
 	if *deltas {
 		if *sessions > 0 {
 			return emitSessionBundle(d, *sessions, *deltaEvents, *deltaRate, *seed, *outPath, out, errw)
@@ -125,6 +138,21 @@ func run(args []string, out, errw io.Writer) error {
 		return emitDeltas(d, *deltaEvents, *deltaRate, *seed, *outPath, out, errw)
 	}
 	return emit(d, *subset, *seed, *outPath, out, errw)
+}
+
+// rejectUnread fails when a flag set on the command line is not among
+// reads, the flags the selected mode reads, naming the flags and the mode.
+func rejectUnread(fs *flag.FlagSet, mode string, reads []string) error {
+	var unread []string
+	fs.Visit(func(f *flag.Flag) {
+		if !slices.Contains(reads, f.Name) {
+			unread = append(unread, "-"+f.Name)
+		}
+	})
+	if len(unread) > 0 {
+		return fmt.Errorf("%s mode ignores %s", mode, strings.Join(unread, ", "))
+	}
+	return nil
 }
 
 // emitStream writes a plain-text query log (the mc3solve -stream /

@@ -213,3 +213,35 @@ func TestSessionsRequiresDeltas(t *testing.T) {
 		t.Fatal("-sessions without -deltas accepted")
 	}
 }
+
+// TestGenRejectsFlagsTheModeIgnores: every mode fails on a flag it never
+// reads instead of silently dropping it, naming the flags and the mode.
+func TestGenRejectsFlagsTheModeIgnores(t *testing.T) {
+	logPath := filepath.Join(t.TempDir(), "q.log")
+	if err := os.WriteFile(logPath, []byte("a,b\nb,c\n"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		args []string
+		want string // "" = accepted
+	}{
+		{[]string{"-log", logPath, "-deltas"}, "-log mode ignores -deltas"},
+		{[]string{"-log", logPath, "-dataset", "bestbuy", "-n", "5"}, "-log mode ignores -dataset, -n"},
+		{[]string{"-stream", "-n", "50", "-deltas", "-subset", "5"}, "-stream mode ignores -deltas, -subset"},
+		{[]string{"-dataset", "synthetic", "-n", "10", "-queries", "5", "-partitions", "2"}, "instance mode ignores -partitions, -queries"},
+		{[]string{"-dataset", "synthetic", "-n", "10", "-sessions", "2"}, "instance mode ignores -sessions"},
+		{[]string{"-dataset", "synthetic", "-n", "10", "-deltas", "-subset", "5", "-log-cost", "2"}, "-deltas mode ignores -log-cost, -subset"},
+		{[]string{"-log", logPath, "-log-cost", "2", "-subset", "1", "-seed", "3"}, ""},
+		{[]string{"-stream", "-queries", "40", "-partitions", "2", "-dataset", "synthetic"}, ""},
+		{[]string{"-dataset", "private", "-category", "fashion", "-short", "-deltas", "-delta-events", "5", "-delta-rate", "2", "-sessions", "2"}, ""},
+		{[]string{"-dataset", "synthetic", "-n", "10", "-subset", "5", "-short"}, ""},
+	} {
+		err := run(tc.args, io.Discard, io.Discard)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%v: %v", tc.args, err)
+		case tc.want != "" && (err == nil || err.Error() != tc.want):
+			t.Errorf("%v: got %v, want %q", tc.args, err, tc.want)
+		}
+	}
+}

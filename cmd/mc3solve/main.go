@@ -5,6 +5,11 @@
 //
 //	mc3solve -in instance.json [-algo auto] [-wsc auto] [-prep full] [-quiet]
 //	         [-timeout 500ms] [-stats]
+//	mc3solve -stream queries.log [-cost uniform:1] [-seal-window N] [-parallel -1]
+//	mc3solve -in instance.json -analyze
+//	mc3solve -in instance.json -budget B
+//
+// Each mode fails on a flag it does not read, naming the flag and the mode.
 //
 // Algorithms: auto (exact for k ≤ 2, Algorithm 3 otherwise), ktwo, general,
 // short-first, exact, mixed, property-oriented, query-oriented, local-greedy.
@@ -23,6 +28,8 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -43,6 +50,10 @@ func main() {
 // run executes the tool against args, writing results to out.
 func run(args []string, out io.Writer) (retErr error) {
 	fs := flag.NewFlagSet("mc3solve", flag.ContinueOnError)
+	var obsCfg obs.CLIConfig
+	obsCfg.RegisterFlags(fs)
+	var obsFlags []string // every mode reads these
+	fs.VisitAll(func(f *flag.Flag) { obsFlags = append(obsFlags, f.Name) })
 	var (
 		inPath   = fs.String("in", "", "instance JSON file (this or -stream is required)")
 		streamIn = fs.String("stream", "", "plain-text query log to solve streamed: queries are ingested one at a time and components solved as they seal, never materializing the whole load (see docs/STREAMING.md)")
@@ -50,8 +61,6 @@ func run(args []string, out io.Writer) (retErr error) {
 		sealWin  = fs.Int64("seal-window", 0, "with -stream: seal a component after this many queries without growth and solve it while ingestion continues (0 = seal only at end of stream)")
 		ambient  = fs.Int("ambient", 0, "with -stream: declared max query length of the whole load (0 = derive, assuming a long load when -seal-window is set)")
 		reopen   = fs.Bool("allow-reopen", false, "with -stream: accept queries whose properties reappear after sealing (upper-bound cover instead of an error)")
-		gap      = fs.Float64("gap", 0, "target certified optimality gap for sampling-based component solves (0 = exact; e.g. 0.05 accepts covers proven within 5% of optimal)")
-		sample   = fs.Int("sample", 0, "initial sample size for -gap solves (0 = default)")
 		algo     = fs.String("algo", "auto", "algorithm: auto|ktwo|general|short-first|exact|mixed|property-oriented|query-oriented|local-greedy")
 		wsc      = fs.String("wsc", "auto", "Algorithm 3 set-cover engine: auto|greedy|primal-dual|lp-rounding|auto-lp")
 		prepStr  = fs.String("prep", "full", "preprocessing level: full|minimal")
@@ -65,8 +74,6 @@ func run(args []string, out io.Writer) (retErr error) {
 		timeout  = fs.Duration("timeout", 0, "abort the solve after this wall time (e.g. 500ms, 2s; 0 = no limit)")
 		stats    = fs.Bool("stats", false, "print solve statistics (phase timings, components, engine choices)")
 	)
-	var obsCfg obs.CLIConfig
-	obsCfg.RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -75,6 +82,18 @@ func run(args []string, out io.Writer) (retErr error) {
 	}
 	if *inPath != "" && *streamIn != "" {
 		return errors.New("-in and -stream are mutually exclusive")
+	}
+	mode, reads := "solve", []string{"in", "algo", "wsc", "prep", "engine", "parallel", "quiet", "json", "explain", "timeout", "stats"}
+	switch {
+	case *streamIn != "":
+		mode, reads = "-stream", []string{"stream", "cost", "seal-window", "ambient", "allow-reopen", "wsc", "prep", "engine", "parallel", "quiet", "timeout", "stats"}
+	case *analyze:
+		mode, reads = "-analyze", []string{"in", "analyze"}
+	case *budget >= 0:
+		mode, reads = "-budget", []string{"in", "budget"}
+	}
+	if err := rejectUnread(fs, mode, append(reads, obsFlags...)); err != nil {
+		return err
 	}
 	obsCLI, err := obsCfg.Start()
 	if err != nil {
@@ -97,12 +116,6 @@ func run(args []string, out io.Writer) (retErr error) {
 	opts.Validate = true
 	opts.Timeout = *timeout
 	opts.Tracer = obsCLI.Tracer
-	if *gap < 0 {
-		return fmt.Errorf("-gap must be ≥ 0, got %v", *gap)
-	}
-	if *gap > 0 {
-		opts.Sampling = &solver.SamplingConfig{Gap: *gap, SampleSize: *sample}
-	}
 	var solveStats *solver.SolveStats
 	if *stats {
 		solveStats = new(solver.SolveStats)
@@ -186,6 +199,21 @@ func run(args []string, out io.Writer) (retErr error) {
 	return nil
 }
 
+// rejectUnread fails when a flag set on the command line is not among
+// reads, the flags the selected mode reads, naming the flags and the mode.
+func rejectUnread(fs *flag.FlagSet, mode string, reads []string) error {
+	var unread []string
+	fs.Visit(func(f *flag.Flag) {
+		if !slices.Contains(reads, f.Name) {
+			unread = append(unread, "-"+f.Name)
+		}
+	})
+	if len(unread) > 0 {
+		return fmt.Errorf("%s mode ignores %s", mode, strings.Join(unread, ", "))
+	}
+	return nil
+}
+
 // solveStreamed solves a plain-text query log through the streaming path:
 // the load is never materialized as an Instance — queries feed a
 // core.StreamingBuilder and components are solved as they seal. Progress
@@ -227,10 +255,6 @@ func solveStreamed(out io.Writer, logPath, costSpec string, cfg solver.StreamCon
 	fmt.Fprintf(out, "peak live queries: %d\n", res.PeakLiveQueries)
 	fmt.Fprintf(out, "total construction cost: %g\n", res.Cost)
 	fmt.Fprintf(out, "classifiers selected: %d\n", len(res.Classifiers))
-	if res.SampledComponents > 0 {
-		fmt.Fprintf(out, "sampling: %d component(s), %d escalated, reported gap %.4f\n",
-			res.SampledComponents, res.SamplingEscalations, res.Gap)
-	}
 	fmt.Fprintf(out, "time: %v\n", elapsed)
 	if solveStats != nil {
 		fmt.Fprintln(out)

@@ -181,3 +181,49 @@ func TestSolveExplain(t *testing.T) {
 		t.Errorf("explain output missing:\n%s", out.String())
 	}
 }
+
+// TestSolveRejectsFlagsTheModeIgnores: every mode fails on a flag it never
+// reads instead of silently dropping it, naming the flags and the mode.
+func TestSolveRejectsFlagsTheModeIgnores(t *testing.T) {
+	path := writeExample(t)
+	logPath := filepath.Join(t.TempDir(), "q.log")
+	if err := os.WriteFile(logPath, []byte("a,b\nb,c\n"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	spans := filepath.Join(t.TempDir(), "spans.jsonl")
+	for _, tc := range []struct {
+		args []string
+		want string // "" = accepted
+	}{
+		{[]string{"-stream", logPath, "-algo", "ktwo", "-json", "-budget", "5", "-explain", "-analyze"},
+			"-stream mode ignores -algo, -analyze, -budget, -explain, -json"},
+		{[]string{"-in", path, "-seal-window", "10", "-ambient", "2", "-allow-reopen", "-cost", "synthetic:9"},
+			"solve mode ignores -allow-reopen, -ambient, -cost, -seal-window"},
+		{[]string{"-in", path, "-analyze", "-algo", "exact", "-prep", "minimal"}, "-analyze mode ignores -algo, -prep"},
+		{[]string{"-in", path, "-analyze", "-budget", "3"}, "-analyze mode ignores -budget"},
+		{[]string{"-in", path, "-budget", "3", "-stats", "-timeout", "1s"}, "-budget mode ignores -stats, -timeout"},
+		{[]string{"-in", path, "-budget", "3", "-json"}, "-budget mode ignores -json"},
+		{[]string{"-stream", logPath, "-cost", "uniform:2", "-seal-window", "1", "-parallel", "-1", "-stats", "-quiet"}, ""},
+		{[]string{"-in", path, "-analyze", "-spans", spans}, ""},
+		{[]string{"-in", path, "-budget", "3"}, ""},
+		{[]string{"-in", path, "-algo", "exact", "-explain", "-timeout", "1m", "-stats"}, ""},
+	} {
+		err := run(tc.args, &bytes.Buffer{})
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%v: %v", tc.args, err)
+		case tc.want != "" && (err == nil || err.Error() != tc.want):
+			t.Errorf("%v: got %v, want %q", tc.args, err, tc.want)
+		}
+	}
+}
+
+func TestSolveRejectsRemovedFlags(t *testing.T) {
+	path := writeExample(t)
+	for _, flag := range []string{"-gap", "-sample"} {
+		err := run([]string{"-in", path, flag, "1"}, &bytes.Buffer{})
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%s: got %v, want an unknown-flag error", flag, err)
+		}
+	}
+}

@@ -50,19 +50,12 @@ type Config struct {
 	// same dataset at growing subset sizes re-meet components, so the
 	// hit/miss counters quantify real-workload amortization.
 	Cache *cache.Cache
-	// StreamQueries is the query count of the streaming experiments
-	// (stream-gap / stream-mem — not part of "all"; see StreamGap and
-	// StreamMem).
+	// StreamQueries is the query count of the stream-mem experiment
+	// (see StreamMem).
 	StreamQueries int64
 	// StreamPartitions is the number of property-disjoint partitions the
 	// streamed synthetic load is generated in (workload.SyntheticStream).
 	StreamPartitions int
-	// GapTargets are the certified-gap targets of the stream-gap curve;
-	// 0 is the exact arm. Sorted output follows the given order.
-	GapTargets []float64
-	// SampleSize overrides the sampling path's initial sample size
-	// (0 = solver default).
-	SampleSize int
 }
 
 // SolverOptions returns the paper-default solver options carrying the
@@ -103,9 +96,6 @@ func (c Config) Defaults() Config {
 	if c.StreamPartitions <= 0 {
 		c.StreamPartitions = 16
 	}
-	if len(c.GapTargets) == 0 {
-		c.GapTargets = []float64{0, 0.02, 0.1, 0.5}
-	}
 	return c
 }
 
@@ -121,7 +111,6 @@ func Quick(seed int64) Config {
 
 		StreamQueries:    50_000,
 		StreamPartitions: 8,
-		GapTargets:       []float64{0, 0.1},
 	}
 }
 

@@ -115,16 +115,34 @@ func TestFigure3fRuns(t *testing.T) {
 	}
 }
 
-func TestAblations(t *testing.T) {
-	tabs, err := Ablations(quickCfg())
-	if err != nil {
-		t.Fatal(err)
+// runGroup runs every experiment of group g in table order and checks
+// that each returns the table its ID names.
+func runGroup(t *testing.T, cfg Config, g Group) map[string]*Table {
+	t.Helper()
+	tabs := map[string]*Table{}
+	for _, e := range Experiments {
+		if e.Group != g {
+			continue
+		}
+		tab, err := e.Run(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+		if tab.ID != e.ID {
+			t.Errorf("experiment %s returned table %s", e.ID, tab.ID)
+		}
+		tabs[e.ID] = tab
 	}
+	return tabs
+}
+
+func TestAblations(t *testing.T) {
+	tabs := runGroup(t, quickCfg(), Ablation)
 	if len(tabs) != 9 {
 		t.Fatalf("ablations = %d, want 9", len(tabs))
 	}
 	// WSC ablation: combined must be ≤ each single engine where defined.
-	wsc := tabs[0]
+	wsc := tabs["ablation-wsc"]
 	for i := range wsc.XValues {
 		combined := wsc.Series[3].Values[i]
 		for j := 0; j < 3; j++ {
@@ -140,21 +158,26 @@ func TestAllRunsEveryExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full suite in short mode")
 	}
-	tabs, err := All(quickCfg())
-	if err != nil {
-		t.Fatal(err)
+	seen := map[string]bool{}
+	for _, e := range Experiments {
+		if seen[e.ID] {
+			t.Errorf("experiment %s listed twice", e.ID)
+		}
+		seen[e.ID] = true
 	}
-	if len(tabs) != 7 {
-		t.Fatalf("experiments = %d, want 7 (Table 1 + Figures 3a-3f)", len(tabs))
-	}
-	ids := map[string]bool{}
-	for _, tab := range tabs {
-		ids[tab.ID] = true
-	}
+	paper := runGroup(t, quickCfg(), Paper)
 	for _, want := range []string{"table1", "fig3a", "fig3b", "fig3c", "fig3d", "fig3e", "fig3f"} {
-		if !ids[want] {
+		if paper[want] == nil {
 			t.Errorf("missing experiment %s", want)
 		}
+	}
+	if len(paper) != 7 {
+		t.Errorf("paper experiments = %d, want 7 (Table 1 + Figures 3a-3f)", len(paper))
+	}
+	cfg := quickCfg()
+	cfg.StreamQueries = 8000
+	if stream := runGroup(t, cfg, Stream); stream["stream-mem"] == nil {
+		t.Error("missing experiment stream-mem")
 	}
 }
 

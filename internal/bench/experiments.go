@@ -322,20 +322,48 @@ func Figure3f(cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// All runs every paper experiment and returns the tables in paper order.
-func All(cfg Config) ([]*Table, error) {
-	runners := []func(Config) (*Table, error){
-		Table1, Figure3a, Figure3b, Figure3c, Figure3d, Figure3e, Figure3f,
-	}
-	var out []*Table
-	for _, r := range runners {
-		t, err := r(cfg)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-	}
-	return out, nil
+// Group classifies an experiment for mc3bench's selection keywords.
+type Group int
+
+const (
+	// Paper experiments regenerate Table 1 and Figures 3a–3f.
+	Paper Group = iota
+	// Ablation experiments study this repository's design choices.
+	Ablation
+	// Stream experiments run at ≥1M queries by default, so they are
+	// opt-in: "all" leaves them out.
+	Stream
+)
+
+// Experiment is one row of the experiment table.
+type Experiment struct {
+	// ID is the experiment's name on mc3bench's -exp flag and its table's
+	// ID.
+	ID    string
+	Group Group
+	Run   func(Config) (*Table, error)
+}
+
+// Experiments is every experiment, in the order mc3bench runs them: the
+// paper's, then the ablations, then the streaming experiment.
+var Experiments = []Experiment{
+	{"table1", Paper, Table1},
+	{"fig3a", Paper, Figure3a},
+	{"fig3b", Paper, Figure3b},
+	{"fig3c", Paper, Figure3c},
+	{"fig3d", Paper, Figure3d},
+	{"fig3e", Paper, Figure3e},
+	{"fig3f", Paper, Figure3f},
+	{"ablation-wsc", Ablation, AblationWSC},
+	{"ablation-engine", Ablation, AblationEngine},
+	{"ablation-prep", Ablation, AblationPrepSteps},
+	{"ablation-lp-prep", Ablation, AblationLPPrep},
+	{"ablation-bounded-k", Ablation, AblationBoundedK},
+	{"ablation-approx-ratio", Ablation, AblationApproxRatio},
+	{"ablation-certified-ratio", Ablation, AblationCertifiedRatio},
+	{"ablation-budgeted", Ablation, AblationBudgeted},
+	{"ablation-cost-sensitivity", Ablation, AblationCostSensitivity},
+	{"stream-mem", Stream, StreamMem},
 }
 
 func maxInt(xs []int) int {

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/prep"
 	"repro/internal/solver"
 	"repro/internal/workload"
 )
@@ -35,62 +34,12 @@ func streamCosts(cfg Config) (core.CostModel, error) {
 	return workload.ParseCostModel(fmt.Sprintf("synthetic:%d", cfg.Seed))
 }
 
-// StreamGap is the anytime-sampling cost/time curve: one streamed solve of
-// the configured synthetic load per gap target (0 = exact), reporting the
-// cover cost, wall time, and the certified gap actually achieved. Tighter
-// targets cost more time; the exact arm anchors the curve. The experiment
-// runs at prep.Minimal: full preprocessing resolves nearly all of this
-// synthetic family outright, leaving residual components far below the
-// sampling threshold — minimal prep keeps the WSC solve (the phase the gap
-// knob trades against) as the dominant cost. Not part of mc3bench's "all"
-// (the default load is ≥1M queries).
-func StreamGap(cfg Config) (*Table, error) {
-	cfg = cfg.Defaults()
-	cm, err := streamCosts(cfg)
-	if err != nil {
-		return nil, err
-	}
-	tab := &Table{
-		ID:     "stream-gap",
-		Title:  fmt.Sprintf("Streamed solve cost vs certified gap target (synthetic, %d queries, %d partitions, minimal prep)", cfg.StreamQueries, cfg.StreamPartitions),
-		XLabel: "gap target",
-	}
-	costS := Series{Name: "cost"}
-	timeS := Series{Name: "seconds"}
-	gapS := Series{Name: "reported gap"}
-	sampledS := Series{Name: "sampled components"}
-	for _, g := range cfg.GapTargets {
-		label := "exact"
-		if g > 0 {
-			label = fmt.Sprintf("%g", g)
-		}
-		opts := cfg.SolverOptions()
-		opts.Prep = prep.Minimal
-		if g > 0 {
-			opts.Sampling = &solver.SamplingConfig{Gap: g, SampleSize: cfg.SampleSize, Seed: cfg.Seed}
-		}
-		u := core.NewUniverse()
-		start := time.Now()
-		res, err := solver.SolveStream(u, cm, streamFeed(cfg, u), solver.StreamConfig{}, opts)
-		if err != nil {
-			return nil, fmt.Errorf("stream-gap %s: %w", label, err)
-		}
-		tab.XValues = append(tab.XValues, label)
-		costS.Values = append(costS.Values, res.Cost)
-		timeS.Values = append(timeS.Values, time.Since(start).Seconds())
-		gapS.Values = append(gapS.Values, res.Gap)
-		sampledS.Values = append(sampledS.Values, float64(res.SampledComponents))
-	}
-	tab.Series = []Series{costS, timeS, gapS, sampledS}
-	return tab, nil
-}
-
 // StreamMem is the peak-memory differential: the same synthetic load solved
 // once by materializing everything through core.NewInstance and once through
 // the streaming builder with a mid-stream seal window, each arm bracketed by
 // a heap watermark. The arms must land on the same cost — the experiment
 // doubles as the streamed-vs-materialized cost-identity gate, and errors out
-// on a mismatch. Not part of mc3bench's "all".
+// on a mismatch.
 func StreamMem(cfg Config) (*Table, error) {
 	cfg = cfg.Defaults()
 	cm, err := streamCosts(cfg)

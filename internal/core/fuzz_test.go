@@ -58,11 +58,12 @@ func FuzzPropSetAlgebra(f *testing.F) {
 	})
 }
 
-// FuzzAppendKeyCanonical pins the byte-encoded canonical classifier key the
-// enumeration hot path builds (AppendKey into a reused buffer) to the string
-// key it replaced: identical bytes, lossless round trip, and collision-free —
-// keys compare equal iff the sets are equal, including across sets encoded
-// into the same reused buffer.
+// FuzzAppendKeyCanonical pins the byte-encoded canonical key that cost-table
+// lookups and the streaming builder's shape map build (AppendKey into a
+// reused buffer; C_Q enumeration no longer keys by it) to the string key it
+// replaced: identical bytes, lossless round trip, and collision-free — keys
+// compare equal iff the sets are equal, including across sets encoded into
+// the same reused buffer.
 func FuzzAppendKeyCanonical(f *testing.F) {
 	f.Add(int32(0), int32(1), int32(2), int32(3))
 	f.Add(int32(7), int32(7), int32(7), int32(7))

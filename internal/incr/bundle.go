@@ -36,7 +36,7 @@ const sessionMarker = "# session "
 // line number in the file.
 func ReadSessionBundle(r io.Reader) ([]SessionStream, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
+	sc.Buffer(make([]byte, 0, 64*1024), maxLine)
 	var (
 		out  []SessionStream
 		seen = map[string]bool{}
@@ -96,13 +96,13 @@ func ReadSessionBundle(r io.Reader) ([]SessionStream, error) {
 }
 
 // WriteSessionBundle writes sessions in the bundle text format
-// ReadSessionBundle parses. Session names must be non-empty, distinct, and
-// free of newlines.
+// ReadSessionBundle parses. Session names must be non-empty, distinct, free
+// of newlines, and neither start nor end with white space.
 func WriteSessionBundle(w io.Writer, sessions []SessionStream) error {
 	seen := make(map[string]bool, len(sessions))
 	bw := bufio.NewWriter(w)
 	for i, s := range sessions {
-		if s.Name == "" || strings.ContainsAny(s.Name, "\r\n") {
+		if s.Name == "" || strings.ContainsAny(s.Name, "\r\n") || strings.TrimSpace(s.Name) != s.Name {
 			return fmt.Errorf("incr: session %d: bad name %q", i, s.Name)
 		}
 		if seen[s.Name] {

@@ -74,6 +74,13 @@ func TestSessionBundleErrors(t *testing.T) {
 	if err := WriteSessionBundle(&buf, []SessionStream{{Name: "bad\nname"}}); err == nil {
 		t.Error("newline in session name written without error")
 	}
+	// The reader trims white space around a name, so such a name would
+	// read back changed.
+	for _, name := range []string{" a", "a\t", "a\u00a0"} {
+		if err := WriteSessionBundle(&buf, []SessionStream{{Name: name}}); err == nil {
+			t.Errorf("session name %q written without error", name)
+		}
+	}
 }
 
 // TestReadSessionBundleErrorNamesFileLine: a bad delta line is reported with

@@ -7,6 +7,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"unicode"
 )
 
 // Delta stream text format, one event per line:
@@ -15,16 +16,20 @@ import (
 //	<time> rm   <p1,p2,...>
 //	<time> cost <p1,p2,...> <cost>
 //
-// Fields are whitespace-separated (property names contain neither spaces
-// nor commas); times are seconds from stream start, non-decreasing by
-// convention but not enforced. Blank lines and lines starting with '#' are
+// Fields are separated by white space (any rune unicode.IsSpace reports,
+// so property names contain neither white space nor commas); times are
+// seconds from stream start, non-decreasing by convention but not
+// enforced. Blank lines and lines starting with '#' are
 // ignored. mc3gen -deltas writes this format and mc3replay consumes it.
+
+// maxLine bounds a line of the stream and bundle formats, newline included.
+const maxLine = 4 * 1024 * 1024
 
 // ReadDeltaStream parses a delta stream. Errors carry the 1-based line
 // number.
 func ReadDeltaStream(r io.Reader) ([]Delta, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
+	sc.Buffer(make([]byte, 0, 64*1024), maxLine)
 	var out []Delta
 	line := 0
 	for sc.Scan() {
@@ -96,28 +101,39 @@ func splitProps(s string) ([]string, error) {
 }
 
 // WriteDeltaStream writes deltas in the stream text format ReadDeltaStream
-// parses.
+// parses. It refuses any delta that would not read back equal: an empty
+// or white-space- or comma-holding property name, a negative or non-finite
+// time, a negative or NaN re-pricing cost, a cost on an add or remove, or a
+// line longer than the reader takes.
 func WriteDeltaStream(w io.Writer, deltas []Delta) error {
 	bw := bufio.NewWriter(w)
+	var line []byte
 	for i, d := range deltas {
 		if len(d.Props) == 0 {
 			return fmt.Errorf("incr: delta %d: no properties", i)
 		}
 		for _, p := range d.Props {
-			if p == "" || strings.ContainsAny(p, ", \t\n") {
+			if p == "" || strings.ContainsRune(p, ',') || strings.IndexFunc(p, unicode.IsSpace) >= 0 {
 				return fmt.Errorf("incr: delta %d: property %q not representable in the stream format", i, p)
 			}
 		}
-		var err error
-		switch d.Op {
-		case OpUpdateCost:
-			_, err = fmt.Fprintf(bw, "%g %s %s %g\n", d.Time, d.Op, strings.Join(d.Props, ","), d.Cost)
-		case OpAdd, OpRemove:
-			_, err = fmt.Fprintf(bw, "%g %s %s\n", d.Time, d.Op, strings.Join(d.Props, ","))
-		default:
-			err = fmt.Errorf("incr: delta %d: unknown op %d", i, d.Op)
+		if math.IsNaN(d.Time) || math.IsInf(d.Time, 0) || d.Time < 0 {
+			return fmt.Errorf("incr: delta %d: time %g not representable in the stream format", i, d.Time)
 		}
-		if err != nil {
+		switch {
+		case d.Op == OpUpdateCost && d.Cost >= 0: // false for NaN
+			line = fmt.Appendf(line[:0], "%g %s %s %g\n", d.Time, d.Op, strings.Join(d.Props, ","), d.Cost)
+		case (d.Op == OpAdd || d.Op == OpRemove) && d.Cost == 0:
+			line = fmt.Appendf(line[:0], "%g %s %s\n", d.Time, d.Op, strings.Join(d.Props, ","))
+		case d.Op > OpUpdateCost:
+			return fmt.Errorf("incr: delta %d: unknown op %d", i, d.Op)
+		default:
+			return fmt.Errorf("incr: delta %d: cost %g not representable on a %s delta", i, d.Cost, d.Op)
+		}
+		if len(line) > maxLine {
+			return fmt.Errorf("incr: delta %d: line of %d bytes exceeds the stream format's %d", i, len(line), maxLine)
+		}
+		if _, err := bw.Write(line); err != nil {
 			return err
 		}
 	}

@@ -2,6 +2,7 @@ package incr
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -60,10 +61,43 @@ func TestReadDeltaStreamErrorsCarryLineNumbers(t *testing.T) {
 }
 
 func TestWriteDeltaStreamRejectsUnrepresentable(t *testing.T) {
-	if err := WriteDeltaStream(&bytes.Buffer{}, []Delta{Add("a b")}); err == nil {
-		t.Fatal("property with a space accepted")
+	for _, d := range []Delta{
+		{Op: OpAdd},
+		Add("a b"),
+		Add("a,b"),
+		Add(""),
+		// White space the reader splits on, beyond space, tab and newline.
+		Add("a\rb"), Add("a\vb"), Add("a\fb"), Add("a\u0085b"), Add("a\u00a0b"), Add("a\u3000b"),
+		{Time: -1, Op: OpAdd, Props: []string{"a"}},
+		{Time: math.NaN(), Op: OpAdd, Props: []string{"a"}},
+		{Time: math.Inf(1), Op: OpAdd, Props: []string{"a"}},
+		UpdateCost(-1, "a"),
+		UpdateCost(math.NaN(), "a"),
+		{Op: OpAdd, Props: []string{"a"}, Cost: 2},
+		{Op: OpRemove, Props: []string{"a"}, Cost: 2},
+		{Op: OpUpdateCost + 1, Props: []string{"a"}},
+	} {
+		var buf bytes.Buffer
+		if err := WriteDeltaStream(&buf, []Delta{d}); err == nil {
+			t.Errorf("%+v accepted, written as %q", d, buf.String())
+		}
 	}
-	if err := WriteDeltaStream(&bytes.Buffer{}, []Delta{{Op: OpAdd}}); err == nil {
-		t.Fatal("empty delta accepted")
+}
+
+// TestWriteDeltaStreamLineBound: a line the reader takes writes and reads
+// back; one byte more is refused by the writer.
+func TestWriteDeltaStreamLineBound(t *testing.T) {
+	fits := Add(strings.Repeat("p", maxLine-len("0 add \n")))
+	var buf bytes.Buffer
+	if err := WriteDeltaStream(&buf, []Delta{fits}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadDeltaStream(&buf)
+	if err != nil || !reflect.DeepEqual(got, []Delta{fits}) {
+		t.Fatalf("a %d-byte line did not read back: %v", maxLine, err)
+	}
+	long := Add(fits.Props[0] + "p")
+	if err := WriteDeltaStream(&bytes.Buffer{}, []Delta{long}); err == nil {
+		t.Fatal("a line longer than the reader takes was accepted")
 	}
 }

@@ -77,19 +77,6 @@ func generalResidual(ctx context.Context, r *prep.Result, opts Options) ([]core.
 func generalComponent(ctx context.Context, t *Task, r *prep.Result, ci int, opts Options, perComp [][]core.ClassifierID) error {
 	csp, ctx := obs.StartChild(ctx, SpanComponent,
 		obs.Int("index", ci), obs.Int("queries", len(r.Components[ci])))
-	// Large components under Options.Sampling take the anytime sampling
-	// path as their own spawned stage — the sampled reductions are built
-	// inside the rounds, and the cache is bypassed (a sampled cover is
-	// seed-dependent, so memoizing it would break the cache's cost-identity
-	// guarantee for exact solves).
-	if samplingActive(opts, len(r.Components[ci])) {
-		t.Spawn(func() error {
-			err := sampleSolveComponent(ctx, r, ci, opts, perComp)
-			csp.EndErr(err)
-			return err
-		})
-		return nil
-	}
 	key, picks, hit := componentCacheLookup(ctx, opts, "general/"+opts.WSC.String(), r, r.Components[ci])
 	if hit {
 		perComp[ci] = picks

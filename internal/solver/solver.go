@@ -131,16 +131,6 @@ type Options struct {
 	// algorithm domain (general/k≤2, WSC method, max-flow engine) is part of
 	// every key, so one cache serves mixed configurations soundly.
 	Cache *cache.Cache
-	// Sampling, when non-nil with a positive Gap, routes large residual
-	// components through the anytime sampling WSC path: solve on a weighted
-	// query sample, certify the completed cover against a per-element lower
-	// bound, and escalate (grow the sample, finally the exact reduction)
-	// only while the certified gap exceeds Sampling.Gap. The reported gap
-	// surfaces through Stats (SampledComponents/SamplingCost/SamplingLB),
-	// "sampling" span attrs, and the mc3_sampling_* metrics. Sampled
-	// components bypass Cache. Gap ≤ 0 (or nil) is the exact path,
-	// bit-for-bit identical to solving without this option.
-	Sampling *SamplingConfig
 	// Tracer, when non-nil and enabled (it has at least one sink or a
 	// metrics registry), receives hierarchical spans covering the whole
 	// solve: preprocessing steps, per-component dispatch, every set-cover

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -56,22 +55,6 @@ type SolveStats struct {
 	// MaxFlow accumulates max-flow engine work across Algorithm 2
 	// components.
 	MaxFlow maxflow.Stats
-	// SampledComponents counts residual components solved through the
-	// anytime sampling path (Options.Sampling).
-	SampledComponents int
-	// SamplingRounds accumulates sample-solve rounds across sampled
-	// components.
-	SamplingRounds int
-	// SamplingEscalations counts sampled components that fell back to the
-	// exact reduction because the certified gap never closed on a sample.
-	SamplingEscalations int
-	// SamplingCost / SamplingLB accumulate the accepted cover cost and the
-	// certified lower bound over sampled components; their ratio is the
-	// aggregate reported gap (see SamplingGap).
-	SamplingCost float64
-	SamplingLB   float64
-	// SamplingMaxGap is the largest per-component certified gap accepted.
-	SamplingMaxGap float64
 	// Cancelled reports whether some tracked solve was cut short by its
 	// context.
 	Cancelled bool
@@ -95,37 +78,9 @@ func (s *SolveStats) Reset() {
 	s.Components = 0
 	s.WSCEngine = nil
 	s.MaxFlow = maxflow.Stats{}
-	s.SampledComponents = 0
-	s.SamplingRounds = 0
-	s.SamplingEscalations = 0
-	s.SamplingCost = 0
-	s.SamplingLB = 0
-	s.SamplingMaxGap = 0
 	s.Cancelled = false
 	s.CancelReason = ""
 	s.Winner = ""
-}
-
-// SamplingGap returns the aggregate certified relative gap over every
-// component the sampling path solved: (ΣC − ΣLB)/ΣLB. Zero when no component
-// was sampled (the solve is exact) or when the covers met their bounds
-// exactly; +Inf when a cover was accepted against a trivial (zero) bound.
-func (s *SolveStats) SamplingGap() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return samplingGap(s.SamplingCost, s.SamplingLB, s.SampledComponents)
-}
-
-// samplingGap is SamplingGap's body, shared with the lock-holding renderers.
-func samplingGap(cost, lb float64, sampled int) float64 {
-	switch {
-	case sampled == 0 || cost <= lb:
-		return 0
-	case lb <= 0:
-		return math.Inf(1)
-	default:
-		return (cost - lb) / lb
-	}
 }
 
 // engineCounts tallies WSCEngine into deterministic (name, count) pairs:
@@ -184,11 +139,6 @@ func (s *SolveStats) Render(w io.Writer) {
 		fmt.Fprintf(w, "max-flow: %d phases, %d augments, %d discharges, %d relabels\n",
 			s.MaxFlow.Phases, s.MaxFlow.Augments, s.MaxFlow.Discharges, s.MaxFlow.Relabels)
 	}
-	if s.SampledComponents > 0 {
-		fmt.Fprintf(w, "sampling: %d component(s), %d round(s), %d escalated, reported gap %.4f (max per-component %.4f)\n",
-			s.SampledComponents, s.SamplingRounds, s.SamplingEscalations,
-			samplingGap(s.SamplingCost, s.SamplingLB, s.SampledComponents), s.SamplingMaxGap)
-	}
 	if s.Winner != "" {
 		fmt.Fprintf(w, "portfolio winner: %s\n", s.Winner)
 	}
@@ -216,26 +166,10 @@ type jsonSolveStats struct {
 	Prep         prep.Stats     `json:"prep"`
 	Components   int            `json:"components"`
 	WSCEngines   map[string]int `json:"wsc_engines,omitempty"`
-	Sampling     *jsonSampling  `json:"sampling,omitempty"`
 	MaxFlow      *maxflow.Stats `json:"maxflow,omitempty"`
 	Cancelled    bool           `json:"cancelled,omitempty"`
 	CancelReason string         `json:"cancel_reason,omitempty"`
 	Winner       string         `json:"winner,omitempty"`
-}
-
-// jsonSampling is the "sampling" block of the wire form. Gap is the
-// aggregate certified gap (JSONFloat-style null handling is not needed: an
-// accepted cover always has a finite bound unless LB was trivial, in which
-// case the component escalated and the marshaller clamps to -1 as the
-// "no certificate" marker).
-type jsonSampling struct {
-	Components  int     `json:"components"`
-	Rounds      int     `json:"rounds"`
-	Escalations int     `json:"escalations"`
-	Cost        float64 `json:"cost"`
-	LowerBound  float64 `json:"lower_bound"`
-	Gap         float64 `json:"gap"`
-	MaxGap      float64 `json:"max_gap"`
 }
 
 // MarshalJSON renders a consistent snapshot taken under the lock — the
@@ -259,25 +193,6 @@ func (s *SolveStats) MarshalJSON() ([]byte, error) {
 		doc.WSCEngines = make(map[string]int, len(counts))
 		for _, ec := range counts {
 			doc.WSCEngines[ec.Name] = ec.Count
-		}
-	}
-	if s.SampledComponents > 0 {
-		gap := samplingGap(s.SamplingCost, s.SamplingLB, s.SampledComponents)
-		maxGap := s.SamplingMaxGap
-		if math.IsInf(gap, 0) {
-			gap = -1
-		}
-		if math.IsInf(maxGap, 0) {
-			maxGap = -1
-		}
-		doc.Sampling = &jsonSampling{
-			Components:  s.SampledComponents,
-			Rounds:      s.SamplingRounds,
-			Escalations: s.SamplingEscalations,
-			Cost:        s.SamplingCost,
-			LowerBound:  s.SamplingLB,
-			Gap:         gap,
-			MaxGap:      maxGap,
 		}
 	}
 	if s.MaxFlow != (maxflow.Stats{}) {

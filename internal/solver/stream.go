@@ -11,8 +11,8 @@ import (
 )
 
 // StreamConfig configures SolveStream's ingestion side. The solver side
-// (preprocessing, WSC engines, sampling, deadlines, stats, tracing) comes
-// from the Options passed alongside.
+// (preprocessing, WSC engines, deadlines, stats, tracing) comes from the
+// Options passed alongside.
 type StreamConfig struct {
 	// SealWindow, when positive, seals a live component once it has gone
 	// this many admitted queries without being touched, handing it off for
@@ -69,13 +69,6 @@ type StreamResult struct {
 	PeakLiveQueries int
 	// MaxQueryLen is the maximal query length observed.
 	MaxQueryLen int
-	// SampledComponents / SamplingEscalations / Gap report the sampling
-	// path's work when Options.Sampling was active: Gap is the aggregate
-	// certified optimality gap over the sampled components' covers (0 for
-	// a fully exact solve).
-	SampledComponents   int
-	SamplingEscalations int
-	Gap                 float64
 }
 
 // SolveStream solves a query load fed one query at a time, without ever
@@ -104,9 +97,6 @@ func SolveStream(u *core.Universe, cm core.CostModel, feed func(add func(core.Pr
 	}
 	ctx, cancelTimeout, opts := opts.solveContext()
 	defer cancelTimeout()
-	if opts.Stats == nil {
-		opts.Stats = new(SolveStats)
-	}
 
 	b, err := core.NewStreamingBuilder(u, core.StreamOptions{AllowReopen: cfg.AllowReopen})
 	if err != nil {
@@ -203,9 +193,6 @@ func SolveStream(u *core.Universe, cm core.CostModel, feed func(add func(core.Pr
 			res.Cost += cr.costs[i]
 		}
 	}
-	res.SampledComponents = opts.Stats.SampledComponents
-	res.SamplingEscalations = opts.Stats.SamplingEscalations
-	res.Gap = opts.Stats.SamplingGap()
 	return res, nil
 }
 

@@ -131,6 +131,70 @@ func TestSolveStreamMidStreamSeal(t *testing.T) {
 	}
 }
 
+// TestSolveStreamSealPoolParallelism: TestSolveStreamMidStreamSeal's load,
+// solved with Parallelism 0, 4 and -1 in both the seal pool
+// (StreamConfig) and the per-component solve (Options) — mc3solve
+// -parallel sets both — must give the materialized cost and one classifier
+// list.
+func TestSolveStreamSealPoolParallelism(t *testing.T) {
+	const n, parts = 12000, 4
+	u := core.NewUniverse()
+	var queries []core.PropSet
+	maxLen := 0
+	err := workload.SyntheticStream(n, 17, parts, func(props []string) error {
+		ids := make([]core.PropID, len(props))
+		for i, p := range props {
+			ids[i] = u.Intern(p)
+		}
+		q := core.NewPropSet(ids...)
+		maxLen = max(maxLen, q.Len())
+		queries = append(queries, q)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cm, err := workload.ParseCostModel("synthetic:17")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := core.NewInstance(u, queries, cm, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol, err := General(inst, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var first *StreamResult
+	for _, par := range []int{0, 4, -1} {
+		opts := DefaultOptions()
+		opts.Validate = true
+		opts.Parallelism = par
+		cfg := StreamConfig{SealWindow: n / parts / 4, SealEvery: 128, AmbientQueryLen: maxLen, Parallelism: par}
+		res, err := SolveStream(u, cm, feedQueries(queries), cfg, opts)
+		if err != nil {
+			t.Fatalf("parallelism %d: %v", par, err)
+		}
+		if res.Cost != sol.Cost {
+			t.Errorf("parallelism %d: cost %g != whole-load %g", par, res.Cost, sol.Cost)
+		}
+		if first == nil {
+			first = res
+			continue
+		}
+		if len(res.Classifiers) != len(first.Classifiers) {
+			t.Fatalf("parallelism %d: %d classifiers, serial %d", par, len(res.Classifiers), len(first.Classifiers))
+		}
+		for i := range res.Classifiers {
+			if !res.Classifiers[i].Equal(first.Classifiers[i]) {
+				t.Fatalf("parallelism %d: classifier %d differs from the serial solve's", par, i)
+			}
+		}
+	}
+}
+
 // TestSolveStreamDeterministic: two identical streamed solves must agree
 // bit-for-bit on the classifier list.
 func TestSolveStreamDeterministic(t *testing.T) {
@@ -152,32 +216,6 @@ func TestSolveStreamDeterministic(t *testing.T) {
 		if !a.Classifiers[i].Equal(b.Classifiers[i]) {
 			t.Fatalf("classifier %d differs between identical runs", i)
 		}
-	}
-}
-
-// TestSolveStreamSampling: the sampling path must compose with the streamed
-// solve and surface its gap through StreamResult.
-func TestSolveStreamSampling(t *testing.T) {
-	d := workload.Synthetic(4000, 5)
-	opts := DefaultOptions()
-	opts.Validate = true
-	opts.Sampling = &SamplingConfig{Gap: 0.3, SampleSize: 64, MinComponent: 256, Seed: 1}
-	res, err := SolveStream(d.Universe, d.Costs, feedQueries(d.Queries), StreamConfig{}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.SampledComponents == 0 {
-		t.Fatal("no component took the sampling path")
-	}
-	if res.Gap < 0 {
-		t.Errorf("reported gap %g < 0", res.Gap)
-	}
-	exact, err := SolveStream(d.Universe, d.Costs, feedQueries(d.Queries), StreamConfig{}, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Cost < exact.Cost {
-		t.Errorf("sampled cost %g below exact %g", res.Cost, exact.Cost)
 	}
 }
 

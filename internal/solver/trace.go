@@ -38,11 +38,6 @@ const (
 	// SpanWSCRun wraps a single set-cover engine run. Attrs: "engine",
 	// "cost", "sets".
 	SpanWSCRun = "wsc.run"
-	// SpanSampling wraps the anytime sampling path on one large component
-	// (Options.Sampling). Attrs: "queries", "rounds", "escalated", "cost",
-	// "lb", "gap"; "truncated" ("deadline" | "cancelled") when a deadline
-	// cut escalation short after a cover was completed.
-	SpanSampling = "sampling"
 )
 
 // resolveTracer returns the tracer governing a solve: the one bound to the
@@ -153,29 +148,6 @@ func (k *statsSink) Span(ev obs.Event) {
 			s.WSCEngine = append(s.WSCEngine, engine)
 			s.mu.Unlock()
 		}
-
-	case SpanSampling:
-		if ev.Err("err") != nil {
-			return // the solve fails; nothing to accumulate
-		}
-		s.mu.Lock()
-		s.SampledComponents++
-		s.SamplingRounds += int(ev.Int("rounds"))
-		if v, ok := ev.Value("escalated"); ok {
-			if b, ok := v.(bool); ok && b {
-				s.SamplingEscalations++
-			}
-		}
-		s.SamplingCost += ev.F64("cost")
-		s.SamplingLB += ev.F64("lb")
-		if g := ev.F64("gap"); g > s.SamplingMaxGap {
-			s.SamplingMaxGap = g
-		}
-		if reason := ev.Str("truncated"); reason != "" {
-			s.Cancelled = true
-			s.CancelReason = reason
-		}
-		s.mu.Unlock()
 
 	case maxflow.SpanRun:
 		s.mu.Lock()

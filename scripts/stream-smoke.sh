@@ -1,12 +1,11 @@
 #!/usr/bin/env sh
 # Streaming smoke gate (docs/STREAMING.md): generate a query log with the
 # streaming generator, solve it three ways — materialized (mc3gen -log →
-# mc3solve -in), streamed finish-only, and streamed with mid-stream sealing —
-# and fail unless all three land on the identical cost. A fourth run
-# exercises the sampling path end to end (its cost is an upper bound, gated
-# only for feasibility ≥ exact). Finishes with the in-process stream-mem
-# differential, which hard-fails on any cost mismatch between the
-# NewInstance and SolveStream arms.
+# mc3solve -in), streamed finish-only, streamed with mid-stream sealing, and
+# streamed with mid-stream sealing on GOMAXPROCS seal workers (-parallel -1)
+# — and fail unless all four land on the identical cost. Finishes with the
+# in-process stream-mem differential, which hard-fails on any cost mismatch
+# between the NewInstance and SolveStream arms.
 #
 # Usage: scripts/stream-smoke.sh [outdir] [queries]   (default: ./stream-smoke 50000)
 set -eu
@@ -37,19 +36,14 @@ FIN=$("$BIN/mc3solve" -stream "$OUT/q.log" -cost uniform:1 -quiet)
 echo "== arm 3: streamed solve, mid-stream sealing (window $WINDOW)"
 WIN=$("$BIN/mc3solve" -stream "$OUT/q.log" -cost uniform:1 -seal-window "$WINDOW" -quiet)
 
-echo "materialized=$MAT finish-only=$FIN windowed=$WIN"
-if [ "$MAT" != "$FIN" ] || [ "$MAT" != "$WIN" ]; then
+echo "== arm 4: streamed solve, mid-stream sealing (window $WINDOW), parallel seal workers"
+PAR=$("$BIN/mc3solve" -stream "$OUT/q.log" -cost uniform:1 -seal-window "$WINDOW" -parallel -1 -quiet)
+
+echo "materialized=$MAT finish-only=$FIN windowed=$WIN windowed-parallel=$PAR"
+if [ "$MAT" != "$FIN" ] || [ "$MAT" != "$WIN" ] || [ "$MAT" != "$PAR" ]; then
     echo "COST DIFFERENTIAL FAILED: streamed solves disagree with the materialized solve" >&2
     exit 1
 fi
-
-echo "== arm 4: sampling path (gap 0.1) — must stay feasible, >= exact"
-SAMP=$("$BIN/mc3solve" -stream "$OUT/q.log" -cost uniform:1 -gap 0.1 -sample 512 -quiet)
-echo "sampled=$SAMP (exact $MAT)"
-awk -v s="$SAMP" -v e="$MAT" 'BEGIN { exit (s + 1e-9 < e) ? 1 : 0 }' || {
-    echo "SAMPLING FAILED: sampled cost below the exact optimum" >&2
-    exit 1
-}
 
 echo "== in-process stream-mem differential (peak-heap watermark + cost gate)"
 "$BIN/mc3bench" -quick -exp stream-mem -json >"$OUT/stream-mem.json"
