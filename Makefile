@@ -59,26 +59,30 @@ experiments-quick:
 serve:
 	$(GO) run ./cmd/mc3serve -addr localhost:8080
 
-# Short fuzzing passes over the parsers, the set algebra, the C_Q
-# enumeration kernel and the preprocessing Step 3 kernel (each kernel
-# against its reference), the instance scanner against encoding/json, and
-# the flight recorder's records against the recorder that kept Events.
+# Short fuzzing passes over the parsers, the set algebra, the price table
+# (against a map), the C_Q enumeration kernel and the preprocessing Step 3
+# kernel (each kernel against its reference), the instance scanner against
+# encoding/json, the fused decode against Read plus File.Build, and the
+# flight recorder's records against the recorder that kept Events.
 # Patterns are anchored: go test refuses a -fuzz pattern that matches more
-# than one target. FuzzReadDifferential's seeds include bodies several scan
-# windows long, and FuzzFlightRecorderDifferential's are 1.2 KB operation
-# streams; minimizing each new input for the default 60 s would take the
-# whole run, so their minimization is capped. FuzzReadDeltaStream's five
-# arguments stalled the same way (no execs for the last 55 s of a 75 s
-# run), so its minimization is capped too.
+# than one target. FuzzReadDifferential's and FuzzReadLoadDifferential's
+# seeds include bodies several scan windows long, and
+# FuzzFlightRecorderDifferential's are 1.2 KB operation streams; minimizing
+# each new input for the default 60 s would take the whole run, so their
+# minimization is capped. FuzzReadDeltaStream's five arguments stalled the
+# same way (no execs for the last 55 s of a 75 s run), so its minimization
+# is capped too.
 fuzz:
 	$(GO) test -fuzz '^FuzzRead$$' -fuzztime 30s ./internal/textio/
 	$(GO) test -fuzz '^FuzzReadDifferential$$' -fuzztime 30s -fuzzminimizetime 10x ./internal/textio/
+	$(GO) test -fuzz '^FuzzReadLoadDifferential$$' -fuzztime 30s -fuzzminimizetime 10x ./internal/textio/
 	$(GO) test -fuzz '^FuzzReadSessionBundle$$' -fuzztime 30s ./internal/incr/
 	$(GO) test -fuzz '^FuzzReadDeltaStream$$' -fuzztime 30s -fuzzminimizetime 10x ./internal/incr/
 	$(GO) test -fuzz '^FuzzParseQueryLog$$' -fuzztime 30s ./internal/workload/
 	$(GO) test -fuzz '^FuzzParse$$' -fuzztime 30s ./internal/nlq/
 	$(GO) test -fuzz '^FuzzPropSetAlgebra$$' -fuzztime 30s ./internal/core/
 	$(GO) test -fuzz '^FuzzAppendKeyCanonical$$' -fuzztime 30s ./internal/core/
+	$(GO) test -fuzz '^FuzzPriceTable$$' -fuzztime 30s ./internal/core/
 	$(GO) test -fuzz '^FuzzNewInstance$$' -fuzztime 30s .
 	$(GO) test -fuzz '^FuzzPrep$$' -fuzztime 30s ./internal/prep/
 	$(GO) test -fuzz '^FuzzFlightRecorderDifferential$$' -fuzztime 30s -fuzzminimizetime 10x ./internal/obs/

@@ -16,7 +16,9 @@
 // dataset's queries instead of an instance file. Adding -sessions N emits a
 // deterministic multi-session bundle ("# session <name>" markers, see
 // internal/incr) — the mc3replay -cluster workload. Each mode (-stream,
-// -log, -deltas, or an instance file) fails on a flag it does not read.
+// -log, -deltas, or an instance file) fails on a flag it does not read,
+// and -n, which sizes only the synthetic datasets, is refused for bestbuy
+// and private (-subset samples them).
 package main
 
 import (
@@ -77,6 +79,11 @@ func run(args []string, out, errw io.Writer) error {
 		mode, reads = "-log", []string{"log", "log-cost", "subset", "seed", "out"}
 	case *deltas:
 		mode, reads = "-deltas", []string{"deltas", "dataset", "n", "seed", "category", "short", "delta-events", "delta-rate", "sessions", "out"}
+	}
+	if (mode == "instance" || mode == "-deltas") && (*dataset == "bestbuy" || *dataset == "private") {
+		// -n sizes only the synthetic datasets; -subset samples these.
+		mode += " -dataset " + *dataset
+		reads = slices.DeleteFunc(reads, func(f string) bool { return f == "n" })
 	}
 	if err := rejectUnread(fs, mode, reads); err != nil {
 		return err

@@ -215,7 +215,8 @@ func TestSessionsRequiresDeltas(t *testing.T) {
 }
 
 // TestGenRejectsFlagsTheModeIgnores: every mode fails on a flag it never
-// reads instead of silently dropping it, naming the flags and the mode.
+// reads instead of silently dropping it, naming the flags and the mode; -n
+// sizes only the synthetic datasets.
 func TestGenRejectsFlagsTheModeIgnores(t *testing.T) {
 	logPath := filepath.Join(t.TempDir(), "q.log")
 	if err := os.WriteFile(logPath, []byte("a,b\nb,c\n"), 0o600); err != nil {
@@ -231,6 +232,12 @@ func TestGenRejectsFlagsTheModeIgnores(t *testing.T) {
 		{[]string{"-dataset", "synthetic", "-n", "10", "-queries", "5", "-partitions", "2"}, "instance mode ignores -partitions, -queries"},
 		{[]string{"-dataset", "synthetic", "-n", "10", "-sessions", "2"}, "instance mode ignores -sessions"},
 		{[]string{"-dataset", "synthetic", "-n", "10", "-deltas", "-subset", "5", "-log-cost", "2"}, "-deltas mode ignores -log-cost, -subset"},
+		{[]string{"-dataset", "bestbuy", "-n", "5"}, "instance -dataset bestbuy mode ignores -n"},
+		{[]string{"-dataset", "private", "-n", "5", "-subset", "5"}, "instance -dataset private mode ignores -n"},
+		{[]string{"-dataset", "private", "-deltas", "-n", "5", "-delta-events", "5"}, "-deltas -dataset private mode ignores -n"},
+		{[]string{"-dataset", "bestbuy", "-deltas", "-n", "5", "-subset", "5"}, "-deltas -dataset bestbuy mode ignores -n, -subset"},
+		{[]string{"-dataset", "bestbuy", "-subset", "5"}, ""},
+		{[]string{"-dataset", "synthetic-k2", "-n", "10", "-deltas", "-delta-events", "5"}, ""},
 		{[]string{"-log", logPath, "-log-cost", "2", "-subset", "1", "-seed", "3"}, ""},
 		{[]string{"-stream", "-queries", "40", "-partitions", "2", "-dataset", "synthetic"}, ""},
 		{[]string{"-dataset", "private", "-category", "fashion", "-short", "-deltas", "-delta-events", "5", "-delta-rate", "2", "-sessions", "2"}, ""},

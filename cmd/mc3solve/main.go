@@ -10,6 +10,8 @@
 //	mc3solve -in instance.json -budget B
 //
 // Each mode fails on a flag it does not read, naming the flag and the mode.
+// -quiet and -json print the solution alone, so they refuse -stats,
+// -explain and each other.
 //
 // Algorithms: auto (exact for k ≤ 2, Algorithm 3 otherwise), ktwo, general,
 // short-first, exact, mixed, property-oriented, query-oriented, local-greedy.
@@ -91,6 +93,20 @@ func run(args []string, out io.Writer) (retErr error) {
 		mode, reads = "-analyze", []string{"in", "analyze"}
 	case *budget >= 0:
 		mode, reads = "-budget", []string{"in", "budget"}
+	}
+	// -quiet and -json print the solution alone, so each refuses the flags
+	// that add to the text output, and the other.
+	for _, format := range []struct {
+		name string
+		on   bool
+	}{{"quiet", *quiet}, {"json", *asJSON}} {
+		if format.on && slices.Contains(reads, format.name) {
+			mode += " -" + format.name
+			reads = slices.DeleteFunc(reads, func(f string) bool {
+				return f != format.name && (f == "stats" || f == "explain" || f == "json" || f == "quiet")
+			})
+			break
+		}
 	}
 	if err := rejectUnread(fs, mode, append(reads, obsFlags...)); err != nil {
 		return err

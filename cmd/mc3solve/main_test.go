@@ -183,7 +183,8 @@ func TestSolveExplain(t *testing.T) {
 }
 
 // TestSolveRejectsFlagsTheModeIgnores: every mode fails on a flag it never
-// reads instead of silently dropping it, naming the flags and the mode.
+// reads instead of silently dropping it, naming the flags and the mode; the
+// output formats -quiet and -json refuse -stats, -explain and each other.
 func TestSolveRejectsFlagsTheModeIgnores(t *testing.T) {
 	path := writeExample(t)
 	logPath := filepath.Join(t.TempDir(), "q.log")
@@ -203,7 +204,14 @@ func TestSolveRejectsFlagsTheModeIgnores(t *testing.T) {
 		{[]string{"-in", path, "-analyze", "-budget", "3"}, "-analyze mode ignores -budget"},
 		{[]string{"-in", path, "-budget", "3", "-stats", "-timeout", "1s"}, "-budget mode ignores -stats, -timeout"},
 		{[]string{"-in", path, "-budget", "3", "-json"}, "-budget mode ignores -json"},
-		{[]string{"-stream", logPath, "-cost", "uniform:2", "-seal-window", "1", "-parallel", "-1", "-stats", "-quiet"}, ""},
+		{[]string{"-in", path, "-quiet", "-stats", "-explain"}, "solve -quiet mode ignores -explain, -stats"},
+		{[]string{"-in", path, "-json", "-explain", "-stats"}, "solve -json mode ignores -explain, -stats"},
+		{[]string{"-in", path, "-json", "-quiet"}, "solve -quiet mode ignores -json"},
+		{[]string{"-stream", logPath, "-quiet", "-stats"}, "-stream -quiet mode ignores -stats"},
+		{[]string{"-stream", logPath, "-cost", "uniform:2", "-seal-window", "1", "-parallel", "-1", "-stats"}, ""},
+		{[]string{"-stream", logPath, "-quiet", "-timeout", "1m"}, ""},
+		{[]string{"-in", path, "-json", "-algo", "general", "-timeout", "1m"}, ""},
+		{[]string{"-in", path, "-quiet", "-wsc", "greedy"}, ""},
 		{[]string{"-in", path, "-analyze", "-spans", spans}, ""},
 		{[]string{"-in", path, "-budget", "3"}, ""},
 		{[]string{"-in", path, "-algo", "exact", "-explain", "-timeout", "1m", "-stats"}, ""},

@@ -16,7 +16,7 @@ func TestSolveWithSpans(t *testing.T) {
 	path := writeExample(t)
 	spanPath := filepath.Join(t.TempDir(), "spans.jsonl")
 	var out bytes.Buffer
-	if err := run([]string{"-in", path, "-algo", "general", "-quiet", "-spans", spanPath, "-stats"}, &out); err != nil {
+	if err := run([]string{"-in", path, "-algo", "general", "-spans", spanPath, "-stats"}, &out); err != nil {
 		t.Fatal(err)
 	}
 

@@ -36,7 +36,8 @@ func (c UniformCost) Cost(PropSet) float64 { return float64(c) }
 
 // CostTable is a CostModel backed by an explicit map from PropSet keys to
 // costs. Classifiers absent from the table get Default (use math.Inf(1) to
-// make unlisted classifiers unavailable).
+// make unlisted classifiers unavailable). PriceTable holds the same prices
+// flat and prices an instance build faster.
 type CostTable struct {
 	Costs   map[string]float64
 	Default float64
@@ -211,6 +212,9 @@ func NewInstance(u *Universe, queries []PropSet, cm CostModel, opts Options) (*I
 	hashes := make([]uint64, 1<<uint(inst.maxQueryLen))
 	var propHashes [MaxEnumQueryLen]uint64
 	scratch := make(PropSet, 0, inst.maxQueryLen)
+	// A PriceTable is keyed by the same hash, so it prices a subset in one
+	// probe with no rehash and no interface call.
+	table, _ := cm.(*PriceTable)
 
 	for s, qi := range shapeQuery {
 		q := inst.queries[qi]
@@ -237,7 +241,12 @@ func NewInstance(u *Universe, queries []PropSet, cm CostModel, opts Options) (*I
 				for m := mask; m != 0; m &= m - 1 {
 					scratch = append(scratch, q[bits.TrailingZeros64(m)])
 				}
-				c := cm.Cost(scratch)
+				var c float64
+				if table != nil {
+					c = table.price(h, scratch)
+				} else {
+					c = cm.Cost(scratch)
+				}
 				if c < 0 || math.IsNaN(c) {
 					return nil, fmt.Errorf("core: cost model returned invalid cost %v for classifier %v", c, scratch)
 				}

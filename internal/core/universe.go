@@ -41,6 +41,15 @@ func (u *Universe) Intern(name string) PropID {
 	return id
 }
 
+// InternBytes is Intern for a name held as bytes; it copies the name only
+// on first use.
+func (u *Universe) InternBytes(name []byte) PropID {
+	if id, ok := u.ids[string(name)]; ok {
+		return id
+	}
+	return u.Intern(string(name))
+}
+
 // Lookup returns the PropID for name and whether it has been interned.
 func (u *Universe) Lookup(name string) (PropID, bool) {
 	id, ok := u.ids[name]

@@ -146,7 +146,7 @@ type Engine struct {
 
 	u       *core.Universe
 	base    core.CostModel
-	over    map[string]float64 // PropSet.Key() → cost override
+	over    *core.PriceTable // cost overrides; its Default is never read
 	algo    string
 	opts    solver.Options
 	cache   *cache.Cache
@@ -190,7 +190,7 @@ func New(cfg Config) (*Engine, error) {
 	return &Engine{
 		u:        u,
 		base:     cfg.Costs,
-		over:     make(map[string]float64),
+		over:     new(core.PriceTable),
 		algo:     cfg.Algo,
 		opts:     cfg.Options,
 		cache:    c,
@@ -206,17 +206,14 @@ func New(cfg Config) (*Engine, error) {
 // overlayCost layers the engine's cost overrides over the base model.
 type overlayCost struct {
 	base core.CostModel
-	over map[string]float64
+	over *core.PriceTable
 }
 
-// Cost implements core.CostModel. The override key is byte-encoded into a
-// stack buffer (as core.CostTable does), so pricing allocates nothing.
+// Cost implements core.CostModel. An override lookup is one probe of a flat
+// table, so pricing allocates nothing.
 func (o overlayCost) Cost(s core.PropSet) float64 {
-	if len(o.over) > 0 {
-		var buf [4 * core.MaxEnumQueryLen]byte
-		if c, ok := o.over[string(s.AppendKey(buf[:0]))]; ok {
-			return c
-		}
+	if c, ok := o.over.Lookup(s); ok {
+		return c
 	}
 	return o.base.Cost(s)
 }
@@ -536,7 +533,7 @@ func (e *Engine) removeLocked(d canonDelta, res *Result, oldPicks *[]core.PropSe
 // updateCostLocked records a cost override and dirties the one component
 // that could contain queries testing the classifier. Callers hold mu.
 func (e *Engine) updateCostLocked(d canonDelta) {
-	e.over[d.key] = d.cost
+	e.over.Put(d.set, d.cost)
 	// The classifier can only matter to a query q ⊇ S, and queries live
 	// within one component, so S's properties must all map to the same
 	// component for any query to be affected.

@@ -263,26 +263,43 @@ func TestEngineMetricsAndStats(t *testing.T) {
 }
 
 // TestOverlayCostNoAlloc gates the session cost model's hot path: pricing a
-// classifier allocates nothing, with and without cost overrides (the
-// override key is byte-encoded into a stack buffer).
+// classifier allocates nothing, with and without cost overrides, over a
+// base model that is a function or a price table (what /load builds). An
+// override wins over the base; a set the overrides lack, such as one that
+// differs from an overridden set in one member, gets the base's price, and
+// a set the base table lacks its default.
 func TestOverlayCostNoAlloc(t *testing.T) {
-	hit, miss := core.NewPropSet(3, 7, 12), core.NewPropSet(4, 8)
+	hit, near, miss := core.NewPropSet(3, 7, 12), core.NewPropSet(3, 7, 13), core.NewPropSet(4, 8)
+	table := core.NewPriceTable(6, 2, 6)
+	table.Put(hit, 5)
+	table.Put(near, 3)
+	withHit := new(core.PriceTable)
+	withHit.Put(hit, 2)
 	for _, tc := range []struct {
-		name string
-		over map[string]float64
+		name            string
+		base            core.CostModel
+		over            *core.PriceTable
+		hit, near, miss float64 // wanted prices
 	}{
-		{"empty", map[string]float64{}},
-		{"overrides", map[string]float64{hit.Key(): 2}},
+		{"function, no overrides", sqCost{}, new(core.PriceTable), 9, 9, 4},
+		{"function, overrides", sqCost{}, withHit, 2, 9, 4},
+		{"table, no overrides", table, new(core.PriceTable), 5, 3, 6},
+		{"table, overrides", table, withHit, 2, 3, 6},
 	} {
-		cm := overlayCost{base: sqCost{}, over: tc.over}
+		cm := overlayCost{base: tc.base, over: tc.over}
 		var sink float64
 		if avg := testing.AllocsPerRun(100, func() {
-			sink += cm.Cost(hit) + cm.Cost(miss)
+			sink += cm.Cost(hit) + cm.Cost(near) + cm.Cost(miss)
 		}); avg != 0 {
-			t.Errorf("%s: overlayCost.Cost allocates %.1f times per pair of prices, want 0", tc.name, avg)
+			t.Errorf("%s: overlayCost.Cost allocates %.1f times per three prices, want 0", tc.name, avg)
 		}
-		if want := 2.0; len(tc.over) > 0 && cm.Cost(hit) != want {
-			t.Errorf("%s: overridden price = %v, want %v", tc.name, cm.Cost(hit), want)
+		for _, c := range []struct {
+			s    core.PropSet
+			want float64
+		}{{hit, tc.hit}, {near, tc.near}, {miss, tc.miss}} {
+			if got := cm.Cost(c.s); got != c.want {
+				t.Errorf("%s: price of %v = %v, want %v", tc.name, c.s, got, c.want)
+			}
 		}
 		_ = sink
 	}

@@ -259,13 +259,17 @@ func (s *Server) failParse(w http.ResponseWriter, what string, err error) {
 // handleSolve answers POST /solve: parse the instance, solve it under the
 // request's deadline with the shared cache, answer JSON.
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	file, err := s.readInstance(w, r)
+	// The body is decoded straight into the universe, queries and price
+	// table that core.NewInstance takes, so no File is built.
+	sp, _ := obs.StartChild(r.Context(), "textio.decode")
+	u, queries, costs, err := textio.ReadLoad(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
+	sp.EndErr(err)
 	if err != nil {
 		s.failParse(w, "instance", err)
 		return
 	}
-	sp, _ := obs.StartChild(r.Context(), "core.build")
-	_, inst, err := file.Build(core.Options{})
+	sp, _ = obs.StartChild(r.Context(), "core.build")
+	inst, err := core.NewInstance(u, queries, costs, core.Options{})
 	sp.EndErr(err)
 	if err != nil {
 		s.fail(w, http.StatusUnprocessableEntity, fmt.Errorf("build instance: %w", err))
@@ -392,9 +396,7 @@ func (s *Server) failRetry(w http.ResponseWriter, code int, retryAfterSecs int, 
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	json.NewEncoder(w).Encode(v)
 }
 
 // checkAlgo validates the algorithm name once at startup (resolution still

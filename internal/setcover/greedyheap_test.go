@@ -1,0 +1,88 @@
+package setcover
+
+import (
+	"container/heap"
+	"context"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"repro/internal/bitset"
+)
+
+// refHeap is greedyHeap behind container/heap's interface, the heap greedy
+// used before its typed sift steps.
+type refHeap []greedyItem
+
+func (h refHeap) Len() int           { return len(h) }
+func (h refHeap) Less(i, j int) bool { return h[i].priority < h[j].priority }
+func (h refHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)        { *h = append(*h, x.(greedyItem)) }
+func (h *refHeap) Pop() any {
+	old := *h
+	it := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return it
+}
+
+// refGreedy is greedyCtx's selection loop on container/heap.
+func refGreedy(in *Instance) (picked []int, total float64, pops int) {
+	covered := bitset.New(in.numElements)
+	h := make(refHeap, 0, len(in.sets))
+	for s, elems := range in.sets {
+		if len(elems) > 0 {
+			h = append(h, greedyItem{set: int32(s), priority: in.costs[s] / float64(len(elems))})
+		}
+	}
+	heap.Init(&h)
+	for remaining := in.numElements; remaining > 0; pops++ {
+		it := heap.Pop(&h).(greedyItem)
+		cnt := int32(0)
+		for _, e := range in.sets[it.set] {
+			if !covered.Test(int(e)) {
+				cnt++
+			}
+		}
+		if cnt == 0 {
+			continue
+		}
+		current := in.costs[it.set] / float64(cnt)
+		if current > it.priority+1e-15 {
+			heap.Push(&h, greedyItem{set: it.set, priority: current})
+			continue
+		}
+		picked = append(picked, int(it.set))
+		total += in.costs[it.set]
+		for _, e := range in.sets[it.set] {
+			if !covered.TestAndSet(int(e)) {
+				remaining--
+			}
+		}
+	}
+	return picked, total, pops
+}
+
+// TestGreedyHeapMatchesContainerHeap runs greedy on its typed heap and on
+// container/heap over random instances whose ratios tie often (costs 1–3,
+// and sets priced at a multiple of their size), and requires the same
+// picks in the same order, the same cost and the same number of pops.
+func TestGreedyHeapMatchesContainerHeap(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	for trial := 0; trial < 300; trial++ {
+		in := randomInstance(rng, 5+rng.Intn(40), 3+rng.Intn(60), 3)
+		if trial%2 == 1 {
+			for s, elems := range in.sets {
+				in.costs[s] = float64((1 + rng.Intn(2)) * len(elems))
+			}
+		}
+		picked, total, pops, err := in.greedyCtx(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		refPicked, refTotal, refPops := refGreedy(in)
+		if !slices.Equal(picked, refPicked) || total != refTotal || pops != refPops {
+			t.Fatalf("trial %d: typed heap picked %v (cost %v, %d pops), container/heap %v (cost %v, %d pops)",
+				trial, picked, total, pops, refPicked, refTotal, refPops)
+		}
+	}
+}

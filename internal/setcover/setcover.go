@@ -9,7 +9,6 @@
 package setcover
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"math"
@@ -157,18 +156,60 @@ type greedyItem struct {
 	priority float64 // cost / uncovered-count at evaluation time (lower = better)
 }
 
+// greedyHeap is a binary min-heap of greedyItems by priority. Its init,
+// push and pop perform container/heap's Init, Push and Pop step for step,
+// sift comparisons and swaps included, so picks, pop counts and tie-breaks
+// are the ones container/heap gives, without its interface calls and the
+// boxing of every pushed and popped item.
 type greedyHeap []greedyItem
 
-func (h greedyHeap) Len() int            { return len(h) }
-func (h greedyHeap) Less(i, j int) bool  { return h[i].priority < h[j].priority }
-func (h greedyHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *greedyHeap) Push(x interface{}) { *h = append(*h, x.(greedyItem)) }
-func (h *greedyHeap) Pop() interface{} {
+func (h greedyHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i, len(h))
+	}
+}
+
+func (h *greedyHeap) push(it greedyItem) {
+	*h = append(*h, it)
+	h.up(len(*h) - 1)
+}
+
+func (h *greedyHeap) pop() greedyItem {
 	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+	n := len(old) - 1
+	old[0], old[n] = old[n], old[0]
+	old.down(0, n)
+	*h = old[:n]
+	return old[n]
+}
+
+func (h greedyHeap) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !(h[j].priority < h[i].priority) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (h greedyHeap) down(i, n int) {
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && h[j2].priority < h[j1].priority {
+			j = j2 // right child
+		}
+		if !(h[j].priority < h[i].priority) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
 }
 
 // Greedy runs Chvátal's greedy algorithm: repeatedly pick the set minimizing
@@ -206,7 +247,7 @@ func (in *Instance) greedyCtx(ctx context.Context) ([]int, float64, int, error) 
 			h = append(h, greedyItem{set: int32(s), priority: in.costs[s] / float64(len(elems))})
 		}
 	}
-	heap.Init(&h)
+	h.init()
 
 	remaining := in.numElements
 	var picked []int
@@ -220,10 +261,10 @@ func (in *Instance) greedyCtx(ctx context.Context) ([]int, float64, int, error) 
 			default:
 			}
 		}
-		if h.Len() == 0 {
+		if len(h) == 0 {
 			return nil, 0, pops, fmt.Errorf("setcover: internal error: queue drained with %d elements uncovered", remaining)
 		}
-		it := heap.Pop(&h).(greedyItem)
+		it := h.pop()
 		s := it.set
 		// Recompute the true uncovered count lazily. Coverage only shrinks,
 		// so a popped priority is a lower bound on the set's true priority:
@@ -240,7 +281,7 @@ func (in *Instance) greedyCtx(ctx context.Context) ([]int, float64, int, error) 
 		}
 		current := in.costs[s] / float64(cnt)
 		if current > it.priority+1e-15 {
-			heap.Push(&h, greedyItem{set: s, priority: current})
+			h.push(greedyItem{set: s, priority: current})
 			continue
 		}
 		picked = append(picked, int(s))

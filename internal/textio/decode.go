@@ -34,8 +34,9 @@ type decoder struct {
 	r        io.Reader
 	buf      []byte
 	pos, end int
-	base     int64 // input offset of buf[0]
-	err      error // the reader's error once it has returned one
+	base     int64  // input offset of buf[0]
+	err      error  // the reader's error once it has returned one
+	key      []byte // the cost key being scanned
 }
 
 // decode reads one File object from r through a buffer of size win. It does
@@ -176,9 +177,10 @@ func (d *decoder) null() error {
 	return nil
 }
 
-// file scans the top-level object, or a null, which leaves f empty. Bytes
-// after it are not read.
-func (d *decoder) file(f *File) error {
+// fields scans the top-level object, or a null, which is an object with no
+// fields, calling field with each field's index once its name and colon are
+// consumed; field scans the value. Bytes after the object are not read.
+func (d *decoder) fields(field func(int) error) error {
 	ok, empty, err := d.open('{', '}', "the instance")
 	if !ok || err != nil {
 		return err
@@ -192,40 +194,28 @@ func (d *decoder) file(f *File) error {
 		if c != '"' {
 			return d.syntax("looking for a field name")
 		}
-		key, err := d.string()
+		b, err := d.literal()
 		if err != nil {
 			return err
 		}
-		field := -1
+		key, index := string(b), -1
 		for i, name := range fieldNames {
 			if strings.EqualFold(key, name) {
-				field = i
+				index = i
 				break
 			}
 		}
-		if field < 0 {
+		if index < 0 {
 			return fmt.Errorf("textio: unknown field %q", key)
 		}
-		if seen[field] {
+		if seen[index] {
 			return fmt.Errorf("textio: field %q given twice", key)
 		}
-		seen[field] = true
+		seen[index] = true
 		if err := d.expect(':', "after a field name"); err != nil {
 			return err
 		}
-		switch field {
-		case fieldQueries:
-			f.Queries, err = d.queries()
-		case fieldCosts:
-			f.Costs, err = d.costs()
-		case fieldUniformCost:
-			f.UniformCost, err = d.optNumber()
-		case fieldDefaultCost:
-			f.DefaultCost, err = d.optNumber()
-		case fieldWeights:
-			f.Weights, err = d.weights()
-		}
-		if err != nil {
+		if err := field(index); err != nil {
 			return err
 		}
 		if more, err = d.next('}'); err != nil {
@@ -235,86 +225,124 @@ func (d *decoder) file(f *File) error {
 	return nil
 }
 
-// queries scans the queries field: null, or an array of queries, each null
-// or an array of names.
-func (d *decoder) queries() ([][]string, error) {
-	ok, empty, err := d.open('[', ']', "queries")
-	if !ok || err != nil {
-		return nil, err
-	}
-	qs := [][]string{}
-	for more := !empty; more; {
-		var q []string
-		if ok, empty, err = d.open('[', ']', "a query"); err != nil {
-			return nil, err
-		}
-		if ok {
-			q = []string{}
-		}
-		for more := ok && !empty; more; {
-			name, err := d.stringOrNull()
-			if err != nil {
-				return nil, err
+// file scans a File.
+func (d *decoder) file(f *File) error {
+	return d.fields(func(field int) (err error) {
+		switch field {
+		case fieldQueries:
+			qs := [][]string{}
+			var ok bool
+			ok, err = d.queries(func(present bool) {
+				var q []string
+				if present {
+					q = []string{}
+				}
+				qs = append(qs, q)
+			}, func(name []byte) {
+				qs[len(qs)-1] = append(qs[len(qs)-1], string(name))
+			})
+			if ok {
+				f.Queries = qs
 			}
-			q = append(q, name)
-			if more, err = d.next(']'); err != nil {
-				return nil, err
+		case fieldCosts:
+			var entries []costEntry
+			var ok bool
+			ok, err = d.costs(func(key []byte, price float64) {
+				entries = append(grow(entries, 1), costEntry{string(key), price})
+			})
+			if ok {
+				f.Costs = make(map[string]float64, len(entries))
+				for _, e := range entries {
+					f.Costs[e.key] = e.price // a repeated key keeps its last price
+				}
 			}
+		case fieldUniformCost:
+			f.UniformCost, err = d.optNumber()
+		case fieldDefaultCost:
+			f.DefaultCost, err = d.optNumber()
+		case fieldWeights:
+			f.Weights, err = d.weights()
 		}
-		qs = append(qs, q)
-		if more, err = d.next(']'); err != nil {
-			return nil, err
-		}
-	}
-	return qs, nil
+		return err
+	})
 }
 
-// costs scans the costs field: null, or an object of numbers or nulls.
-func (d *decoder) costs() (map[string]float64, error) {
+// queries scans the queries field: null, or an array of queries, each null
+// or an array of names. It reports whether the array was present. It calls
+// query at the start of each query, with whether the query is present, and
+// name with each of its names, a null reading as empty; the name's bytes
+// are valid only during the call.
+func (d *decoder) queries(query func(present bool), name func([]byte)) (bool, error) {
+	ok, empty, err := d.open('[', ']', "queries")
+	if !ok || err != nil {
+		return false, err
+	}
+	for more := !empty; more; {
+		if ok, empty, err = d.open('[', ']', "a query"); err != nil {
+			return false, err
+		}
+		query(ok)
+		for more := ok && !empty; more; {
+			b, err := d.literalOrNull()
+			if err != nil {
+				return false, err
+			}
+			name(b)
+			if more, err = d.next(']'); err != nil {
+				return false, err
+			}
+		}
+		if more, err = d.next(']'); err != nil {
+			return false, err
+		}
+	}
+	return true, nil
+}
+
+// costs scans the costs field: null, or an object of numbers or nulls,
+// calling entry with each key and price in order; the key's bytes are
+// valid only during the call. It reports whether the object was present.
+func (d *decoder) costs(entry func(key []byte, price float64)) (bool, error) {
 	ok, empty, err := d.open('{', '}', "costs")
 	if !ok || err != nil {
-		return nil, err
+		return false, err
 	}
-	// Collect the entries first, so that the map is made at its final size
-	// instead of rehashing as it grows. The list doubles, which allocates
-	// less than append's gentler growth does for long lists.
-	type entry struct {
-		key   string
-		price float64
-	}
-	var entries []entry
 	for more := !empty; more; {
 		c, err := d.peek()
 		if err != nil {
-			return nil, err
+			return false, err
 		}
 		if c != '"' {
-			return nil, d.syntax("looking for a cost key")
+			return false, d.syntax("looking for a cost key")
 		}
-		key, err := d.string()
+		key, err := d.literal()
 		if err != nil {
-			return nil, err
+			return false, err
 		}
+		d.key = append(d.key[:0], key...) // the next scan may move key's bytes
 		if err := d.expect(':', "after a cost key"); err != nil {
-			return nil, err
+			return false, err
 		}
 		price, err := d.numberOrNull()
 		if err != nil {
-			return nil, err
+			return false, err
 		}
-		if len(entries) == cap(entries) {
-			entries = slices.Grow(entries, len(entries)+1)
-		}
-		entries = append(entries, entry{key, price})
+		entry(d.key, price)
 		if more, err = d.next('}'); err != nil {
-			return nil, err
+			return false, err
 		}
 	}
-	m := make(map[string]float64, len(entries))
-	for _, e := range entries {
-		m[e.key] = e.price // a repeated key keeps its last price
+	return true, nil
+}
+
+// grow returns s with room for n more elements. Unlike append, which grows
+// a long slice by a quarter, it at least doubles a full slice, so the long
+// lists the scanner builds allocate less in all.
+func grow[S ~[]E, E any](s S, n int) S {
+	if len(s)+n > cap(s) {
+		s = slices.Grow(s, max(n, len(s)))
 	}
-	return m, nil
+	return s
 }
 
 // weights scans the weights field: null, or an array of numbers or nulls.
@@ -353,19 +381,20 @@ func (d *decoder) optNumber() (*float64, error) {
 	return &v, nil
 }
 
-// stringOrNull scans a string, or a null, which reads as "".
-func (d *decoder) stringOrNull() (string, error) {
+// literalOrNull scans a string, or a null, which reads as empty. The bytes
+// are valid until the next scan.
+func (d *decoder) literalOrNull() ([]byte, error) {
 	c, err := d.peek()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	switch c {
 	case '"':
-		return d.string()
+		return d.literal()
 	case 'n':
-		return "", d.null()
+		return nil, d.null()
 	}
-	return "", d.syntax("for a property name")
+	return nil, d.syntax("for a property name")
 }
 
 // numberOrNull scans a number, or a null, which reads as 0.
@@ -380,11 +409,12 @@ func (d *decoder) numberOrNull() (float64, error) {
 	return d.number()
 }
 
-// string scans the string literal at pos and returns a copy of its value.
-// A literal holding only printable ASCII is its own value; one holding a
-// backslash or a byte ≥ 0x80 is unquoted by encoding/json, which decides
-// escapes, surrogates and invalid UTF-8 exactly as a struct decode does.
-func (d *decoder) string() (string, error) {
+// literal scans the string literal at pos and returns its value, valid until
+// the next scan. A literal holding only printable ASCII is its own value;
+// one holding a backslash or a byte ≥ 0x80 is unquoted by encoding/json,
+// which decides escapes, surrogates and invalid UTF-8 exactly as a struct
+// decode does.
+func (d *decoder) literal() ([]byte, error) {
 	plain := true
 	i := d.pos + 1
 	for {
@@ -399,26 +429,26 @@ func (d *decoder) string() (string, error) {
 				lit, at := buf[d.pos:i+1], d.base+int64(d.pos)
 				d.pos = i + 1
 				if plain {
-					return string(lit[1 : len(lit)-1]), nil
+					return lit[1 : len(lit)-1], nil
 				}
 				var s string
 				if err := json.Unmarshal(lit, &s); err != nil {
-					return "", fmt.Errorf("textio: string at offset %d: %w", at, err)
+					return nil, fmt.Errorf("textio: string at offset %d: %w", at, err)
 				}
-				return s, nil
+				return []byte(s), nil
 			case c == '\\':
 				plain = false
 				i++ // the escaped byte cannot end the literal
 			case c < 0x20:
 				d.pos = i
-				return "", d.syntax("in a string")
+				return nil, d.syntax("in a string")
 			case c >= 0x80:
 				plain = false
 			}
 		}
 		n := i - d.pos
 		if !d.fill() {
-			return "", d.truncated()
+			return nil, d.truncated()
 		}
 		i = d.pos + n
 	}

@@ -97,37 +97,67 @@ func Write(w io.Writer, f *File) error {
 
 func (f *File) validate() error {
 	if len(f.Queries) == 0 {
-		return errors.New("textio: file has no queries")
+		return errNoQueries
 	}
 	for i, q := range f.Queries {
 		if len(q) == 0 {
-			return fmt.Errorf("textio: query %d is empty", i)
+			return emptyQuery(i)
 		}
 		for _, name := range q {
-			if name == "" {
-				return fmt.Errorf("textio: query %d has an empty property name", i)
-			}
-			if strings.Contains(name, KeySep) {
-				return fmt.Errorf("textio: property name %q contains the reserved separator %q", name, KeySep)
+			if err := checkName(i, name); err != nil {
+				return err
 			}
 		}
 	}
 	for k, c := range f.Costs {
-		if c < 0 || math.IsNaN(c) {
-			return fmt.Errorf("textio: cost %v for %q is invalid", c, k)
+		if err := checkCost(k, c); err != nil {
+			return err
 		}
 	}
-	if f.UniformCost != nil && (*f.UniformCost < 0 || math.IsNaN(*f.UniformCost)) {
-		return fmt.Errorf("textio: uniform cost %v is invalid", *f.UniformCost)
+	return checkScalars(f.UniformCost, f.DefaultCost, f.Weights, len(f.Queries))
+}
+
+var errNoQueries = errors.New("textio: file has no queries")
+
+func emptyQuery(i int) error { return fmt.Errorf("textio: query %d is empty", i) }
+
+// checkName reports why name, a property name of query i, is invalid, or
+// returns nil.
+func checkName[S string | []byte](i int, name S) error {
+	if len(name) == 0 {
+		return fmt.Errorf("textio: query %d has an empty property name", i)
 	}
-	if f.DefaultCost != nil && (*f.DefaultCost < 0 || math.IsNaN(*f.DefaultCost)) {
-		return fmt.Errorf("textio: default cost %v is invalid", *f.DefaultCost)
-	}
-	if f.Weights != nil {
-		if len(f.Weights) != len(f.Queries) {
-			return fmt.Errorf("textio: %d weights for %d queries", len(f.Weights), len(f.Queries))
+	for j := 0; j < len(name); j++ {
+		if name[j] == KeySep[0] {
+			return fmt.Errorf("textio: property name %q contains the reserved separator %q", name, KeySep)
 		}
-		for i, w := range f.Weights {
+	}
+	return nil
+}
+
+// checkCost reports why c, the price of cost key k, is invalid, or returns
+// nil.
+func checkCost(k string, c float64) error {
+	if c < 0 || math.IsNaN(c) {
+		return fmt.Errorf("textio: cost %v for %q is invalid", c, k)
+	}
+	return nil
+}
+
+// checkScalars checks the fields after queries and costs: the uniform and
+// default costs, and the weights of a load of n queries.
+func checkScalars(uniform, def *float64, weights []float64, n int) error {
+	if uniform != nil && (*uniform < 0 || math.IsNaN(*uniform)) {
+		return fmt.Errorf("textio: uniform cost %v is invalid", *uniform)
+	}
+	if def != nil && (*def < 0 || math.IsNaN(*def)) {
+		return fmt.Errorf("textio: default cost %v is invalid", *def)
+	}
+	if weights != nil {
+		if len(weights) != n {
+			return fmt.Errorf("textio: %d weights for %d queries", len(weights), n)
+		}
+		for i, w := range weights {
 			if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
 				return fmt.Errorf("textio: weight %v for query %d is invalid", w, i)
 			}
@@ -190,32 +220,88 @@ func (f *File) CostModelFor(u *core.Universe) core.CostModel {
 	if f.UniformCost != nil {
 		return core.UniformCost(*f.UniformCost)
 	}
-	def := math.Inf(1)
-	if f.DefaultCost != nil {
-		def = *f.DefaultCost
+	entries := make([]costEntry, 0, len(f.Costs))
+	for key, c := range f.Costs {
+		entries = append(entries, costEntry{key, c})
 	}
-	table := &core.CostTable{Costs: make(map[string]float64, len(f.Costs)), Default: def}
-	var (
-		set core.PropSet // one key's properties, canonicalized in place
-		buf []byte       // the set's table key
-	)
+	return priceTable(u, defaultCost(f.DefaultCost), len(entries), func(i int) (string, float64) {
+		return entries[i].key, entries[i].price
+	})
+}
+
+// defaultCost is the price of classifiers the costs leave out: def, or +Inf
+// (unavailable) when it is absent.
+func defaultCost(def *float64) float64 {
+	if def == nil {
+		return math.Inf(1)
+	}
+	return *def
+}
+
+// costEntry is one cost key with its price.
+type costEntry struct {
+	key   string
+	price float64
+}
+
+// costList returns entry i of a list of cost entries. A key may repeat,
+// and then its last price counts, as it does in a File's map.
+type costList func(i int) (key string, price float64)
+
+// checkCosts reports an invalid price among the n entries as validate does
+// for a File, naming the first such key in the list's order.
+func checkCosts(n int, entry costList) error {
+	valid := true
+	for i := 0; i < n && valid; i++ {
+		_, c := entry(i)
+		valid = checkCost("", c) == nil
+	}
+	if valid {
+		return nil
+	}
+	last := make(map[string]int, n) // each key's last entry, whose price counts
+	for i := 0; i < n; i++ {
+		key, _ := entry(i)
+		last[key] = i
+	}
+	for i := 0; i < n; i++ {
+		if key, c := entry(i); last[key] == i {
+			if err := checkCost(key, c); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// priceTable prices the n entries of a cost list into a table bound to u,
+// interning what their keys name. The table must come out as if the keys
+// were interned in sorted order, names left to right within a key:
+// interning assigns property IDs, and two processes building a model from
+// the same file must end with identical universes for their solves to
+// tie-break identically (the cluster differential depends on this), and of
+// two keys naming one set the later in sorted order sets its price. When
+// every key lists names u already holds, in strictly ascending order, no
+// key interns a name and only equal keys name one set, so the list's own
+// order, in which the last of equal keys comes last, gives the same
+// universe and table. That holds for every file FromInstance writes, once
+// its queries are interned. Walk in the list's order until a key breaks
+// it.
+func priceTable(u *core.Universe, def float64, n int, entry costList) *core.PriceTable {
+	members := n
+	for i := 0; i < n; i++ {
+		key, _ := entry(i)
+		members += strings.Count(key, KeySep)
+	}
+	t := core.NewPriceTable(def, n, members)
+	var set core.PropSet // one key's properties, canonicalized in place
 	put := func(c float64) {
 		slices.Sort(set)
-		buf = slices.Compact(set).AppendKey(buf[:0])
-		table.Costs[string(buf)] = c
+		t.Put(slices.Compact(set), c)
 	}
-	// The table must come out as if the keys were interned in sorted order,
-	// names left to right within a key: interning assigns property IDs, and
-	// two processes building a model from the same file must end with
-	// identical universes for their solves to tie-break identically (the
-	// cluster differential depends on this), and of two keys naming one set
-	// the later in sorted order sets its price. When every key lists names
-	// u already holds, in strictly ascending order, no key interns a name
-	// and no two keys name one set, so map order gives the same universe
-	// and table. That holds for every file FromInstance writes, once Build
-	// has interned its queries. Walk in map order until a key breaks it.
 	canonical := true
-	for key, c := range f.Costs {
+	for i := 0; i < n; i++ {
+		key, c := entry(i)
 		set = set[:0]
 		prev := ""
 		for rest, more := key, true; more; {
@@ -233,24 +319,33 @@ func (f *File) CostModelFor(u *core.Universe) core.CostModel {
 		put(c)
 	}
 	if canonical {
-		return table
+		return t
 	}
-	clear(table.Costs)
-	keys := make([]string, 0, len(f.Costs))
-	for key := range f.Costs {
-		keys = append(keys, key)
+	t = core.NewPriceTable(def, n, members)
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
 	}
-	slices.Sort(keys)
-	for _, key := range keys {
+	slices.SortStableFunc(order, func(i, j int) int {
+		a, _ := entry(i)
+		b, _ := entry(j)
+		return strings.Compare(a, b)
+	})
+	for _, i := range order {
+		key, c := entry(i)
 		set = set[:0]
 		for rest, more := key, true; more; {
 			var name string
 			name, rest, more = strings.Cut(rest, KeySep)
-			set = append(set, u.Intern(name))
+			id, ok := u.Lookup(name)
+			if !ok {
+				id = u.Intern(strings.Clone(name)) // not a view of the whole key
+			}
+			set = append(set, id)
 		}
-		put(f.Costs[key])
+		put(c)
 	}
-	return table
+	return t
 }
 
 // FromInstance captures an instance back into the file format, with every

@@ -277,8 +277,10 @@ func refCostModelFor(f *File, u *core.Universe) *core.CostTable {
 // (the cluster differential replays loads in a second process and relies on
 // both ending with the same universe) and the prices it stores, against the
 // reference, on the Private cost table and on keys with unsorted, repeated
-// and empty names. With the queries preloaded, "private" takes the
-// map-order walk; every other file has a key that forces the sort.
+// and empty names: every key's price, and the default for sets the table
+// lacks, each key's set with one member swapped for an unknown property
+// among them. With the queries preloaded, "private" takes the map-order
+// walk; every other file has a key that forces the sort.
 func TestCostModelForInterningOrder(t *testing.T) {
 	d := workload.Private(1)
 	inst, err := d.Instance()
@@ -314,18 +316,24 @@ func TestCostModelForInterningOrder(t *testing.T) {
 				t.Fatalf("%s (preload %v): interned %d names %q…, reference %d names %q…",
 					name, preload, len(g), g[:min(len(g), 8)], len(w), w[:min(len(w), 8)])
 			}
-			table, ok := cm.(*core.CostTable)
+			table, ok := cm.(*core.PriceTable)
 			if !ok {
-				t.Fatalf("%s: CostModelFor returned %T, want *core.CostTable", name, cm)
+				t.Fatalf("%s: CostModelFor returned %T, want *core.PriceTable", name, cm)
 			}
-			if len(table.Costs) != len(ref.Costs) || table.Default != ref.Default {
-				t.Fatalf("%s: table has %d keys and default %v, reference %d and %v",
-					name, len(table.Costs), table.Default, len(ref.Costs), ref.Default)
+			if table.Len() != len(ref.Costs) || table.Default != ref.Default {
+				t.Fatalf("%s: table has %d sets and default %v, reference %d and %v",
+					name, table.Len(), table.Default, len(ref.Costs), ref.Default)
 			}
+			unknown := core.PropID(want.Size())
 			for key := range f.Costs {
 				s := want.Set(strings.Split(key, KeySep)...)
 				if g, w := cm.Cost(s), ref.Cost(s); g != w {
 					t.Errorf("%s: price of %q = %v, reference %v", name, key, g, w)
+				}
+				absent := core.NewPropSet(append(slices.Clone(s[:len(s)-1]), unknown)...)
+				if g := cm.Cost(absent); g != table.Default {
+					t.Errorf("%s: price of %q with %d for its last member = %v, want the default %v",
+						name, key, unknown, g, table.Default)
 				}
 			}
 		}
