@@ -10,7 +10,7 @@
 //
 //	mc3serve [-addr :8080] [-algo auto] [-wsc auto] [-prep full]
 //	         [-engine dinic] [-parallel -1] [-cache-size 4096]
-//	         [-cache-quantum 0] [-request-timeout 30s] [-max-body 8388608]
+//	         [-request-timeout 30s] [-max-body 8388608]
 //	         [-max-sessions 64] [-drain-grace 0]
 //
 // Router mode (see docs/CLUSTER.md):
@@ -110,7 +110,6 @@ func run(args []string, logw io.Writer) (retErr error) {
 	fs.StringVar(&cfg.Engine, "engine", cfg.Engine, "Algorithm 2 max-flow engine: dinic|push-relabel")
 	fs.IntVar(&cfg.Parallel, "parallel", cfg.Parallel, "components solved concurrently per request: 0 or 1 solves serially, n > 1 uses n workers, -1 (the default) uses GOMAXPROCS")
 	fs.IntVar(&cfg.CacheSize, "cache-size", cache.DefaultMaxEntries, "component-solution cache bound in 4 KiB slots: an entry holds one per started 4 KiB of its key and picks (0 disables the cache)")
-	fs.Float64Var(&cfg.CacheQuantum, "cache-quantum", 0, "cost quantum for cache keys (0 = exact costs)")
 	fs.DurationVar(&cfg.ReqTimeout, "request-timeout", cfg.ReqTimeout, "per-request solve deadline (0 = client-controlled only)")
 	fs.Int64Var(&cfg.MaxBody, "max-body", cfg.MaxBody, "maximum request body bytes")
 	fs.IntVar(&cfg.MaxLoadQueries, "max-load-queries", cfg.MaxLoadQueries, "reject /load bodies above this many queries with 413 pointing at the mc3solve -stream offline path (0 disables)")

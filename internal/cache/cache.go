@@ -25,11 +25,6 @@ type Config struct {
 	// entry larger than the whole bound is not stored. Zero or negative
 	// means DefaultMaxEntries.
 	MaxEntries int
-	// CostQuantum, when positive, rounds effective costs to multiples of
-	// this value inside signatures, letting components whose costs differ
-	// only by noise share entries. Zero (the default) keys on exact cost bit
-	// patterns, guaranteeing cached and uncached solves agree exactly.
-	CostQuantum float64
 	// Metrics, when non-nil, receives the cache's counters and gauges:
 	// mc3_cache_hits_total, mc3_cache_misses_total,
 	// mc3_cache_evictions_total, and mc3_cache_entries. All obs.Registry
@@ -78,7 +73,6 @@ func entrySlots(key string, picks []int32) int {
 // thread an optional cache without branching.
 type Cache struct {
 	max     int
-	quantum float64
 	metrics *obs.Registry
 
 	hits, misses, evictions atomic.Int64
@@ -97,7 +91,6 @@ func New(cfg Config) *Cache {
 	}
 	return &Cache{
 		max:     max,
-		quantum: cfg.CostQuantum,
 		metrics: cfg.Metrics,
 		entries: make(map[string]*entry),
 	}
@@ -151,17 +144,9 @@ func (c *Cache) Store(k Key, picks []core.ClassifierID) {
 	if c == nil || !k.Valid() {
 		return
 	}
-	local := make(map[core.ClassifierID]int32, len(k.globals))
-	for i, id := range k.globals {
-		local[id] = int32(i)
-	}
-	enc := make([]int32, len(picks))
-	for i, id := range picks {
-		li, ok := local[id]
-		if !ok {
-			return
-		}
-		enc[i] = li
+	enc, ok := k.encode(picks)
+	if !ok {
+		return
 	}
 
 	slots := entrySlots(k.id, enc)

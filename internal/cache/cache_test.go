@@ -110,33 +110,20 @@ func TestComponentKeyDistinguishesStructure(t *testing.T) {
 
 func TestComponentKeyDistinguishesCostsAndDomain(t *testing.T) {
 	c := New(Config{})
-	u1 := core.NewUniverse()
-	r1 := prepFor(t, u1, []core.PropSet{u1.Set("a", "b")}, core.UniformCost(3))
-	u2 := core.NewUniverse()
-	r2 := prepFor(t, u2, []core.PropSet{u2.Set("a", "b")}, core.UniformCost(4))
-
-	if c.ComponentKey("d", r1, r1.Components[0]).id == c.ComponentKey("d", r2, r2.Components[0]).id {
-		t.Error("different costs must not share a signature")
+	for _, costs := range [][2]float64{{3, 4}, {3.001, 3.002}} {
+		u1 := core.NewUniverse()
+		r1 := prepFor(t, u1, []core.PropSet{u1.Set("a", "b")}, core.UniformCost(costs[0]))
+		u2 := core.NewUniverse()
+		r2 := prepFor(t, u2, []core.PropSet{u2.Set("a", "b")}, core.UniformCost(costs[1]))
+		if c.ComponentKey("d", r1, r1.Components[0]).id == c.ComponentKey("d", r2, r2.Components[0]).id {
+			t.Errorf("costs %v and %v must not share a signature", costs[0], costs[1])
+		}
 	}
-	if c.ComponentKey("ktwo/dinic", r1, r1.Components[0]).id == c.ComponentKey("general/greedy", r1, r1.Components[0]).id {
+
+	u := core.NewUniverse()
+	r := prepFor(t, u, []core.PropSet{u.Set("a", "b")}, core.UniformCost(3))
+	if c.ComponentKey("ktwo/dinic", r, r.Components[0]).id == c.ComponentKey("general/greedy", r, r.Components[0]).id {
 		t.Error("different algorithm domains must not share a signature")
-	}
-}
-
-func TestComponentKeyQuantization(t *testing.T) {
-	exact := New(Config{})
-	coarse := New(Config{CostQuantum: 0.1})
-
-	u1 := core.NewUniverse()
-	r1 := prepFor(t, u1, []core.PropSet{u1.Set("a", "b")}, core.UniformCost(3.001))
-	u2 := core.NewUniverse()
-	r2 := prepFor(t, u2, []core.PropSet{u2.Set("a", "b")}, core.UniformCost(3.002))
-
-	if exact.ComponentKey("d", r1, r1.Components[0]).id == exact.ComponentKey("d", r2, r2.Components[0]).id {
-		t.Error("exact keys must distinguish 3.001 from 3.002")
-	}
-	if coarse.ComponentKey("d", r1, r1.Components[0]).id != coarse.ComponentKey("d", r2, r2.Components[0]).id {
-		t.Error("quantum 0.1 keys must merge 3.001 and 3.002")
 	}
 }
 

@@ -23,24 +23,40 @@
 // the same key:
 //
 //   - queries are ordered by a local fingerprint (length, covered mask,
-//     classifier masks and quantized costs), not by their instance indices;
+//     classifier masks and the exact IEEE-754 bits of their costs), not by
+//     their instance indices;
 //   - classifiers are numbered by first appearance in that canonical order,
 //     not by their instance IDs.
 //
 // The full encoding is the map key (byte equality, no hash collisions), so
 // equal keys imply an exact isomorphism between the components, under which
 // a stored solution transfers soundly: the translated picks cover the new
-// component at the same effective cost. Renamings that permute properties
-// *within* a query reorder its local bits and produce a different signature;
-// that costs a miss, never a wrong hit. The algorithm domain (general vs
-// k ≤ 2, set-cover method, max-flow engine) is part of the key, so different
-// configurations never share entries.
+// component at the same effective cost, bit for bit, so a hit returns what a
+// fresh solve of the same signature returned. Renamings that permute
+// properties *within* a query reorder its local bits and produce a different
+// signature; that costs a miss, never a wrong hit. The algorithm domain
+// (general vs k ≤ 2, set-cover method, max-flow engine) is part of the key,
+// so different configurations never share entries.
+//
+// # The key kernel
+//
+// The signature is built on every cached component solve, so it is built
+// without maps: fingerprints go back to back into one byte arena, queries
+// are ordered by a sort over their positions, and classifiers are numbered
+// through a dense array indexed by ClassifierID. That working memory is
+// pooled; a call takes one scratch from the pool, clears the entries it
+// numbered through the key's classifier list, and returns it, so concurrent
+// calls never share scratch and no call pays for the instance's size.
 package cache
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/binary"
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/prep"
@@ -58,90 +74,139 @@ type Key struct {
 // Valid reports whether the key was successfully built.
 func (k Key) Valid() bool { return k.id != "" }
 
-// queryFP is one query's canonical fingerprint plus its bookkeeping.
-type queryFP struct {
-	fp  string // local fingerprint bytes (no cross-query identity)
-	qi  int    // instance query index
-	pos int    // original position within the component (tie-break)
+// keyScratch is the working memory of ComponentKey and Store.
+type keyScratch struct {
+	arena []byte  // the component's query fingerprints, back to back
+	off   []int32 // fingerprint i is arena[off[i]:off[i+1]]
+	order []int32 // fingerprint positions in canonical order
+	// local numbers classifiers: local index + 1 per ClassifierID, 0 for
+	// one not numbered. Every call leaves it all zero.
+	local   []int32
+	globals []core.ClassifierID
+	buf     []byte
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(keyScratch) }}
+
+// numbering returns the scratch's local array, grown to index IDs below n.
+func (sc *keyScratch) numbering(n int) []int32 {
+	if len(sc.local) < n {
+		sc.local = make([]int32, n)
+	}
+	return sc.local
 }
 
 // ComponentKey builds the canonical signature of component comp (a slice of
 // residual query indices, as produced by preprocessing) of r, under the
-// given algorithm domain. Costs are quantized by c's configured quantum.
-// A nil cache returns an invalid Key.
+// given algorithm domain. A nil cache returns an invalid Key.
 func (c *Cache) ComponentKey(domain string, r *prep.Result, comp []int) Key {
 	if c == nil || len(comp) == 0 {
 		return Key{}
 	}
 	inst := r.Inst
+	sc := scratchPool.Get().(*keyScratch)
+	defer scratchPool.Put(sc)
 
 	// Pass 1: per-query local fingerprints — everything about the query
-	// except cross-query classifier identity.
-	fps := make([]queryFP, len(comp))
-	var scratch []byte
-	for i, qi := range comp {
-		scratch = scratch[:0]
-		scratch = binary.AppendUvarint(scratch, uint64(inst.Query(qi).Len()))
-		scratch = binary.AppendUvarint(scratch, r.CoveredMask[qi])
+	// except cross-query classifier identity — into the arena.
+	arena, off := sc.arena[:0], append(sc.off[:0], 0)
+	rows := 0 // alive classifier rows over all queries
+	for _, qi := range comp {
+		arena = binary.AppendUvarint(arena, uint64(inst.Query(qi).Len()))
+		arena = binary.AppendUvarint(arena, r.CoveredMask[qi])
 		for _, qc := range inst.QueryClassifiers(qi) {
 			if r.Removed[qc.ID] {
 				continue
 			}
-			scratch = binary.AppendUvarint(scratch, qc.Mask)
-			scratch = binary.AppendUvarint(scratch, c.quantize(r.EffCost[qc.ID]))
+			arena = binary.AppendUvarint(arena, qc.Mask)
+			arena = binary.AppendUvarint(arena, math.Float64bits(r.EffCost[qc.ID]))
+			rows++
 		}
-		fps[i] = queryFP{fp: string(scratch), qi: qi, pos: i}
+		off = append(off, int32(len(arena)))
 	}
+	sc.arena, sc.off = arena, off
 
 	// Canonical query order: by fingerprint, original position breaking ties.
 	// Tied queries are locally indistinguishable, so either order yields a
 	// signature that transfers correctly; ties merely make two isomorphic
 	// components *potentially* hash apart (an extra miss, never a wrong hit).
-	sort.Slice(fps, func(i, j int) bool {
-		if fps[i].fp != fps[j].fp {
-			return fps[i].fp < fps[j].fp
+	order := sc.order[:0]
+	for i := range comp {
+		order = append(order, int32(i))
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		if c := bytes.Compare(arena[off[a]:off[a+1]], arena[off[b]:off[b+1]]); c != 0 {
+			return c
 		}
-		return fps[i].pos < fps[j].pos
+		return cmp.Compare(a, b)
 	})
+	sc.order = order
 
 	// Pass 2: number classifiers by first appearance in canonical order and
 	// emit the final encoding: header, then per query its fingerprint plus
-	// the local-ID sequence of its alive classifiers.
-	var (
-		buf     []byte
-		globals []core.ClassifierID
-		local   = make(map[core.ClassifierID]uint64)
-	)
+	// the local-ID sequence of its alive classifiers. Local IDs stay below
+	// rows and no fingerprint is longer than the arena, which bounds the
+	// encoding's length.
+	size := len(domain) + 1 + uvarintLen(uint64(len(comp))) +
+		len(comp)*uvarintLen(uint64(len(arena))) + len(arena) + rows*uvarintLen(uint64(rows))
+	buf := slices.Grow(sc.buf[:0], size)
+	local := sc.numbering(inst.NumClassifiers())
+	globals := sc.globals[:0]
 	buf = append(buf, domain...)
 	buf = append(buf, 0)
-	buf = binary.AppendUvarint(buf, uint64(len(fps)))
-	for _, f := range fps {
-		buf = binary.AppendUvarint(buf, uint64(len(f.fp)))
-		buf = append(buf, f.fp...)
-		for _, qc := range inst.QueryClassifiers(f.qi) {
+	buf = binary.AppendUvarint(buf, uint64(len(comp)))
+	for _, i := range order {
+		fp := arena[off[i]:off[i+1]]
+		buf = binary.AppendUvarint(buf, uint64(len(fp)))
+		buf = append(buf, fp...)
+		for _, qc := range inst.QueryClassifiers(comp[i]) {
 			if r.Removed[qc.ID] {
 				continue
 			}
-			li, ok := local[qc.ID]
-			if !ok {
-				li = uint64(len(globals))
-				local[qc.ID] = li
+			li := local[qc.ID]
+			if li == 0 {
 				globals = append(globals, qc.ID)
+				li = int32(len(globals))
+				local[qc.ID] = li
 			}
-			buf = binary.AppendUvarint(buf, li)
+			buf = binary.AppendUvarint(buf, uint64(li-1))
 		}
 	}
-	return Key{id: string(buf), globals: globals}
+	for _, id := range globals {
+		local[id] = 0
+	}
+	sc.buf, sc.globals = buf, globals
+	return Key{id: string(buf), globals: slices.Clone(globals)}
 }
 
-// quantize maps a cost to its signature representation: the exact IEEE-754
-// bit pattern when the quantum is 0 (the default — bit-for-bit equality, so
-// cached and uncached solves agree exactly), otherwise the nearest multiple
-// of the quantum (coarser keys, more sharing, costs may differ by up to half
-// a quantum between a hit and a fresh solve).
-func (c *Cache) quantize(cost float64) uint64 {
-	if c.quantum > 0 {
-		cost = math.Round(cost/c.quantum) * c.quantum
+// uvarintLen returns the length of x's uvarint encoding.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// encode translates picks (instance classifier IDs) into k's canonical
+// local indices. It reports false when a pick is outside the component's
+// classifier enumeration.
+func (k Key) encode(picks []core.ClassifierID) ([]int32, bool) {
+	n := 0
+	for _, id := range k.globals {
+		n = max(n, int(id)+1)
 	}
-	return math.Float64bits(cost)
+	sc := scratchPool.Get().(*keyScratch)
+	defer scratchPool.Put(sc)
+	local := sc.numbering(n)
+	for i, id := range k.globals {
+		local[id] = int32(i) + 1
+	}
+	enc := make([]int32, len(picks))
+	ok := true
+	for i, id := range picks {
+		if id < 0 || int(id) >= n || local[id] == 0 {
+			ok = false
+			break
+		}
+		enc[i] = local[id] - 1
+	}
+	for _, id := range k.globals {
+		local[id] = 0
+	}
+	return enc, ok
 }

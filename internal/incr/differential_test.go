@@ -7,14 +7,16 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/solver"
+	"repro/internal/textio"
 	"repro/internal/workload"
 )
 
 // checkDifferential asserts the engine's incremental solution cost equals a
 // from-scratch solve of the materialized load under the same solver options
 // (no cache, whole-load ambient), and that the incremental classifier
-// selection is a valid cover.
-func checkDifferential(t *testing.T, e *Engine, algo string, opts solver.Options) {
+// selection is a valid cover. The from-scratch load is priced by costs,
+// which the caller keeps apart from the engine's own cost model.
+func checkDifferential(t *testing.T, e *Engine, costs core.CostModel, algo string, opts solver.Options) {
 	t.Helper()
 	got, err := e.Solution()
 	if err != nil {
@@ -27,7 +29,7 @@ func checkDifferential(t *testing.T, e *Engine, algo string, opts solver.Options
 		}
 		return
 	}
-	inst, err := core.NewInstance(e.Universe(), qs, e.CostModel(), core.Options{})
+	inst, err := core.NewInstance(e.Universe(), qs, costs, core.Options{})
 	if err != nil {
 		t.Fatalf("from-scratch instance: %v", err)
 	}
@@ -61,18 +63,67 @@ func checkDifferential(t *testing.T, e *Engine, algo string, opts solver.Options
 	}
 }
 
-// runDifferential drives an engine with a randomized delta sequence drawn
+// refCosts prices a set of the engine's universe u by name: the cost a
+// test's own record of cost deltas holds for it, or else the dataset's
+// price. It is the reference the engine's re-pricing is checked against.
+type refCosts struct {
+	u         *core.Universe
+	ds        *workload.Dataset
+	overrides map[string]float64 // textio.CostKey of the names → latest cost
+}
+
+func (r refCosts) Cost(s core.PropSet) float64 {
+	names := r.u.SetNames(s)
+	if c, ok := r.overrides[textio.CostKey(names)]; ok {
+		return c
+	}
+	ids := make([]core.PropID, len(names))
+	for i, name := range names {
+		id, ok := r.ds.Universe.Lookup(name)
+		if !ok {
+			panic("refCosts: " + name + " is not a property of the dataset")
+		}
+		ids[i] = id
+	}
+	return r.ds.Costs.Cost(core.NewPropSet(ids...))
+}
+
+// runDifferential drives engines with a randomized delta sequence drawn
 // from the dataset's query pool, checking incremental-vs-from-scratch
-// equality after every Apply.
+// equality after every Apply. It runs the sequence twice: over the
+// dataset's cost function, which the engine overlays with its cost deltas,
+// and over a price table that textio.File.CostModelFor builds from the
+// pool's priced classifiers, as /load does, which the engine owns and
+// writes its cost deltas into.
 func runDifferential(t *testing.T, ds *workload.Dataset, pool []core.PropSet, algo string, seed int64, steps int) {
 	t.Helper()
+	t.Run(algo+"/function", func(t *testing.T) {
+		runDifferentialOn(t, ds, pool, ds.Costs, ds.Universe, algo, seed, steps)
+	})
+	t.Run(algo+"/price-table", func(t *testing.T) {
+		inst, err := core.NewInstance(ds.Universe, pool, ds.Costs, core.Options{})
+		if err != nil {
+			t.Fatalf("pool instance: %v", err)
+		}
+		u := core.NewUniverse()
+		costs := textio.FromInstance(inst).CostModelFor(u)
+		if _, ok := costs.(*core.PriceTable); !ok {
+			t.Fatalf("CostModelFor built a %T, want a price table", costs)
+		}
+		runDifferentialOn(t, ds, pool, costs, u, algo, seed, steps)
+	})
+}
+
+func runDifferentialOn(t *testing.T, ds *workload.Dataset, pool []core.PropSet, costs core.CostModel, u *core.Universe, algo string, seed int64, steps int) {
+	t.Helper()
 	opts := solver.DefaultOptions()
-	e, err := New(Config{Costs: ds.Costs, Universe: ds.Universe, Algo: algo, Options: opts})
+	e, err := New(Config{Costs: costs, Universe: u, Algo: algo, Options: opts})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	rng := rand.New(rand.NewSource(seed))
 	ctx := context.Background()
+	ref := refCosts{u: u, ds: ds, overrides: make(map[string]float64)}
 
 	names := func(s core.PropSet) []string { return ds.Universe.SetNames(s) }
 	var live []core.PropSet
@@ -86,7 +137,7 @@ func runDifferential(t *testing.T, ds *workload.Dataset, pool []core.PropSet, al
 	if _, err := e.Apply(ctx, init); err != nil {
 		t.Fatalf("initial load: %v", err)
 	}
-	checkDifferential(t, e, algo, opts)
+	checkDifferential(t, e, ref, algo, opts)
 
 	next := len(pool) / 2
 	for step := 0; step < steps; step++ {
@@ -115,7 +166,9 @@ func runDifferential(t *testing.T, ds *workload.Dataset, pool []core.PropSet, al
 				for _, j := range rng.Perm(q.Len())[:k] {
 					sub = append(sub, ds.Universe.Name(q[j]))
 				}
-				batch = append(batch, UpdateCost(float64(rng.Intn(60)+1), sub...))
+				d := UpdateCost(float64(rng.Intn(60)+1), sub...)
+				batch = append(batch, d)
+				ref.overrides[textio.CostKey(sub)] = d.Cost
 			}
 		}
 		if len(batch) == 0 {
@@ -124,7 +177,7 @@ func runDifferential(t *testing.T, ds *workload.Dataset, pool []core.PropSet, al
 		if _, err := e.Apply(ctx, batch); err != nil {
 			t.Fatalf("step %d Apply(%v): %v", step, batch, err)
 		}
-		checkDifferential(t, e, algo, opts)
+		checkDifferential(t, e, ref, algo, opts)
 	}
 
 	// Drain the load completely, checking the whole way down.
@@ -139,7 +192,7 @@ func runDifferential(t *testing.T, ds *workload.Dataset, pool []core.PropSet, al
 		if _, err := e.Apply(ctx, batch); err != nil {
 			t.Fatalf("drain Apply: %v", err)
 		}
-		checkDifferential(t, e, algo, opts)
+		checkDifferential(t, e, ref, algo, opts)
 	}
 }
 

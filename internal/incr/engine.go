@@ -1,9 +1,11 @@
 package incr
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -33,7 +35,13 @@ const (
 // Config configures an Engine.
 type Config struct {
 	// Costs is the base cost model pricing every classifier (required).
-	// OpUpdateCost deltas override it per classifier.
+	// OpUpdateCost deltas override it per classifier. The engine owns a
+	// *core.PriceTable from New on: an override is Put into it, where a
+	// later Put of the same set wins, and each component instance is
+	// priced from the table directly, one probe per classifier. So pass a
+	// table nothing else reads or writes, such as a fresh one from
+	// textio.File.CostModelFor. Any other model is left untouched, with
+	// the overrides in a table of their own over it.
 	Costs core.CostModel
 	// Universe, when non-nil, is the property universe to intern into
 	// (useful when Costs was built against an existing universe). Nil means
@@ -144,9 +152,12 @@ type component struct {
 type Engine struct {
 	mu sync.Mutex
 
-	u       *core.Universe
-	base    core.CostModel
-	over    *core.PriceTable // cost overrides; its Default is never read
+	u *core.Universe
+	// costs prices every classifier: the owned base table, or an overlay
+	// of prices over any other base model. prices is where OpUpdateCost
+	// writes: the owned table itself, or the overlay's overrides.
+	costs   core.CostModel
+	prices  *core.PriceTable
 	algo    string
 	opts    solver.Options
 	cache   *cache.Cache
@@ -163,7 +174,53 @@ type Engine struct {
 	haveGate bool
 	gate     bool // load max query length ≤ 2
 
+	split splitScratch
+
 	stats Stats
+}
+
+// splitScratch is rebuildLocked's working memory, indexed by PropID. Apply
+// holds mu, so the engine needs only one. A rebuild lists the properties it
+// sets in touched and resets them through that list, so it costs the size
+// of its component, not of the universe.
+type splitScratch struct {
+	parent  []core.PropID // union-find parent; −1 for a property not touched
+	part    []int32       // per root: index of its part; −1 for none
+	touched []core.PropID
+}
+
+// grow extends the scratch to index PropIDs below n.
+func (sc *splitScratch) grow(n int) {
+	for len(sc.parent) < n {
+		sc.parent = append(sc.parent, -1)
+		sc.part = append(sc.part, -1)
+	}
+}
+
+// find returns p's union-find root, making an untouched p a root of its
+// own.
+func (sc *splitScratch) find(p core.PropID) core.PropID {
+	if sc.parent[p] < 0 {
+		sc.parent[p] = p
+		sc.touched = append(sc.touched, p)
+		return p
+	}
+	root := p
+	for sc.parent[root] != root {
+		root = sc.parent[root]
+	}
+	for sc.parent[p] != root {
+		sc.parent[p], p = root, sc.parent[p]
+	}
+	return root
+}
+
+// reset clears every entry the last rebuild touched.
+func (sc *splitScratch) reset() {
+	for _, p := range sc.touched {
+		sc.parent[p], sc.part[p] = -1, -1
+	}
+	sc.touched = sc.touched[:0]
 }
 
 // New returns an empty engine. Install a load by Applying OpAdd deltas.
@@ -187,10 +244,16 @@ func New(cfg Config) (*Engine, error) {
 	if c == nil && !cfg.NoCache {
 		c = cache.New(cache.Config{Metrics: cfg.Metrics})
 	}
+	costs := cfg.Costs
+	prices, owned := costs.(*core.PriceTable)
+	if !owned {
+		prices = new(core.PriceTable)
+		costs = overlayCost{base: costs, over: prices}
+	}
 	return &Engine{
 		u:        u,
-		base:     cfg.Costs,
-		over:     new(core.PriceTable),
+		costs:    costs,
+		prices:   prices,
 		algo:     cfg.Algo,
 		opts:     cfg.Options,
 		cache:    c,
@@ -203,7 +266,8 @@ func New(cfg Config) (*Engine, error) {
 	}, nil
 }
 
-// overlayCost layers the engine's cost overrides over the base model.
+// overlayCost layers the engine's cost overrides over a base model that is
+// not a price table.
 type overlayCost struct {
 	base core.CostModel
 	over *core.PriceTable
@@ -224,7 +288,7 @@ func (e *Engine) Universe() *core.Universe { return e.u }
 // CostModel returns the live cost model: the base model with every
 // OpUpdateCost override applied. The view reflects future overrides; do not
 // use it concurrently with Apply.
-func (e *Engine) CostModel() core.CostModel { return overlayCost{base: e.base, over: e.over} }
+func (e *Engine) CostModel() core.CostModel { return e.costs }
 
 // QuerySets returns the distinct queries of the live load in insertion
 // order — the exact materialization a from-scratch solve of the current
@@ -369,9 +433,12 @@ func (e *Engine) Apply(ctx context.Context, deltas []Delta) (*Result, error) {
 	defer e.mu.Unlock()
 	start := time.Now()
 
-	canon, err := e.validateLocked(deltas)
+	canon, fresh, err := e.validateLocked(deltas)
 	if err != nil {
 		return nil, err
+	}
+	for _, name := range fresh {
+		e.u.Intern(name) // gets the provisional ID validateLocked gave it
 	}
 
 	sp, ctx := obs.StartSpan(ctx, e.tracer, SpanApply, obs.Int("deltas", len(deltas)))
@@ -401,25 +468,47 @@ func (e *Engine) Apply(ctx context.Context, deltas []Delta) (*Result, error) {
 }
 
 // validateLocked checks the whole batch against the current load and
-// returns the interned form. Callers hold mu.
-func (e *Engine) validateLocked(deltas []Delta) ([]canonDelta, error) {
+// returns its canonical form, with the names the universe lacks. It interns
+// nothing, so a rejected batch leaves the universe as it was. A name the
+// universe lacks gets a provisional ID past the universe's end, in order
+// of first appearance: the ID interning the returned names in order gives
+// it. Such a name is in no query of the load, so removing a query holding
+// it is valid only after an add earlier in the batch. Callers hold mu.
+func (e *Engine) validateLocked(deltas []Delta) ([]canonDelta, []string, error) {
 	canon := make([]canonDelta, len(deltas))
 	relative := make(map[string]int)
+	var (
+		fresh   []string
+		freshID map[string]core.PropID
+	)
 	for i, d := range deltas {
 		if len(d.Props) == 0 {
-			return nil, fmt.Errorf("incr: delta %d (%s): no properties", i, d.Op)
+			return nil, nil, fmt.Errorf("incr: delta %d (%s): no properties", i, d.Op)
 		}
-		for _, p := range d.Props {
+		ids := make([]core.PropID, len(d.Props))
+		for j, p := range d.Props {
 			if p == "" {
-				return nil, fmt.Errorf("incr: delta %d (%s): empty property name", i, d.Op)
+				return nil, nil, fmt.Errorf("incr: delta %d (%s): empty property name", i, d.Op)
 			}
+			id, ok := e.u.Lookup(p)
+			if !ok {
+				if id, ok = freshID[p]; !ok {
+					if freshID == nil {
+						freshID = make(map[string]core.PropID)
+					}
+					id = core.PropID(e.u.Size() + len(fresh))
+					freshID[p] = id
+					fresh = append(fresh, p)
+				}
+			}
+			ids[j] = id
 		}
-		set := e.u.Set(d.Props...)
+		set := core.NewPropSet(ids...)
 		cd := canonDelta{op: d.Op, set: set, key: set.Key(), cost: d.Cost}
 		switch d.Op {
 		case OpAdd:
 			if set.Len() > core.MaxEnumQueryLen {
-				return nil, fmt.Errorf("incr: delta %d: query has %d distinct properties, exceeding the enumeration limit %d",
+				return nil, nil, fmt.Errorf("incr: delta %d: query has %d distinct properties, exceeding the enumeration limit %d",
 					i, set.Len(), core.MaxEnumQueryLen)
 			}
 			relative[cd.key]++
@@ -429,19 +518,19 @@ func (e *Engine) validateLocked(deltas []Delta) ([]canonDelta, error) {
 				cur += qe.count
 			}
 			if cur <= 0 {
-				return nil, fmt.Errorf("incr: delta %d: remove of absent query %v", i, d.Props)
+				return nil, nil, fmt.Errorf("incr: delta %d: remove of absent query %v", i, d.Props)
 			}
 			relative[cd.key]--
 		case OpUpdateCost:
 			if cd.cost < 0 || math.IsNaN(cd.cost) {
-				return nil, fmt.Errorf("incr: delta %d: invalid cost %v", i, cd.cost)
+				return nil, nil, fmt.Errorf("incr: delta %d: invalid cost %v", i, cd.cost)
 			}
 		default:
-			return nil, fmt.Errorf("incr: delta %d: unknown op %d", i, d.Op)
+			return nil, nil, fmt.Errorf("incr: delta %d: unknown op %d", i, d.Op)
 		}
 		canon[i] = cd
 	}
-	return canon, nil
+	return canon, fresh, nil
 }
 
 // addLocked inserts one occurrence of a query, merging components its
@@ -533,7 +622,7 @@ func (e *Engine) removeLocked(d canonDelta, res *Result, oldPicks *[]core.PropSe
 // updateCostLocked records a cost override and dirties the one component
 // that could contain queries testing the classifier. Callers hold mu.
 func (e *Engine) updateCostLocked(d canonDelta) {
-	e.over.Put(d.set, d.cost)
+	e.prices.Put(d.set, d.cost)
 	// The classifier can only matter to a query q ⊇ S, and queries live
 	// within one component, so S's properties must all map to the same
 	// component for any query to be affected.
@@ -650,45 +739,42 @@ func (e *Engine) sortedCompIDs() []int {
 }
 
 // rebuildLocked rechecks comp's connectivity after removals and splits it
-// into fresh components when it fell apart. Callers hold mu.
+// into fresh components when it fell apart. The parts are numbered in the
+// order of their earliest-inserted queries, so a split gives the same
+// component ids, and resolveLocked the same dispatch order, on every run.
+// Callers hold mu.
 func (e *Engine) rebuildLocked(comp *component, res *Result, oldPicks *[]core.PropSet) {
 	// Union-find over the component's remaining properties.
-	parent := make(map[core.PropID]core.PropID)
-	var find func(p core.PropID) core.PropID
-	find = func(p core.PropID) core.PropID {
-		r, ok := parent[p]
-		if !ok {
-			parent[p] = p
-			return p
-		}
-		if r != p {
-			r = find(r)
-			parent[p] = r
-		}
-		return r
-	}
+	sc := &e.split
+	sc.grow(e.u.Size())
+	defer sc.reset()
 	for _, qe := range comp.queries {
-		r0 := find(qe.set[0])
+		r0 := sc.find(qe.set[0])
 		for _, p := range qe.set[1:] {
-			parent[find(p)] = r0
-			r0 = find(r0) // keep the root current after the union
+			if r := sc.find(p); r != r0 {
+				sc.parent[r] = r0
+			}
 		}
 	}
 
-	groups := make(map[core.PropID][]*qEntry)
+	// Number the parts through their roots, noting each part's earliest
+	// insertion sequence.
+	var first []int64
 	for _, qe := range comp.queries {
-		r := find(qe.set[0])
-		groups[r] = append(groups[r], qe)
+		r := sc.find(qe.set[0])
+		i := sc.part[r]
+		if i < 0 {
+			i = int32(len(first))
+			sc.part[r] = i
+			first = append(first, qe.seq)
+		}
+		first[i] = min(first[i], qe.seq)
 	}
 
-	if len(groups) == 1 {
+	if len(first) == 1 {
 		// Still connected; drop properties no longer used by any query.
-		used := make(map[core.PropID]struct{}, len(parent))
-		for p := range parent {
-			used[p] = struct{}{}
-		}
 		for p := range comp.props {
-			if _, ok := used[p]; !ok {
+			if sc.parent[p] < 0 {
 				delete(comp.props, p)
 				delete(e.propComp, p)
 			}
@@ -697,23 +783,31 @@ func (e *Engine) rebuildLocked(comp *component, res *Result, oldPicks *[]core.Pr
 		return
 	}
 
-	// Split: dissolve comp into one fresh (dirty) component per group.
-	res.Split += len(groups) - 1
+	// Split: dissolve comp into one fresh (dirty) component per part, the
+	// parts taking ids in the order of their earliest queries.
+	res.Split += len(first) - 1
 	*oldPicks = append(*oldPicks, comp.picks...)
 	for p := range comp.props {
 		delete(e.propComp, p)
 	}
 	delete(e.comps, comp.id)
-	for _, members := range groups {
-		nc := e.newComponentLocked()
-		nc.dirty = true
-		for _, qe := range members {
-			nc.queries[qe.key] = qe
-			qe.comp = nc.id
-			for _, p := range qe.set {
-				nc.props[p] = struct{}{}
-				e.propComp[p] = nc.id
-			}
+	order := make([]int, len(first))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(first[a], first[b]) })
+	parts := make([]*component, len(first))
+	for _, i := range order {
+		parts[i] = e.newComponentLocked()
+		parts[i].dirty = true
+	}
+	for _, qe := range comp.queries {
+		nc := parts[sc.part[sc.find(qe.set[0])]]
+		nc.queries[qe.key] = qe
+		qe.comp = nc.id
+		for _, p := range qe.set {
+			nc.props[p] = struct{}{}
+			e.propComp[p] = nc.id
 		}
 	}
 }
@@ -736,7 +830,7 @@ func (e *Engine) solveComponent(ctx context.Context, comp *component, maxLen int
 		qs[i] = qe.set
 	}
 
-	inst, err := core.NewInstance(e.u, qs, e.CostModel(), core.Options{})
+	inst, err := core.NewInstance(e.u, qs, e.costs, core.Options{})
 	if err != nil {
 		return fmt.Errorf("incr: component instance: %w", err)
 	}

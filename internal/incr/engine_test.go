@@ -2,7 +2,10 @@ package incr
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -174,23 +177,46 @@ func TestEngineBatchValidationIsAtomic(t *testing.T) {
 	}
 }
 
+// TestEngineValidationErrors checks that each kind of invalid batch is
+// rejected with its error and changes nothing: not the load, not the
+// counters, and not the universe, even when the batch names properties the
+// universe has never seen.
 func TestEngineValidationErrors(t *testing.T) {
 	e := newTestEngine(t, Config{})
 	ctx := context.Background()
+	mustApply(t, e, Add("a", "b"))
+	size, stats := e.Universe().Size(), e.Stats()
 	for _, tc := range []struct {
 		name   string
 		deltas []Delta
 		want   string
 	}{
-		{"no props", []Delta{{Op: OpAdd}}, "no properties"},
-		{"empty prop", []Delta{Add("a", "")}, "empty property"},
-		{"neg cost", []Delta{UpdateCost(-1, "a")}, "invalid cost"},
-		{"nan cost", []Delta{UpdateCost(math.NaN(), "a")}, "invalid cost"},
+		{"no props", []Delta{Add("new1"), {Op: OpAdd}}, "no properties"},
+		{"empty prop", []Delta{Add("new2", "")}, "empty property"},
+		{"neg cost", []Delta{UpdateCost(-1, "new3", "new4")}, "invalid cost"},
+		{"nan cost", []Delta{Add("new5"), UpdateCost(math.NaN(), "new6")}, "invalid cost"},
 		{"too long", []Delta{Add(manyProps(core.MaxEnumQueryLen + 1)...)}, "enumeration limit"},
+		{"remove of unknown names", []Delta{Remove("ghost1", "ghost2")}, "absent query"},
+		{"remove of a known and an unknown name", []Delta{Remove("a", "ghost")}, "absent query"},
+		{"add, then remove twice", []Delta{Add("new7"), Remove("new7"), Remove("new7")}, "absent query"},
+		{"unknown op", []Delta{Add("new8"), {Op: Op(9), Props: []string{"new9"}}}, "unknown op"},
 	} {
 		_, err := e.Apply(ctx, tc.deltas)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: got %v, want %q", tc.name, err, tc.want)
+		}
+		if got := e.Universe().Size(); got != size {
+			t.Errorf("%s: universe grew from %d to %d names", tc.name, size, got)
+		}
+		if got := e.Stats(); got != stats {
+			t.Errorf("%s: stats changed from %+v to %+v", tc.name, stats, got)
+		}
+	}
+	// An accepted batch interns its new names in order of first appearance.
+	mustApply(t, e, UpdateCost(3, "x", "y"), Add("z", "x"))
+	for i, name := range []string{"x", "y", "z"} {
+		if id, ok := e.Universe().Lookup(name); !ok || int(id) != size+i {
+			t.Errorf("%s interned as %d (%v), want %d", name, id, ok, size+i)
 		}
 	}
 }
@@ -265,33 +291,55 @@ func TestEngineMetricsAndStats(t *testing.T) {
 // TestOverlayCostNoAlloc gates the session cost model's hot path: pricing a
 // classifier allocates nothing, with and without cost overrides, over a
 // base model that is a function or a price table (what /load builds). An
-// override wins over the base; a set the overrides lack, such as one that
-// differs from an overridden set in one member, gets the base's price, and
-// a set the base table lacks its default.
+// override wins over the base, and a later one over an earlier one. A
+// table base takes overrides in place and is itself the engine's cost
+// model; a function base is priced through the overlay. A set the
+// overrides lack, such as one that differs from an overridden set in one
+// member, gets the base's price, and a set the base table lacks its
+// default.
 func TestOverlayCostNoAlloc(t *testing.T) {
+	u := core.NewUniverse()
+	for i := 0; i < 14; i++ {
+		u.Intern(fmt.Sprintf("p%d", i))
+	}
 	hit, near, miss := core.NewPropSet(3, 7, 12), core.NewPropSet(3, 7, 13), core.NewPropSet(4, 8)
-	table := core.NewPriceTable(6, 2, 6)
-	table.Put(hit, 5)
-	table.Put(near, 3)
-	withHit := new(core.PriceTable)
-	withHit.Put(hit, 2)
+	newTable := func() *core.PriceTable {
+		table := core.NewPriceTable(6, 2, 6)
+		table.Put(hit, 5)
+		table.Put(near, 3)
+		return table
+	}
 	for _, tc := range []struct {
 		name            string
 		base            core.CostModel
-		over            *core.PriceTable
+		override        bool
 		hit, near, miss float64 // wanted prices
 	}{
-		{"function, no overrides", sqCost{}, new(core.PriceTable), 9, 9, 4},
-		{"function, overrides", sqCost{}, withHit, 2, 9, 4},
-		{"table, no overrides", table, new(core.PriceTable), 5, 3, 6},
-		{"table, overrides", table, withHit, 2, 3, 6},
+		{"function, no overrides", sqCost{}, false, 9, 9, 4},
+		{"function, overrides", sqCost{}, true, 2, 9, 4},
+		{"table, no overrides", newTable(), false, 5, 3, 6},
+		{"table, overrides", newTable(), true, 2, 3, 6},
 	} {
-		cm := overlayCost{base: tc.base, over: tc.over}
+		e := newTestEngine(t, Config{Costs: tc.base, Universe: u})
+		if tc.override {
+			mustApply(t, e, UpdateCost(8, u.SetNames(hit)...), UpdateCost(2, u.SetNames(hit)...))
+		}
+		cm := e.CostModel()
+		if table, ok := tc.base.(*core.PriceTable); ok {
+			if cm != core.CostModel(table) {
+				t.Errorf("%s: the engine prices through %T, not the table it owns", tc.name, cm)
+			}
+			if want := 2; table.Len() != want {
+				t.Errorf("%s: owned table holds %d sets, want %d", tc.name, table.Len(), want)
+			}
+		} else if _, ok := cm.(overlayCost); !ok {
+			t.Errorf("%s: the engine prices through %T, want the overlay", tc.name, cm)
+		}
 		var sink float64
 		if avg := testing.AllocsPerRun(100, func() {
 			sink += cm.Cost(hit) + cm.Cost(near) + cm.Cost(miss)
 		}); avg != 0 {
-			t.Errorf("%s: overlayCost.Cost allocates %.1f times per three prices, want 0", tc.name, avg)
+			t.Errorf("%s: pricing allocates %.1f times per three prices, want 0", tc.name, avg)
 		}
 		for _, c := range []struct {
 			s    core.PropSet
@@ -302,5 +350,54 @@ func TestOverlayCostNoAlloc(t *testing.T) {
 			}
 		}
 		_ = sink
+	}
+}
+
+// TestSplitNumberingIsDeterministic replays one splitting batch on fresh
+// engines: the parts must get the same component ids every time, numbered
+// in the order of their earliest-inserted queries.
+func TestSplitNumberingIsDeterministic(t *testing.T) {
+	var want map[int][]string
+	for run := 0; run < 20; run++ {
+		e := newTestEngine(t, Config{})
+		var load []Delta
+		for i := 0; i < 8; i++ {
+			leaf := fmt.Sprintf("leaf%d", i)
+			load = append(load, Add(leaf, leaf+"x"), Add(leaf, "hub"))
+		}
+		mustApply(t, e, load...)
+		var cut []Delta
+		for i := 0; i < 8; i++ {
+			cut = append(cut, Remove(fmt.Sprintf("leaf%d", i), "hub"))
+		}
+		if res := mustApply(t, e, cut...); res.Split != 7 {
+			t.Fatalf("split into %d extra parts, want 7", res.Split)
+		}
+		got := make(map[int][]string)
+		first := make(map[int]int64)
+		for id, comp := range e.comps {
+			for _, qe := range comp.queries {
+				got[id] = append(got[id], strings.Join(e.u.SetNames(qe.set), "|"))
+				if s, ok := first[id]; !ok || qe.seq < s {
+					first[id] = qe.seq
+				}
+			}
+			sort.Strings(got[id])
+		}
+		ids := make([]int, 0, len(first))
+		for id := range first {
+			ids = append(ids, id)
+		}
+		sort.Ints(ids)
+		for i := 1; i < len(ids); i++ {
+			if first[ids[i-1]] > first[ids[i]] {
+				t.Fatalf("component %d holds a query inserted after component %d's first", ids[i-1], ids[i])
+			}
+		}
+		if want == nil {
+			want = got
+		} else if !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d: components %v, first run %v", run, got, want)
+		}
 	}
 }

@@ -14,9 +14,10 @@ import (
 	"repro/internal/workload"
 )
 
-// checkAgainstRef runs Algorithm 1 through the flat Step 3 kernel and
-// through the reference, and fails unless the whole Result and every Step 3
-// replacement cost agree bit for bit. It returns the kernel's Result, nil
+// checkAgainstRef runs Algorithm 1 through the flat Step 2 and Step 3
+// kernels and through the reference, and fails unless the whole Result,
+// components and their order included, and every Step 3 replacement cost
+// agree bit for bit. It returns the kernel's Result, nil
 // when both runs rejected the instance.
 func checkAgainstRef(t testing.TB, inst *core.Instance, ambientLen int) *Result {
 	t.Helper()
@@ -224,10 +225,10 @@ func fuzzInstance(data []byte) (*core.Instance, int) {
 	return inst, ambient
 }
 
-// FuzzPrep checks the flat Step 3 kernel against the reference on random
-// small instances, including subsets priced +Inf and subsets priced 0. Its
-// seeds are 5,000 random byte strings, so every test run checks the kernel
-// on thousands of instances.
+// FuzzPrep checks the flat Step 2 and Step 3 kernels against the
+// reference on random small instances, including subsets priced +Inf and
+// subsets priced 0. Its seeds are 5,000 random byte strings, so every test
+// run checks the kernels on thousands of instances.
 func FuzzPrep(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 5000; i++ {

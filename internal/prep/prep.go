@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 
 	"repro/internal/bitset"
 	"repro/internal/core"
@@ -405,56 +404,79 @@ func (st *state) buildPropIndex() {
 	st.propLo, st.propOff, st.propCls = lo, off, cls
 }
 
-// components computes Step 2's partition over uncovered queries.
+// components computes Step 2's partition over uncovered queries: a
+// union-find over properties, flat over the residual's PropID range as
+// buildPropIndex's index is. Its find and union steps are those of the map
+// version the tests keep, so every component has the same root, and the
+// components come out in the same ascending-root order.
 func (st *state) components(level Level) [][]int {
 	inst := st.inst
-	r := st.r
-	residual := r.ResidualQueries()
+	residual := st.r.ResidualQueries()
 	if level == Minimal {
 		if len(residual) == 0 {
 			return nil
 		}
 		return [][]int{residual}
 	}
-
-	// Union-find over properties.
-	parent := make(map[core.PropID]core.PropID)
-	var find func(p core.PropID) core.PropID
-	find = func(p core.PropID) core.PropID {
-		root, ok := parent[p]
-		if !ok || root == p {
-			parent[p] = p
-			return p
-		}
-		root = find(root)
-		parent[p] = root
-		return root
+	if len(residual) == 0 {
+		return [][]int{}
 	}
-	union := func(a, b core.PropID) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[ra] = rb
+
+	lo, hi := inst.Query(residual[0])[0], inst.Query(residual[0])[0]
+	for _, qi := range residual {
+		q := inst.Query(qi)
+		lo, hi = min(lo, q[0]), max(hi, q[q.Len()-1])
+	}
+	// parent[i] is property lo+i's parent, as an offset from lo; every
+	// property starts as its own root.
+	parent := make([]int32, hi-lo+1)
+	for i := range parent {
+		parent[i] = int32(i)
+	}
+	find := func(p int32) int32 {
+		root := p
+		for parent[root] != root {
+			root = parent[root]
 		}
+		for parent[p] != root {
+			parent[p], p = root, parent[p]
+		}
+		return root
 	}
 	for _, qi := range residual {
 		q := inst.Query(qi)
-		for i := 1; i < q.Len(); i++ {
-			union(q[0], q[i])
+		for _, p := range q[1:] {
+			if ra, rb := find(int32(q[0]-lo)), find(int32(p-lo)); ra != rb {
+				parent[ra] = rb
+			}
 		}
 	}
-	groups := make(map[core.PropID][]int)
-	var roots []core.PropID
+
+	// group[i] first counts the queries whose root is property lo+i, then
+	// holds that root's component index, so components ascend by root.
+	// Each component is a window of one backing array, filled in residual
+	// order.
+	group := make([]int32, len(parent))
+	comps := 0
 	for _, qi := range residual {
-		root := find(inst.Query(qi)[0])
-		if _, ok := groups[root]; !ok {
-			roots = append(roots, root)
+		root := find(int32(inst.Query(qi)[0] - lo))
+		if group[root] == 0 {
+			comps++
 		}
-		groups[root] = append(groups[root], qi)
+		group[root]++
 	}
-	sort.Slice(roots, func(i, j int) bool { return roots[i] < roots[j] })
-	out := make([][]int, 0, len(roots))
-	for _, root := range roots {
-		out = append(out, groups[root])
+	out := make([][]int, 0, comps)
+	flat := make([]int, len(residual))
+	for i, n := range group {
+		if n > 0 {
+			group[i] = int32(len(out))
+			out = append(out, flat[:0:n])
+			flat = flat[n:]
+		}
+	}
+	for _, qi := range residual {
+		g := group[find(int32(inst.Query(qi)[0]-lo))]
+		out[g] = append(out[g], qi)
 	}
 	return out
 }

@@ -5,20 +5,22 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sort"
 
 	"repro/internal/bitset"
 	"repro/internal/core"
 	"repro/internal/obs"
 )
 
-// This file keeps the straightforward Algorithm 1 Steps 3 and 4 as the
-// reference the flat kernel in prep.go is checked against: a per-property
+// This file keeps the straightforward Algorithm 1 Steps 2, 3 and 4 as the
+// reference the flat kernels in prep.go are checked against: a per-property
 // map index, lazily built per-query mask tables, a replacement-cost array
-// beside the working costs, and the branchy superset-min DP. refRun runs
+// beside the working costs, the branchy superset-min DP, and a union-find
+// over maps for the component split. refRun runs
 // the whole of Algorithm 1 on it and also returns, per classifier, the
 // replacement cost Step 3 recorded, NaN where Step 3 removed nothing.
 
-// refState is the reference's working state: the shared Step 1/Step 2
+// refState is the reference's working state: the shared Step 1
 // machinery of state plus the structures the kernel replaced.
 type refState struct {
 	*state
@@ -158,6 +160,61 @@ func refRun(ctx context.Context, inst *core.Instance, level Level, ambientLen in
 		}
 	}
 	return r, st.repl, nil
+}
+
+// components is Step 2's partition over uncovered queries, computed with a
+// union-find and a grouping over maps keyed by PropID.
+func (st *refState) components(level Level) [][]int {
+	inst := st.inst
+	r := st.r
+	residual := r.ResidualQueries()
+	if level == Minimal {
+		if len(residual) == 0 {
+			return nil
+		}
+		return [][]int{residual}
+	}
+
+	// Union-find over properties.
+	parent := make(map[core.PropID]core.PropID)
+	var find func(p core.PropID) core.PropID
+	find = func(p core.PropID) core.PropID {
+		root, ok := parent[p]
+		if !ok || root == p {
+			parent[p] = p
+			return p
+		}
+		root = find(root)
+		parent[p] = root
+		return root
+	}
+	union := func(a, b core.PropID) {
+		ra, rb := find(a), find(b)
+		if ra != rb {
+			parent[ra] = rb
+		}
+	}
+	for _, qi := range residual {
+		q := inst.Query(qi)
+		for i := 1; i < q.Len(); i++ {
+			union(q[0], q[i])
+		}
+	}
+	groups := make(map[core.PropID][]int)
+	var roots []core.PropID
+	for _, qi := range residual {
+		root := find(inst.Query(qi)[0])
+		if _, ok := groups[root]; !ok {
+			roots = append(roots, root)
+		}
+		groups[root] = append(groups[root], qi)
+	}
+	sort.Slice(roots, func(i, j int) bool { return roots[i] < roots[j] })
+	out := make([][]int, 0, len(roots))
+	for _, root := range roots {
+		out = append(out, groups[root])
+	}
+	return out
 }
 
 // buildPropIndex builds the property → classifiers index used to find

@@ -28,15 +28,14 @@ import (
 // Config is the daemon configuration. The zero value is not usable; start
 // from DefaultConfig.
 type Config struct {
-	Algo         string  // algorithm: auto|ktwo|general|short-first|portfolio
-	WSC          string  // Algorithm 3 set-cover engine
-	Prep         string  // preprocessing level: full|minimal
-	Engine       string  // Algorithm 2 max-flow engine
-	Parallel     int     // components solved concurrently per request
-	CacheSize    int     // component-solution cache bound in 4 KiB slots (0 disables)
-	CacheQuantum float64 // cost quantum for cache keys
-	ReqTimeout   time.Duration
-	MaxBody      int64
+	Algo       string // algorithm: auto|ktwo|general|short-first|portfolio
+	WSC        string // Algorithm 3 set-cover engine
+	Prep       string // preprocessing level: full|minimal
+	Engine     string // Algorithm 2 max-flow engine
+	Parallel   int    // components solved concurrently per request
+	CacheSize  int    // component-solution cache bound in 4 KiB slots (0 disables)
+	ReqTimeout time.Duration
+	MaxBody    int64
 	// MaxLoadQueries rejects /load bodies above this many queries with a
 	// 413 pointing at the streamed CLI path (mc3solve -stream): a session
 	// holds the materialized instance for its whole lifetime, so loads past
@@ -127,11 +126,7 @@ func New(cfg Config, tracer *obs.Tracer) (*Server, error) {
 	}
 	s.bootID = strconv.FormatInt(s.started.UnixNano(), 36)
 	if cfg.CacheSize > 0 {
-		s.cache = cache.New(cache.Config{
-			MaxEntries:  cfg.CacheSize,
-			CostQuantum: cfg.CacheQuantum,
-			Metrics:     reg,
-		})
+		s.cache = cache.New(cache.Config{MaxEntries: cfg.CacheSize, Metrics: reg})
 	}
 	s.opts.Cache = s.cache
 

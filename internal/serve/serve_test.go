@@ -15,7 +15,7 @@ import (
 )
 
 // testServer builds a handler with the default configuration, tweaked by fn.
-func testServer(t *testing.T, fn func(*Config)) *Server {
+func testServer(t testing.TB, fn func(*Config)) *Server {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.CacheSize = 128

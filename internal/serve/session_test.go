@@ -252,3 +252,36 @@ func TestDrainAnswers503WithRetryAfter(t *testing.T) {
 		}
 	}
 }
+
+// TestRejectedDeltaLeavesSessionAlone: a delta batch the session rejects
+// changes nothing, not even the session's property universe, whatever
+// names it carries.
+func TestRejectedDeltaLeavesSessionAlone(t *testing.T) {
+	s := testServer(t, nil)
+	load := createSession(t, s, `{"queries": [["a", "b"]], "default_cost": 3, "costs": {"a": 1, "b": 1}}`)
+	engine := s.sessions.get(load.Session).engine
+	size, stats := engine.Universe().Size(), engine.Stats()
+	for _, tc := range []struct {
+		name, body string
+		code       int
+	}{
+		{"remove of unknown names", `{"deltas":[{"op":"remove","props":["ghost1","ghost2"]}]}`, http.StatusUnprocessableEntity},
+		{"add, then remove twice", `{"deltas":[{"op":"add","props":["new1"]},{"op":"rm","props":["new1"]},{"op":"rm","props":["new1"]}]}`, http.StatusUnprocessableEntity},
+		{"negative cost", `{"deltas":[{"op":"update-cost","props":["new2"],"cost":-1}]}`, http.StatusUnprocessableEntity},
+		{"empty name", `{"deltas":[{"op":"add","props":["new3",""]}]}`, http.StatusUnprocessableEntity},
+		{"no properties", `{"deltas":[{"op":"add","props":["new4"]},{"op":"add","props":[]}]}`, http.StatusUnprocessableEntity},
+		{"unknown op", `{"deltas":[{"op":"add","props":["new5"]},{"op":"merge","props":["new6"]}]}`, http.StatusBadRequest},
+		{"unknown field", `{"deltas":[{"op":"add","props":["new7"],"weight":2}]}`, http.StatusBadRequest},
+	} {
+		rec := doJSON(t, s, http.MethodPost, "/session/"+load.Session+"/delta", tc.body, nil)
+		if rec.Code != tc.code {
+			t.Errorf("%s: status %d, want %d: %s", tc.name, rec.Code, tc.code, rec.Body)
+		}
+		if got := engine.Universe().Size(); got != size {
+			t.Errorf("%s: universe grew from %d to %d names", tc.name, size, got)
+		}
+		if got := engine.Stats(); got != stats {
+			t.Errorf("%s: stats changed from %+v to %+v", tc.name, stats, got)
+		}
+	}
+}

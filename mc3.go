@@ -159,8 +159,8 @@ type (
 	// Cache is a concurrency-safe, bounded LRU memoization of component
 	// solutions, keyed by a canonical (renaming-invariant) signature.
 	Cache = cache.Cache
-	// CacheConfig configures a Cache (entry bound, cost quantization,
-	// optional metrics registry).
+	// CacheConfig configures a Cache (entry bound, optional metrics
+	// registry).
 	CacheConfig = cache.Config
 	// CacheStats is a snapshot of a Cache's hit/miss/eviction counters.
 	CacheStats = cache.Stats
