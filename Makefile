@@ -60,12 +60,12 @@ serve:
 	$(GO) run ./cmd/mc3serve -addr localhost:8080
 
 # Short fuzzing passes over the parsers, the set algebra, the price table
-# (against a map), the C_Q enumeration kernel, the preprocessing Step 2 and
-# Step 3 kernels and the cache-key kernel (each kernel against its
-# reference), the instance scanner against encoding/json, the fused decode
-# against Read plus File.Build, the flight recorder's records against the
-# recorder that kept Events, and the session delta endpoint against
-# from-scratch solves.
+# (against a map), the C_Q enumeration kernel, the set-cover CSR kernel, the
+# preprocessing Step 2 and Step 3 kernels and the cache-key kernel (each
+# kernel against its reference), the instance scanner against
+# encoding/json, the fused decode against Read plus File.Build, the flight
+# recorder's records against the recorder that kept Events, and the session
+# delta endpoint against from-scratch solves.
 # Patterns are anchored: go test refuses a -fuzz pattern that matches more
 # than one target. FuzzReadDifferential's and FuzzReadLoadDifferential's
 # seeds include bodies several scan windows long, and
@@ -85,6 +85,7 @@ fuzz:
 	$(GO) test -fuzz '^FuzzPropSetAlgebra$$' -fuzztime 30s ./internal/core/
 	$(GO) test -fuzz '^FuzzAppendKeyCanonical$$' -fuzztime 30s ./internal/core/
 	$(GO) test -fuzz '^FuzzPriceTable$$' -fuzztime 30s ./internal/core/
+	$(GO) test -fuzz '^FuzzSetCoverCSR$$' -fuzztime 30s ./internal/setcover/
 	$(GO) test -fuzz '^FuzzNewInstance$$' -fuzztime 30s .
 	$(GO) test -fuzz '^FuzzPrep$$' -fuzztime 30s ./internal/prep/
 	$(GO) test -fuzz '^FuzzComponentKey$$' -fuzztime 30s ./internal/cache/

@@ -150,8 +150,8 @@ func NewInstance(u *Universe, queries []PropSet, cm CostModel, opts Options) (*I
 	inst := &Instance{Universe: u, queries: make([]PropSet, 0, len(queries))}
 	var (
 		shapes     = newSetIndex(len(queries))
-		shapeQuery []int32
-		shapeMult  []int32
+		shapeQuery = make([]int32, 0, len(queries))
+		shapeMult  = make([]int32, 0, len(queries))
 		shapeOf    = make([]int32, 0, len(queries))
 	)
 	for qi, q := range queries {
@@ -189,11 +189,16 @@ func NewInstance(u *Universe, queries []PropSet, cm CostModel, opts Options) (*I
 
 	// The per-classifier and per-row arrays are sized once from the subset
 	// count Σ_shapes Σ_{j≤k'} C(|q|, j): an upper bound on |C_Q|, and the
-	// exact row count when no subset is priced +Inf.
-	subsets := 0
+	// exact row count when no subset is priced +Inf. The classifiers' sets
+	// are carved from one arena sized by the member count
+	// Σ_shapes Σ_{j≤k'} j·C(|q|, j), an upper bound on Σ_{S∈C_Q} |S|.
+	subsets, members := 0, 0
 	for _, qi := range shapeQuery {
-		subsets += subsetCount(inst.queries[qi].Len(), kPrime)
+		n, m := subsetCount(inst.queries[qi].Len(), kPrime)
+		subsets += n
+		members += m
 	}
+	arena := make([]PropID, 0, members)
 	inst.classifiers = make([]PropSet, 0, subsets)
 	inst.costs = make([]float64, 0, subsets)
 	inst.index = newSetIndex(subsets)
@@ -207,11 +212,9 @@ func NewInstance(u *Universe, queries []PropSet, cm CostModel, opts Options) (*I
 	var tombs []PropID
 
 	// hashes[mask] is the set hash of the subset mask selects, built from
-	// the subset without its lowest member; scratch is the subset handed to
-	// the cost model (CostModel documents that Cost must not retain it).
+	// the subset without its lowest member.
 	hashes := make([]uint64, 1<<uint(inst.maxQueryLen))
 	var propHashes [MaxEnumQueryLen]uint64
-	scratch := make(PropSet, 0, inst.maxQueryLen)
 	// A PriceTable is keyed by the same hash, so it prices a subset in one
 	// probe with no rehash and no interface call.
 	table, _ := cm.(*PriceTable)
@@ -237,31 +240,38 @@ func NewInstance(u *Universe, queries []PropSet, cm CostModel, opts Options) (*I
 				return maskEqual(tombs[off+1:off+1+int32(tombs[off])], q, mask, n)
 			})
 			if v == emptySlot {
-				scratch = scratch[:0]
+				// The subset is written straight into the arena, where it
+				// stays if it is priced below +Inf. Every classifier's set
+				// is a window of the arena, so the instance holds them all
+				// in one allocation; a caller that keeps some beyond the
+				// instance copies them out (CopyClassifiers) rather than
+				// keep the arena alive. The cost model sees the window
+				// (CostModel documents that Cost must not retain it).
+				lo := len(arena)
 				for m := mask; m != 0; m &= m - 1 {
-					scratch = append(scratch, q[bits.TrailingZeros64(m)])
+					arena = append(arena, q[bits.TrailingZeros64(m)])
 				}
+				set := PropSet(arena[lo:len(arena):len(arena)])
 				var c float64
 				if table != nil {
-					c = table.price(h, scratch)
+					c = table.price(h, set)
 				} else {
-					c = cm.Cost(scratch)
+					c = cm.Cost(set)
 				}
 				if c < 0 || math.IsNaN(c) {
-					return nil, fmt.Errorf("core: cost model returned invalid cost %v for classifier %v", c, scratch)
+					return nil, fmt.Errorf("core: cost model returned invalid cost %v for classifier %v", c, set)
 				}
 				if math.IsInf(c, 1) {
 					// Unavailable classifiers are omitted from the input
 					// entirely; remember the verdict to avoid re-pricing.
 					inst.index.slots[slot] = -2 - int32(len(tombs))
-					tombs = append(append(tombs, PropID(n)), scratch...)
+					tombs = append(append(tombs, PropID(n)), set...)
+					arena = arena[:lo]
 					continue
 				}
 				v = int32(len(inst.classifiers))
 				inst.index.slots[slot] = v
-				// One allocation per classifier: solutions hand these sets
-				// out and may outlive the instance.
-				inst.classifiers = append(inst.classifiers, append(make(PropSet, 0, n), scratch...))
+				inst.classifiers = append(inst.classifiers, set)
 				inst.costs = append(inst.costs, c)
 				incidence = append(incidence, 0)
 				inst.totalFiniteCost += c
@@ -310,17 +320,19 @@ func NewInstance(u *Universe, queries []PropSet, cm CostModel, opts Options) (*I
 }
 
 // subsetCount returns Σ_{1≤j≤min(k,l)} C(l, j), the number of classifiers of
-// length at most k a length-l query has.
-func subsetCount(l, k int) int {
+// length at most k a length-l query has, and Σ_{1≤j≤min(k,l)} j·C(l, j),
+// the number of properties they hold together.
+func subsetCount(l, k int) (subsets, members int) {
 	if k >= l {
-		return 1<<uint(l) - 1
+		return 1<<uint(l) - 1, l << uint(l-1)
 	}
-	total, c := 0, 1
+	c := 1
 	for j := 1; j <= k; j++ {
 		c = c * (l - j + 1) / j
-		total += c
+		subsets += c
+		members += j * c
 	}
-	return total
+	return subsets, members
 }
 
 // maskEqual reports whether s is the subset of q that mask selects; n is the
@@ -407,8 +419,29 @@ func (inst *Instance) Queries() []PropSet { return inst.queries }
 // (finite-cost classifiers only).
 func (inst *Instance) NumClassifiers() int { return len(inst.classifiers) }
 
-// Classifier returns the property set tested by classifier id.
+// Classifier returns the property set tested by classifier id. The set is
+// a window of an array the instance shares among all its classifiers: it
+// must not be modified, and a caller keeping sets after it drops the
+// instance copies them with CopyClassifiers.
 func (inst *Instance) Classifier(id ClassifierID) PropSet { return inst.classifiers[id] }
+
+// CopyClassifiers returns copies of the property sets of classifiers ids,
+// carved from one allocation of their own, so keeping them does not keep
+// the instance's classifier array alive.
+func (inst *Instance) CopyClassifiers(ids []ClassifierID) []PropSet {
+	n := 0
+	for _, id := range ids {
+		n += len(inst.classifiers[id])
+	}
+	arena := make([]PropID, 0, n)
+	out := make([]PropSet, len(ids))
+	for i, id := range ids {
+		lo := len(arena)
+		arena = append(arena, inst.classifiers[id]...)
+		out[i] = arena[lo:len(arena):len(arena)]
+	}
+	return out
+}
 
 // Cost returns the construction cost of classifier id.
 func (inst *Instance) Cost(id ClassifierID) float64 { return inst.costs[id] }

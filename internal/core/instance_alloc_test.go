@@ -114,3 +114,64 @@ func TestDuplicateShapeSharing(t *testing.T) {
 		}
 	}
 }
+
+// distinctQueries builds n distinct three-property queries over disjoint
+// properties, so every query adds seven classifiers of its own.
+func distinctQueries(n int) []PropSet {
+	qs := make([]PropSet, n)
+	for i := range qs {
+		p := PropID(3 * i)
+		qs[i] = NewPropSet(p, p+1, p+2)
+	}
+	return qs
+}
+
+// TestClassifierArenaAllocs gates the classifier arena: on distinct
+// queries NewInstance's allocation count does not grow with
+// NumClassifiers, because every classifier's set is a window of one array
+// rather than an allocation of its own.
+func TestClassifierArenaAllocs(t *testing.T) {
+	cm := UniformCost(1)
+	u := NewUniverse()
+	count := func(n int) (float64, int) {
+		qs := distinctQueries(n)
+		inst, err := NewInstance(u, qs, cm, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(20, func() {
+			if _, err := NewInstance(u, qs, cm, Options{}); err != nil {
+				t.Fatal(err)
+			}
+		}), inst.NumClassifiers()
+	}
+	few, fewCls := count(10)
+	many, manyCls := count(400)
+	if many > few {
+		t.Errorf("NewInstance allocates %.0f times for %d classifiers and %.0f for %d, want no growth",
+			few, fewCls, many, manyCls)
+	}
+}
+
+// TestCopyClassifiers: the copies equal the instance's sets and share no
+// memory with its arena, so a caller keeping them does not keep the arena
+// alive.
+func TestCopyClassifiers(t *testing.T) {
+	inst, err := NewInstance(NewUniverse(), distinctQueries(5), UniformCost(1), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := []ClassifierID{3, 0, 7, 34}
+	copies := inst.CopyClassifiers(ids)
+	for i, id := range ids {
+		orig := inst.Classifier(id)
+		if !copies[i].Equal(orig) || cap(copies[i]) != len(copies[i]) {
+			t.Fatalf("copy %d of classifier %d is %v (cap %d), want %v", i, id, copies[i], cap(copies[i]), orig)
+		}
+		first := orig[0]
+		copies[i][0]++
+		if inst.Classifier(id)[0] != first {
+			t.Fatalf("the copy of classifier %d shares memory with the instance", id)
+		}
+	}
+}

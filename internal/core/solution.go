@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -20,7 +21,7 @@ type Solution struct {
 func NewSolution(inst *Instance, ids []ClassifierID) *Solution {
 	sorted := make([]ClassifierID, len(ids))
 	copy(sorted, ids)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	slices.Sort(sorted)
 	w := 0
 	for r := 0; r < len(sorted); r++ {
 		if w == 0 || sorted[r] != sorted[w-1] {

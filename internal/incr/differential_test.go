@@ -3,6 +3,7 @@ package incr
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -60,6 +61,57 @@ func checkDifferential(t *testing.T, e *Engine, costs core.CostModel, algo strin
 	}
 	if err := inst.Verify(core.NewSolution(inst, ids)); err != nil {
 		t.Fatalf("incremental selection invalid: %v", err)
+	}
+}
+
+// refDiff is the map version of diffLocked, kept as the reference: it keys
+// every old and every new pick by its PropSet.Key string.
+func refDiff(u *core.Universe, oldPicks, newPicks []core.PropSet) (added, removed [][]string) {
+	oldKeys := make(map[string]core.PropSet, len(oldPicks))
+	for _, p := range oldPicks {
+		oldKeys[p.Key()] = p
+	}
+	for _, p := range newPicks {
+		k := p.Key()
+		if _, ok := oldKeys[k]; ok {
+			delete(oldKeys, k)
+			continue
+		}
+		added = append(added, u.SetNames(p))
+	}
+	for _, p := range oldKeys {
+		removed = append(removed, u.SetNames(p))
+	}
+	sortNameSets(added)
+	sortNameSets(removed)
+	return added, removed
+}
+
+// solutionPicks returns the engine's current picks as sets of its universe.
+func solutionPicks(t *testing.T, e *Engine) []core.PropSet {
+	t.Helper()
+	sol, err := e.Solution()
+	if err != nil {
+		t.Fatalf("Solution: %v", err)
+	}
+	picks := make([]core.PropSet, len(sol.Classifiers))
+	for i, names := range sol.Classifiers {
+		picks[i] = e.Universe().Set(names...)
+	}
+	return picks
+}
+
+// checkDiff requires an Apply's Added and Removed to equal the reference
+// diff of the solutions before and after it. Components are property
+// disjoint, so a pick of a component the batch left alone can equal no
+// re-solved pick, and the whole-solution diff is the diff of the re-solved
+// components.
+func checkDiff(t *testing.T, e *Engine, before []core.PropSet, res *Result) {
+	t.Helper()
+	added, removed := refDiff(e.Universe(), before, solutionPicks(t, e))
+	if !reflect.DeepEqual(res.Added, added) || !reflect.DeepEqual(res.Removed, removed) {
+		t.Fatalf("Apply reported added %v, removed %v; the reference diff is added %v, removed %v",
+			res.Added, res.Removed, added, removed)
 	}
 }
 
@@ -134,9 +186,11 @@ func runDifferentialOn(t *testing.T, ds *workload.Dataset, pool []core.PropSet, 
 		init = append(init, Add(names(q)...))
 		live = append(live, q)
 	}
-	if _, err := e.Apply(ctx, init); err != nil {
+	res, err := e.Apply(ctx, init)
+	if err != nil {
 		t.Fatalf("initial load: %v", err)
 	}
+	checkDiff(t, e, nil, res)
 	checkDifferential(t, e, ref, algo, opts)
 
 	next := len(pool) / 2
@@ -174,9 +228,12 @@ func runDifferentialOn(t *testing.T, ds *workload.Dataset, pool []core.PropSet, 
 		if len(batch) == 0 {
 			continue
 		}
-		if _, err := e.Apply(ctx, batch); err != nil {
+		before := solutionPicks(t, e)
+		res, err := e.Apply(ctx, batch)
+		if err != nil {
 			t.Fatalf("step %d Apply(%v): %v", step, batch, err)
 		}
+		checkDiff(t, e, before, res)
 		checkDifferential(t, e, ref, algo, opts)
 	}
 
@@ -189,9 +246,12 @@ func runDifferentialOn(t *testing.T, ds *workload.Dataset, pool []core.PropSet, 
 			live[i] = live[len(live)-1]
 			live = live[:len(live)-1]
 		}
-		if _, err := e.Apply(ctx, batch); err != nil {
+		before := solutionPicks(t, e)
+		res, err := e.Apply(ctx, batch)
+		if err != nil {
 			t.Fatalf("drain Apply: %v", err)
 		}
+		checkDiff(t, e, before, res)
 		checkDifferential(t, e, ref, algo, opts)
 	}
 }
@@ -226,4 +286,40 @@ func TestDifferentialBestBuy(t *testing.T) {
 func TestDifferentialPrivate(t *testing.T) {
 	ds := workload.Private(5)
 	runDifferential(t, ds, subsetPool(t, ds, 80, 13), AlgoAuto, 113, 25)
+}
+
+// TestDiffMatchesMapReference compares diffLocked with the map reference on
+// random pick lists drawn from a small pool of sets, so old picks repeat,
+// new picks repeat, and the two lists overlap.
+func TestDiffMatchesMapReference(t *testing.T) {
+	u := core.NewUniverse()
+	e, err := New(Config{Costs: core.UniformCost(1), Universe: u})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pool []core.PropSet
+	for i := 0; i < 12; i++ {
+		names := []string{"p" + string(rune('a'+i))}
+		if i%3 != 0 {
+			names = append(names, "q"+string(rune('a'+i/2)))
+		}
+		pool = append(pool, u.Set(names...))
+	}
+	rng := rand.New(rand.NewSource(31))
+	draw := func() []core.PropSet {
+		out := make([]core.PropSet, rng.Intn(10))
+		for i := range out {
+			out[i] = pool[rng.Intn(len(pool))]
+		}
+		return out
+	}
+	for trial := 0; trial < 500; trial++ {
+		oldPicks, newPicks := draw(), draw()
+		added, removed := e.diffLocked(oldPicks, newPicks)
+		wantAdded, wantRemoved := refDiff(u, oldPicks, newPicks)
+		if !reflect.DeepEqual(added, wantAdded) || !reflect.DeepEqual(removed, wantRemoved) {
+			t.Fatalf("trial %d: old %v new %v: added %v removed %v, reference added %v removed %v",
+				trial, oldPicks, newPicks, added, removed, wantAdded, wantRemoved)
+		}
+	}
 }

@@ -335,6 +335,9 @@ func (e *Engine) QueryMultiset() [][]string {
 	return out
 }
 
+// bySeq orders query entries by insertion sequence, which is unique.
+func bySeq(a, b *qEntry) int { return cmp.Compare(a.seq, b.seq) }
+
 // sortedQueries returns the load's entries ordered by insertion sequence.
 // Callers hold mu.
 func (e *Engine) sortedQueries() []*qEntry {
@@ -342,7 +345,7 @@ func (e *Engine) sortedQueries() []*qEntry {
 	for _, qe := range e.queries {
 		entries = append(entries, qe)
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].seq < entries[j].seq })
+	slices.SortFunc(entries, bySeq)
 	return entries
 }
 
@@ -734,7 +737,7 @@ func (e *Engine) sortedCompIDs() []int {
 	for id := range e.comps {
 		ids = append(ids, id)
 	}
-	sort.Ints(ids)
+	slices.Sort(ids)
 	return ids
 }
 
@@ -824,7 +827,7 @@ func (e *Engine) solveComponent(ctx context.Context, comp *component, maxLen int
 	for _, qe := range comp.queries {
 		entries = append(entries, qe)
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].seq < entries[j].seq })
+	slices.SortFunc(entries, bySeq)
 	qs := make([]core.PropSet, len(entries))
 	for i, qe := range entries {
 		qs[i] = qe.set
@@ -849,32 +852,41 @@ func (e *Engine) solveComponent(ctx context.Context, comp *component, maxLen int
 	if err != nil {
 		return fmt.Errorf("incr: component solve: %w", err)
 	}
-	comp.picks = make([]core.PropSet, len(sol.Selected))
-	for i, id := range sol.Selected {
-		comp.picks[i] = inst.Classifier(id)
-	}
+	// Copied out: the instance's classifier sets share one array, which the
+	// picks would otherwise keep alive for the component's lifetime.
+	comp.picks = inst.CopyClassifiers(sol.Selected)
 	comp.cost = sol.Cost
 	comp.dirty = false
 	return nil
 }
 
 // diffLocked computes the classifier sets entering and leaving the
-// solution, as sorted name lists. Callers hold mu.
+// solution, as sorted name lists: a new pick is added unless it matches an
+// old pick not yet matched, and every distinct old pick left unmatched is
+// removed. The old picks are marked in a flat table keyed by the set hash
+// (mark 1: unmatched, 0: matched or already listed), which the new picks
+// probe. Callers hold mu.
 func (e *Engine) diffLocked(oldPicks, newPicks []core.PropSet) (added, removed [][]string) {
-	oldKeys := make(map[string]core.PropSet, len(oldPicks))
+	members := 0
 	for _, p := range oldPicks {
-		oldKeys[p.Key()] = p
+		members += p.Len()
+	}
+	marks := core.NewPriceTable(0, len(oldPicks), members)
+	for _, p := range oldPicks {
+		marks.Put(p, 1)
 	}
 	for _, p := range newPicks {
-		k := p.Key()
-		if _, ok := oldKeys[k]; ok {
-			delete(oldKeys, k)
+		if m, _ := marks.Lookup(p); m == 1 {
+			marks.Put(p, 0)
 			continue
 		}
 		added = append(added, e.u.SetNames(p))
 	}
-	for _, p := range oldKeys {
-		removed = append(removed, e.u.SetNames(p))
+	for _, p := range oldPicks {
+		if m, _ := marks.Lookup(p); m == 1 {
+			marks.Put(p, 0)
+			removed = append(removed, e.u.SetNames(p))
+		}
 	}
 	sortNameSets(added)
 	sortNameSets(removed)

@@ -28,9 +28,9 @@ func (h *refHeap) Pop() any {
 // refGreedy is greedyCtx's selection loop on container/heap.
 func refGreedy(in *Instance) (picked []int, total float64, pops int) {
 	covered := bitset.New(in.numElements)
-	h := make(refHeap, 0, len(in.sets))
-	for s, elems := range in.sets {
-		if len(elems) > 0 {
+	h := make(refHeap, 0, in.NumSets())
+	for s := 0; s < in.NumSets(); s++ {
+		if elems := in.Set(s); len(elems) > 0 {
 			h = append(h, greedyItem{set: int32(s), priority: in.costs[s] / float64(len(elems))})
 		}
 	}
@@ -38,7 +38,7 @@ func refGreedy(in *Instance) (picked []int, total float64, pops int) {
 	for remaining := in.numElements; remaining > 0; pops++ {
 		it := heap.Pop(&h).(greedyItem)
 		cnt := int32(0)
-		for _, e := range in.sets[it.set] {
+		for _, e := range in.Set(int(it.set)) {
 			if !covered.Test(int(e)) {
 				cnt++
 			}
@@ -53,7 +53,7 @@ func refGreedy(in *Instance) (picked []int, total float64, pops int) {
 		}
 		picked = append(picked, int(it.set))
 		total += in.costs[it.set]
-		for _, e := range in.sets[it.set] {
+		for _, e := range in.Set(int(it.set)) {
 			if !covered.TestAndSet(int(e)) {
 				remaining--
 			}
@@ -62,18 +62,30 @@ func refGreedy(in *Instance) (picked []int, total float64, pops int) {
 	return picked, total, pops
 }
 
+// tieSets draws trial's instance of a family whose greedy ratios tie often:
+// costs 1–3, and on odd trials every set priced at one or two times its size.
+func tieSets(rng *rand.Rand, trial int) (int, [][]int32, []float64) {
+	nElems := 5 + rng.Intn(40)
+	sets, costs := randomSets(rng, nElems, 3+rng.Intn(60), 3)
+	if trial%2 == 1 {
+		for s, elems := range sets {
+			costs[s] = float64((1 + rng.Intn(2)) * len(elems))
+		}
+	}
+	return nElems, sets, costs
+}
+
 // TestGreedyHeapMatchesContainerHeap runs greedy on its typed heap and on
-// container/heap over random instances whose ratios tie often (costs 1–3,
-// and sets priced at a multiple of their size), and requires the same
-// picks in the same order, the same cost and the same number of pops.
+// container/heap over random instances whose ratios tie often, and requires
+// the same picks in the same order, the same cost and the same number of
+// pops.
 func TestGreedyHeapMatchesContainerHeap(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	for trial := 0; trial < 300; trial++ {
-		in := randomInstance(rng, 5+rng.Intn(40), 3+rng.Intn(60), 3)
-		if trial%2 == 1 {
-			for s, elems := range in.sets {
-				in.costs[s] = float64((1 + rng.Intn(2)) * len(elems))
-			}
+		nElems, sets, costs := tieSets(rng, trial)
+		in := New(nElems)
+		for s := range sets {
+			in.AddSet(sets[s], costs[s])
 		}
 		picked, total, pops, err := in.greedyCtx(context.Background())
 		if err != nil {

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"repro/internal/bitset"
 	"repro/internal/lp"
@@ -27,11 +28,23 @@ const SpanRun = "setcover"
 
 // Instance is a weighted set cover instance: a universe of elements
 // 0..numElements−1 and a collection of sets, each with a non-negative cost.
+//
+// The sets are stored in CSR form (compressed sparse rows): set s is the
+// window setElem[setOff[s]:setOff[s+1]] of one element array, strictly
+// ascending. The element → sets lists are a second CSR over the same
+// incidences, built on first use by the engines that read them and rebuilt
+// after an AddSet. Engines may run concurrently on an instance that no
+// AddSet is modifying.
 type Instance struct {
 	numElements int
-	sets        [][]int32
+	setOff      []int32 // len NumSets()+1; setOff[0] = 0
+	setElem     []int32
 	costs       []float64
-	elemSets    [][]int32 // element -> sets containing it
+
+	// Element e's sets are elemSet[elemOff[e]:elemOff[e+1]], ascending.
+	indexOnce sync.Once
+	elemOff   []int32
+	elemSet   []int32
 }
 
 // New returns an empty instance over numElements elements.
@@ -39,9 +52,47 @@ func New(numElements int) *Instance {
 	if numElements < 0 {
 		panic("setcover: negative universe size")
 	}
-	return &Instance{
-		numElements: numElements,
-		elemSets:    make([][]int32, numElements),
+	return &Instance{numElements: numElements, setOff: []int32{0}}
+}
+
+// NewCSR returns the instance over numElements elements whose set s is
+// setElem[setOff[s]:setOff[s+1]] at cost costs[s]. The instance keeps the
+// three arrays; the caller must not modify them afterwards. setOff holds
+// len(costs)+1 ascending offsets from 0 to len(setElem), every set is
+// strictly ascending within [0, numElements), and every cost is finite and
+// non-negative; NewCSR checks all of it in one pass and panics otherwise,
+// as AddSet does.
+func NewCSR(numElements int, setOff, setElem []int32, costs []float64) *Instance {
+	if numElements < 0 {
+		panic("setcover: negative universe size")
+	}
+	if len(setOff) != len(costs)+1 || setOff[0] != 0 || int(setOff[len(costs)]) != len(setElem) {
+		panic(fmt.Sprintf("setcover: %d set offsets for %d sets and %d elements", len(setOff), len(costs), len(setElem)))
+	}
+	for s, c := range costs {
+		checkCost(c)
+		lo, hi := setOff[s], setOff[s+1]
+		if hi < lo || int(hi) > len(setElem) {
+			panic(fmt.Sprintf("setcover: set %d has offsets [%d,%d)", s, lo, hi))
+		}
+		prev := int32(-1)
+		for _, e := range setElem[lo:hi] {
+			if e <= prev {
+				panic(fmt.Sprintf("setcover: set %d is not strictly ascending at element %d", s, e))
+			}
+			if int(e) >= numElements {
+				panic(fmt.Sprintf("setcover: element %d out of range [0,%d)", e, numElements))
+			}
+			prev = e
+		}
+	}
+	return &Instance{numElements: numElements, setOff: setOff, setElem: setElem, costs: costs}
+}
+
+// checkCost panics on a cost no set may carry.
+func checkCost(cost float64) {
+	if cost < 0 || math.IsNaN(cost) || math.IsInf(cost, 0) {
+		panic(fmt.Sprintf("setcover: invalid cost %v", cost))
 	}
 }
 
@@ -51,76 +102,109 @@ func New(numElements int) *Instance {
 // would inflate greedy's cost-per-newly-covered priorities, double-count in
 // Degree and reverseDelete's cover counts, and register the set twice in the
 // element's membership list — silently degrading solution quality rather
-// than failing. elements is not modified.
+// than failing. elements is not modified; the set is appended to the flat
+// arrays and sorted there only when it is not already strictly ascending.
 func (in *Instance) AddSet(elements []int32, cost float64) int {
-	if cost < 0 || math.IsNaN(cost) || math.IsInf(cost, 0) {
-		panic(fmt.Sprintf("setcover: invalid cost %v", cost))
-	}
-	idx := len(in.sets)
-	es := make([]int32, len(elements))
-	copy(es, elements)
-	slices.Sort(es)
-	uniq := es[:0]
-	for i, e := range es {
+	checkCost(cost)
+	ascending := true
+	for i, e := range elements {
 		if e < 0 || int(e) >= in.numElements {
 			panic(fmt.Sprintf("setcover: element %d out of range [0,%d)", e, in.numElements))
 		}
-		if i > 0 && e == es[i-1] {
-			continue
+		if i > 0 && e <= elements[i-1] {
+			ascending = false
 		}
-		uniq = append(uniq, e)
-		if cap(in.elemSets[e]) == 0 {
-			// First membership: reserve a few slots up front — element
-			// frequency f is ≥ 2 on all but degenerate instances, so this
-			// halves the append-regrowth churn on the construction path.
-			in.elemSets[e] = make([]int32, 0, 4)
-		}
-		in.elemSets[e] = append(in.elemSets[e], int32(idx))
 	}
-	in.sets = append(in.sets, uniq)
+	lo := len(in.setElem)
+	in.setElem = append(in.setElem, elements...)
+	if !ascending {
+		w := in.setElem[lo:]
+		slices.Sort(w)
+		in.setElem = in.setElem[:lo+len(slices.Compact(w))]
+	}
+	in.setOff = append(in.setOff, int32(len(in.setElem)))
 	in.costs = append(in.costs, cost)
-	return idx
+	// The element → sets lists no longer hold every set.
+	in.indexOnce = sync.Once{}
+	in.elemOff, in.elemSet = nil, nil
+	return len(in.costs) - 1
 }
 
 // NumSets returns the number of sets.
-func (in *Instance) NumSets() int { return len(in.sets) }
+func (in *Instance) NumSets() int { return len(in.costs) }
 
 // NumElements returns the universe size.
 func (in *Instance) NumElements() int { return in.numElements }
 
-// Set returns the element list of set s. The returned slice must not be
-// modified.
-func (in *Instance) Set(s int) []int32 { return in.sets[s] }
+// Set returns the element list of set s, ascending. The returned slice must
+// not be modified.
+func (in *Instance) Set(s int) []int32 {
+	hi := in.setOff[s+1]
+	return in.setElem[in.setOff[s]:hi:hi]
+}
+
+// ElementSets returns the sets containing element e, ascending. The
+// returned slice must not be modified.
+func (in *Instance) ElementSets(e int) []int32 {
+	in.index()
+	hi := in.elemOff[e+1]
+	return in.elemSet[in.elemOff[e]:hi:hi]
+}
 
 // Cost returns the cost of set s.
 func (in *Instance) Cost(s int) float64 { return in.costs[s] }
 
+// index builds the element → sets lists once, count-then-fill from the set
+// windows: elemOff[e+1] first counts element e's sets, the prefix sums turn
+// the counts into window starts, and filling in set order advances each
+// start to its window's end — the next window's start — so one shift by a
+// slot restores the offsets and every list is in ascending set order.
+func (in *Instance) index() {
+	in.indexOnce.Do(func() {
+		off := make([]int32, in.numElements+1)
+		for _, e := range in.setElem {
+			off[e+1]++
+		}
+		for e := 1; e < len(off); e++ {
+			off[e] += off[e-1]
+		}
+		sets := make([]int32, len(in.setElem))
+		for s := range in.costs {
+			for _, e := range in.setElem[in.setOff[s]:in.setOff[s+1]] {
+				sets[off[e]] = int32(s)
+				off[e]++
+			}
+		}
+		copy(off[1:], off)
+		off[0] = 0
+		in.elemOff, in.elemSet = off, sets
+	})
+}
+
 // Frequency returns f: the maximum number of sets any element belongs to.
 func (in *Instance) Frequency() int {
-	f := 0
-	for _, ss := range in.elemSets {
-		if len(ss) > f {
-			f = len(ss)
-		}
+	in.index()
+	f := int32(0)
+	for e := 0; e < in.numElements; e++ {
+		f = max(f, in.elemOff[e+1]-in.elemOff[e])
 	}
-	return f
+	return int(f)
 }
 
 // Degree returns Δ: the cardinality of the largest set.
 func (in *Instance) Degree() int {
-	d := 0
-	for _, s := range in.sets {
-		if len(s) > d {
-			d = len(s)
-		}
+	d := int32(0)
+	for s := range in.costs {
+		d = max(d, in.setOff[s+1]-in.setOff[s])
 	}
-	return d
+	return int(d)
 }
 
 // checkCoverable verifies every element belongs to at least one set.
 func (in *Instance) checkCoverable() error {
-	for e, ss := range in.elemSets {
-		if len(ss) == 0 {
+	in.index()
+	for e := 0; e < in.numElements; e++ {
+		if in.elemOff[e+1] == in.elemOff[e] {
 			return fmt.Errorf("setcover: element %d belongs to no set; no cover exists", e)
 		}
 	}
@@ -141,7 +225,7 @@ func (in *Instance) IsCover(sets []int) bool {
 	covered := bitset.New(in.numElements)
 	cnt := 0
 	for _, s := range sets {
-		for _, e := range in.sets[s] {
+		for _, e := range in.Set(s) {
 			if !covered.TestAndSet(int(e)) {
 				cnt++
 			}
@@ -149,6 +233,22 @@ func (in *Instance) IsCover(sets []int) bool {
 	}
 	return cnt == in.numElements
 }
+
+// scratch is one engine call's working memory: greedy's heap, the covered
+// and tight bitsets, primal-dual's residual costs, and reverseDelete's cover
+// counts and removal marks. Each call checks its own out of scratchPool, so
+// concurrent engine calls never share one, and a warm pool leaves an engine
+// call allocating only the cover it returns.
+type scratch struct {
+	heap     greedyHeap
+	covered  bitset.Bitset
+	tight    bitset.Bitset
+	removed  bitset.Bitset
+	residual []float64
+	count    []int32
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // greedyItem is a priority-queue entry with a possibly stale priority.
 type greedyItem struct {
@@ -239,12 +339,16 @@ func (in *Instance) greedyCtx(ctx context.Context) ([]int, float64, int, error) 
 	if err := in.checkCoverable(); err != nil {
 		return nil, 0, 0, err
 	}
+	ws := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(ws)
 	done := ctx.Done()
-	covered := bitset.New(in.numElements)
-	h := make(greedyHeap, 0, len(in.sets))
-	for s, elems := range in.sets {
-		if len(elems) > 0 {
-			h = append(h, greedyItem{set: int32(s), priority: in.costs[s] / float64(len(elems))})
+	covered := ws.covered.Grow(in.numElements)
+	ws.covered = covered
+	h := &ws.heap
+	*h = (*h)[:0]
+	for s, c := range in.costs {
+		if n := in.setOff[s+1] - in.setOff[s]; n > 0 {
+			*h = append(*h, greedyItem{set: int32(s), priority: c / float64(n)})
 		}
 	}
 	h.init()
@@ -261,17 +365,18 @@ func (in *Instance) greedyCtx(ctx context.Context) ([]int, float64, int, error) 
 			default:
 			}
 		}
-		if len(h) == 0 {
+		if len(*h) == 0 {
 			return nil, 0, pops, fmt.Errorf("setcover: internal error: queue drained with %d elements uncovered", remaining)
 		}
 		it := h.pop()
 		s := it.set
+		elems := in.setElem[in.setOff[s]:in.setOff[s+1]]
 		// Recompute the true uncovered count lazily. Coverage only shrinks,
 		// so a popped priority is a lower bound on the set's true priority:
 		// select only if the entry is still fresh, otherwise re-push the
 		// corrected entry.
 		cnt := int32(0)
-		for _, e := range in.sets[s] {
+		for _, e := range elems {
 			if !covered.Test(int(e)) {
 				cnt++
 			}
@@ -286,7 +391,7 @@ func (in *Instance) greedyCtx(ctx context.Context) ([]int, float64, int, error) 
 		}
 		picked = append(picked, int(s))
 		total += in.costs[s]
-		for _, e := range in.sets[s] {
+		for _, e := range elems {
 			if !covered.TestAndSet(int(e)) {
 				remaining--
 			}
@@ -321,10 +426,13 @@ func (in *Instance) primalDualCtx(ctx context.Context) ([]int, float64, int, err
 	if err := in.checkCoverable(); err != nil {
 		return nil, 0, 0, err
 	}
+	ws := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(ws)
 	done := ctx.Done()
-	residual := append([]float64(nil), in.costs...)
-	tight := bitset.New(len(in.sets))
-	covered := bitset.New(in.numElements)
+	residual := append(ws.residual[:0], in.costs...)
+	tight := ws.tight.Grow(len(in.costs))
+	covered := ws.covered.Grow(in.numElements)
+	ws.residual, ws.tight, ws.covered = residual, tight, covered
 
 	var picked []int
 	for e := 0; e < in.numElements; e++ {
@@ -338,9 +446,10 @@ func (in *Instance) primalDualCtx(ctx context.Context) ([]int, float64, int, err
 		if covered.Test(e) {
 			continue
 		}
+		sets := in.elemSet[in.elemOff[e]:in.elemOff[e+1]]
 		// Raise y_e by the minimum residual among sets containing e.
 		delta := math.Inf(1)
-		for _, s := range in.elemSets[e] {
+		for _, s := range sets {
 			if !tight.Test(int(s)) && residual[s] < delta {
 				delta = residual[s]
 			}
@@ -350,7 +459,7 @@ func (in *Instance) primalDualCtx(ctx context.Context) ([]int, float64, int, err
 			// them — but covered would have said so. Unreachable.
 			return nil, 0, 0, fmt.Errorf("setcover: internal error at element %d", e)
 		}
-		for _, s := range in.elemSets[e] {
+		for _, s := range sets {
 			if tight.Test(int(s)) {
 				continue
 			}
@@ -358,7 +467,7 @@ func (in *Instance) primalDualCtx(ctx context.Context) ([]int, float64, int, err
 			if residual[s] <= 1e-12 {
 				tight.Set(int(s))
 				picked = append(picked, int(s))
-				for _, e2 := range in.sets[s] {
+				for _, e2 := range in.setElem[in.setOff[s]:in.setOff[s+1]] {
 					covered.Set(int(e2))
 				}
 			}
@@ -366,25 +475,32 @@ func (in *Instance) primalDualCtx(ctx context.Context) ([]int, float64, int, err
 	}
 
 	raw := len(picked)
-	picked = in.reverseDelete(picked)
+	picked = in.reverseDelete(picked, ws)
 	return picked, in.CoverCost(picked), raw, nil
 }
 
 // reverseDelete drops sets that are redundant given the rest, scanning in
 // reverse selection order. The result remains a cover, preserves selection
-// order, and is deterministic.
-func (in *Instance) reverseDelete(picked []int) []int {
-	coverCount := make([]int32, in.numElements)
+// order, and is deterministic. It works in ws's count and removed arrays.
+func (in *Instance) reverseDelete(picked []int, ws *scratch) []int {
+	coverCount := ws.count
+	if cap(coverCount) < in.numElements {
+		coverCount = make([]int32, in.numElements)
+	}
+	coverCount = coverCount[:in.numElements]
+	clear(coverCount)
+	removed := ws.removed.Grow(len(picked))
+	ws.count, ws.removed = coverCount, removed
+
 	for _, s := range picked {
-		for _, e := range in.sets[s] {
+		for _, e := range in.Set(s) {
 			coverCount[e]++
 		}
 	}
-	removed := bitset.New(len(picked))
 	for i := len(picked) - 1; i >= 0; i-- {
-		s := picked[i]
+		elems := in.Set(picked[i])
 		redundant := true
-		for _, e := range in.sets[s] {
+		for _, e := range elems {
 			if coverCount[e] == 1 {
 				redundant = false
 				break
@@ -392,7 +508,7 @@ func (in *Instance) reverseDelete(picked []int) []int {
 		}
 		if redundant {
 			removed.Set(i)
-			for _, e := range in.sets[s] {
+			for _, e := range elems {
 				coverCount[e]--
 			}
 		}
@@ -406,6 +522,28 @@ func (in *Instance) reverseDelete(picked []int) []int {
 	return out
 }
 
+// coveringLP returns the LP relaxation of the covering program: minimize
+// Σ cost(S)·x_S subject to Σ_{S∋e} x_S ≥ 1 for every element e, x ≥ 0.
+func (in *Instance) coveringLP() (*lp.Problem, error) {
+	p := lp.NewProblem(len(in.costs))
+	if err := p.SetObjective(in.costs); err != nil {
+		return nil, err
+	}
+	for e := 0; e < in.numElements; e++ {
+		sets := in.elemSet[in.elemOff[e]:in.elemOff[e+1]]
+		vars := make([]int, len(sets))
+		ones := make([]float64, len(sets))
+		for i, s := range sets {
+			vars[i] = int(s)
+			ones[i] = 1
+		}
+		if err := p.AddSparseConstraint(vars, ones, lp.GE, 1); err != nil {
+			return nil, err
+		}
+	}
+	return p, nil
+}
+
 // LPValue solves the LP relaxation of the covering program and returns its
 // optimal objective — a certified lower bound on every integral cover's
 // cost (weak duality). Dense simplex underneath: intended for instances up
@@ -417,20 +555,9 @@ func (in *Instance) LPValue() (float64, error) {
 	if in.numElements == 0 {
 		return 0, nil
 	}
-	p := lp.NewProblem(len(in.sets))
-	if err := p.SetObjective(in.costs); err != nil {
+	p, err := in.coveringLP()
+	if err != nil {
 		return 0, err
-	}
-	for e := 0; e < in.numElements; e++ {
-		vars := make([]int, len(in.elemSets[e]))
-		ones := make([]float64, len(vars))
-		for i, s := range in.elemSets[e] {
-			vars[i] = int(s)
-			ones[i] = 1
-		}
-		if err := p.AddSparseConstraint(vars, ones, lp.GE, 1); err != nil {
-			return 0, err
-		}
 	}
 	sol, err := p.Solve()
 	if err != nil {
@@ -456,20 +583,9 @@ func (in *Instance) DualCertificate() (float64, []float64, error) {
 	if in.numElements == 0 {
 		return 0, nil, nil
 	}
-	p := lp.NewProblem(len(in.sets))
-	if err := p.SetObjective(in.costs); err != nil {
+	p, err := in.coveringLP()
+	if err != nil {
 		return 0, nil, err
-	}
-	for e := 0; e < in.numElements; e++ {
-		vars := make([]int, len(in.elemSets[e]))
-		ones := make([]float64, len(vars))
-		for i, s := range in.elemSets[e] {
-			vars[i] = int(s)
-			ones[i] = 1
-		}
-		if err := p.AddSparseConstraint(vars, ones, lp.GE, 1); err != nil {
-			return 0, nil, err
-		}
 	}
 	sol, err := p.Solve()
 	if err != nil {
@@ -491,13 +607,13 @@ func (in *Instance) DualCertificate() (float64, []float64, error) {
 		}
 		bound += v
 	}
-	for s, elems := range in.sets {
+	for s, c := range in.costs {
 		var sum float64
-		for _, e := range elems {
+		for _, e := range in.Set(s) {
 			sum += y[e]
 		}
-		if sum > in.costs[s]+1e-6*(1+in.costs[s]) {
-			return 0, nil, fmt.Errorf("setcover: dual certificate violates set %d: %v > %v", s, sum, in.costs[s])
+		if sum > c+1e-6*(1+c) {
+			return 0, nil, fmt.Errorf("setcover: dual certificate violates set %d: %v > %v", s, sum, c)
 		}
 	}
 	return bound, y, nil
@@ -528,27 +644,16 @@ func (in *Instance) lpRoundingCtx(ctx context.Context) ([]int, float64, error) {
 	if err := in.checkCoverable(); err != nil {
 		return nil, 0, err
 	}
-	if len(in.sets) == 0 {
+	if len(in.costs) == 0 {
 		if in.numElements == 0 {
 			return nil, 0, nil
 		}
 		return nil, 0, fmt.Errorf("setcover: no sets")
 	}
 	f := in.Frequency()
-	p := lp.NewProblem(len(in.sets))
-	if err := p.SetObjective(in.costs); err != nil {
+	p, err := in.coveringLP()
+	if err != nil {
 		return nil, 0, err
-	}
-	for e := 0; e < in.numElements; e++ {
-		vars := make([]int, len(in.elemSets[e]))
-		ones := make([]float64, len(vars))
-		for i, s := range in.elemSets[e] {
-			vars[i] = int(s)
-			ones[i] = 1
-		}
-		if err := p.AddSparseConstraint(vars, ones, lp.GE, 1); err != nil {
-			return nil, 0, err
-		}
 	}
 	sol, err := p.SolveCtx(ctx)
 	if err != nil {
@@ -564,6 +669,8 @@ func (in *Instance) lpRoundingCtx(ctx context.Context) ([]int, float64, error) {
 			picked = append(picked, s)
 		}
 	}
-	picked = in.reverseDelete(picked)
+	ws := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(ws)
+	picked = in.reverseDelete(picked, ws)
 	return picked, in.CoverCost(picked), nil
 }

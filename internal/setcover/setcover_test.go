@@ -27,9 +27,11 @@ func bruteOpt(in *Instance) float64 {
 	return best
 }
 
-// randomInstance builds a coverable random instance.
-func randomInstance(rng *rand.Rand, nElems, nSets, maxCost int) *Instance {
-	in := New(nElems)
+// randomSets draws the sets and costs of a coverable random instance: each
+// element joins each set with probability 1/3, then every element is
+// appended, out of order, to one random set unless it is already there.
+// Costs are integers in [1, maxCost].
+func randomSets(rng *rand.Rand, nElems, nSets, maxCost int) ([][]int32, []float64) {
 	membership := make([][]int32, nSets)
 	for s := 0; s < nSets; s++ {
 		var elems []int32
@@ -53,8 +55,19 @@ func randomInstance(rng *rand.Rand, nElems, nSets, maxCost int) *Instance {
 			membership[s] = append(membership[s], int32(e))
 		}
 	}
-	for s := 0; s < nSets; s++ {
-		in.AddSet(membership[s], float64(rng.Intn(maxCost)+1))
+	costs := make([]float64, nSets)
+	for s := range costs {
+		costs[s] = float64(rng.Intn(maxCost) + 1)
+	}
+	return membership, costs
+}
+
+// randomInstance builds a coverable random instance.
+func randomInstance(rng *rand.Rand, nElems, nSets, maxCost int) *Instance {
+	sets, costs := randomSets(rng, nElems, nSets, maxCost)
+	in := New(nElems)
+	for s := range sets {
+		in.AddSet(sets[s], costs[s])
 	}
 	return in
 }

@@ -130,7 +130,9 @@ func LocalGreedy(inst *core.Instance, opts Options) (*core.Solution, error) {
 				if covered[q2] {
 					continue
 				}
-				coveredMask[q2] |= maskOf(inst, int(q2), id)
+				// q2 is one of id's queries, so id is a subset of it.
+				mask, _ := inst.Classifier(id).MaskIn(inst.Query(int(q2)))
+				coveredMask[q2] |= mask
 				if coveredMask[q2] == inst.FullMask(int(q2)) {
 					covered[q2] = true
 					remaining--

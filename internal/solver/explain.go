@@ -84,7 +84,8 @@ func pruneRedundant(inst *core.Instance, qi int, cover []core.ClassifierID) []co
 	full := inst.FullMask(qi)
 	masks := make([]uint64, len(cover))
 	for i, id := range cover {
-		masks[i] = maskOf(inst, qi, id)
+		// A cover of qi holds only classifiers of qi, subsets of it.
+		masks[i], _ = inst.Classifier(id).MaskIn(inst.Query(qi))
 	}
 	kept := append([]core.ClassifierID(nil), cover...)
 	for i := len(kept) - 1; i >= 0; i-- {

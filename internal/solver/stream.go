@@ -281,10 +281,11 @@ func (p *sealPool) solveOne(comp *core.SealedComponent) ([]core.PropSet, []float
 	if err != nil {
 		return nil, nil, fmt.Errorf("solver: sealed component %d: %w", comp.Index, err)
 	}
-	cls := make([]core.PropSet, len(sol.Selected))
+	// Copied out: the instance's classifier sets share one array, which the
+	// results would otherwise keep alive until the stream ends.
+	cls := inst.CopyClassifiers(sol.Selected)
 	costs := make([]float64, len(sol.Selected))
 	for i, id := range sol.Selected {
-		cls[i] = inst.Classifier(id)
 		costs[i] = inst.Cost(id)
 	}
 	return cls, costs, nil

@@ -2,12 +2,16 @@ package solver
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/bits"
+	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/hardness"
 	"repro/internal/prep"
 	"repro/internal/setcover"
 	"repro/internal/workload"
@@ -82,8 +86,20 @@ func refBuildWSC(r *prep.Result, comp []int) (*setcover.Instance, []core.Classif
 	return sc, setIDs
 }
 
+// maskOf returns classifier id's bitmask within query qi by scanning the
+// query's classifier list.
+func maskOf(inst *core.Instance, qi int, id core.ClassifierID) uint64 {
+	for _, qc := range inst.QueryClassifiers(qi) {
+		if qc.ID == id {
+			return qc.Mask
+		}
+	}
+	panic("solver: classifier not in query")
+}
+
 // compareWSC checks two reductions for bit-identity: universe size, set
-// order, element lists, costs, and the classifier behind each set.
+// order, element lists, costs, the classifier behind each set, and every
+// element's list of sets.
 func compareWSC(t *testing.T, name string, got, want *setcover.Instance, gotIDs, wantIDs []core.ClassifierID) {
 	t.Helper()
 	if got.NumElements() != want.NumElements() {
@@ -112,6 +128,11 @@ func compareWSC(t *testing.T, name string, got, want *setcover.Instance, gotIDs,
 			}
 		}
 	}
+	for e := 0; e < got.NumElements(); e++ {
+		if gs, ws := got.ElementSets(e), want.ElementSets(e); !slices.Equal(gs, ws) {
+			t.Fatalf("%s: element %d is in sets %v, reference %v", name, e, gs, ws)
+		}
+	}
 }
 
 // differentialDatasets builds the paper's three workload generators at a
@@ -124,9 +145,52 @@ func differentialDatasets(n int) map[string]*workload.Dataset {
 	}
 }
 
-// TestBuildWSCDifferential compares the pooled-scratch reduction against the
-// reference on every residual component of all three workload generators.
+// hardnessInstances builds the Theorem 5.1 and Theorem 5.2 reductions of
+// random set covers whose elements each lie in two to four sets.
+func hardnessInstances(t *testing.T, trials int) map[string]*core.Instance {
+	t.Helper()
+	rng := rand.New(rand.NewSource(52))
+	setCover := func() *hardness.SetCover {
+		nElems, nSets := 6+rng.Intn(6), 4+rng.Intn(6)
+		sc := &hardness.SetCover{NumElements: nElems, Sets: make([][]int, nSets)}
+		for e := 0; e < nElems; e++ {
+			for _, si := range rng.Perm(nSets)[:min(2+rng.Intn(3), nSets)] {
+				sc.Sets[si] = append(sc.Sets[si], e)
+			}
+		}
+		return sc
+	}
+	out := make(map[string]*core.Instance, 2*trials)
+	for trial := 0; trial < trials; trial++ {
+		r51, err := hardness.BuildTheorem51(setCover())
+		if err != nil {
+			t.Fatalf("Theorem 5.1: %v", err)
+		}
+		out[fmt.Sprintf("theorem51/%d", trial)] = r51.Inst
+		r52, err := hardness.BuildTheorem52(setCover())
+		if err != nil {
+			t.Fatalf("Theorem 5.2: %v", err)
+		}
+		out[fmt.Sprintf("theorem52/%d", trial)] = r52.Inst
+	}
+	return out
+}
+
+// TestBuildWSCDifferential compares the CSR reduction against the reference
+// on every residual component of all three workload generators, and of
+// both hardness reductions after minimal and full preprocessing.
 func TestBuildWSCDifferential(t *testing.T) {
+	check := func(name string, inst *core.Instance, level prep.Level) {
+		r, err := prep.RunCtxAmbient(context.Background(), inst, level, 0)
+		if err != nil {
+			t.Fatalf("%s: prep: %v", name, err)
+		}
+		for ci, comp := range r.Components {
+			gotSC, gotIDs := buildWSC(r, comp)
+			wantSC, wantIDs := refBuildWSC(r, comp)
+			compareWSC(t, fmt.Sprintf("%s %v component %d", name, level, ci), gotSC, wantSC, gotIDs, wantIDs)
+		}
+	}
 	for name, d := range differentialDatasets(500) {
 		queries := d.Queries
 		if len(queries) > 500 {
@@ -143,12 +207,21 @@ func TestBuildWSCDifferential(t *testing.T) {
 		if len(r.Components) == 0 {
 			t.Fatalf("%s: preprocessing left no residual components; dataset too easy for the differential", name)
 		}
-		for ci, comp := range r.Components {
-			gotSC, gotIDs := buildWSC(r, comp)
-			wantSC, wantIDs := refBuildWSC(r, comp)
-			compareWSC(t, name, gotSC, wantSC, gotIDs, wantIDs)
-			_ = ci
+		check(name, inst, prep.Level(0))
+	}
+	components := 0
+	for name, inst := range hardnessInstances(t, 8) {
+		for _, level := range []prep.Level{prep.Minimal, prep.Full} {
+			r, err := prep.Run(inst, level)
+			if err != nil {
+				t.Fatalf("%s: prep: %v", name, err)
+			}
+			components += len(r.Components)
+			check(name, inst, level)
 		}
+	}
+	if components == 0 {
+		t.Fatal("the hardness reductions left no residual component to compare")
 	}
 }
 
@@ -258,9 +331,12 @@ func compareSolutions(t *testing.T, name string, got, want *core.Solution) {
 	}
 }
 
-// TestBuildWSCSteadyStateAllocs gates the pooled reduction: once the pool is
-// warm, a component build allocates only its output (the setcover instance
-// and set-ID list), not the numbering tables and dedup maps it used to.
+// TestBuildWSCSteadyStateAllocs gates the reduction's scratch: once a
+// scratch is warm, a component build allocates only its output — the
+// set-cover instance, its three CSR arrays and the set-ID list — however
+// many sets the component has, not the numbering tables, dedup maps and
+// per-set element lists it used to. It builds on one scratch rather than
+// through the pool, which the race detector empties at random.
 func TestBuildWSCSteadyStateAllocs(t *testing.T) {
 	d := workload.Synthetic(300, 23)
 	inst, err := core.NewInstance(d.Universe, d.Queries[:300], d.Costs, core.Options{})
@@ -280,15 +356,11 @@ func TestBuildWSCSteadyStateAllocs(t *testing.T) {
 			comp = c
 		}
 	}
-	buildWSC(r, comp) // warm the pool
-	refSC, _ := refBuildWSC(r, comp)
-	// Output allocations: setcover.New (instance + elemSets) plus one copied
-	// slice per AddSet, plus elemSets/sets/costs growth and the setIDs list.
-	// Everything beyond ~2 per set is scratch that should have come from the
-	// pool.
-	budget := float64(2*refSC.NumSets() + 16)
-	if avg := testing.AllocsPerRun(20, func() { buildWSC(r, comp) }); avg > budget {
-		t.Errorf("buildWSC allocates %.0f per call on a %d-set component, want ≤ %.0f (output only)",
-			avg, refSC.NumSets(), budget)
+	ws := new(compScratch)
+	sc, _ := ws.buildWSC(r, comp) // warm the scratch
+	const budget = 5
+	if avg := testing.AllocsPerRun(20, func() { ws.buildWSC(r, comp) }); avg > budget {
+		t.Errorf("buildWSC allocates %.0f per call on a %d-set component, want ≤ %d (output only)",
+			avg, sc.NumSets(), budget)
 	}
 }

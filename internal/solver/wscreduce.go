@@ -18,77 +18,100 @@ import (
 // effective cost are skipped — they can never be part of a minimum-cost
 // solution and would poison the set-cover engines (defense in depth:
 // core.NewInstance already drops +Inf-cost classifiers at admission).
+//
+// The reduction is written straight into the instance's CSR arrays by two
+// passes over the component's query rows. Elements are numbered by query,
+// in component order, then by uncovered bit, and sets by the first sighting
+// of their classifier, so every set's window fills in strictly ascending
+// order and no set is sorted. Pass 1 numbers the classifiers and counts each
+// set's elements; sets that cover nothing are dropped, and prefix sums of
+// the counts place the rest. Pass 2 writes every row's elements into its
+// set's window.
 func buildWSC(r *prep.Result, comp []int) (*setcover.Instance, []core.ClassifierID) {
-	inst := r.Inst
 	ws := compScratchPool.Get().(*compScratch)
 	defer compScratchPool.Put(ws)
-
-	// Number the elements: (query, uncovered bit) pairs. Query qi's uncovered
-	// bits get consecutive element indices starting at elemBase[qi], in bit
-	// order, so bit b's offset within the query is the number of uncovered
-	// bits below it — computed from CoveredMask on the fly rather than stored
-	// per bit.
-	elemBase := growCompI32(ws.elemBase, inst.NumQueries())
-	inComp := ws.inComp.Grow(inst.NumQueries())
-	ws.elemBase, ws.inComp = elemBase, inComp
-	numElems := 0
-	for _, qi := range comp {
-		inComp.Set(qi)
-		elemBase[qi] = int32(numElems)
-		numElems += inst.Query(qi).Len() - bits.OnesCount64(r.CoveredMask[qi])
-	}
-
-	sc := setcover.New(numElems)
-	var setIDs []core.ClassifierID
-
-	// Collect alive classifiers appearing in the component's queries,
-	// deduplicated, in deterministic ID order per query scan.
-	seen := ws.seen.Grow(inst.NumClassifiers())
-	ws.seen = seen
-	elems := ws.elems[:0]
-	defer func() { ws.elems = elems }()
-	for _, qi := range comp {
-		for _, qc := range inst.QueryClassifiers(qi) {
-			id := qc.ID
-			if seen.Test(int(id)) || r.Removed[id] || r.SelectedSet[id] {
-				continue
-			}
-			seen.Set(int(id))
-			if c := r.EffCost[id]; math.IsInf(c, 0) || math.IsNaN(c) {
-				// A non-finite cost would poison the greedy ratios and the LP
-				// objective; an unusable classifier simply contributes no set.
-				continue
-			}
-			elems = elems[:0]
-			// Walk every residual query containing this classifier.
-			for _, q2 := range inst.ClassifierQueries(id) {
-				if r.CoveredQuery[q2] || !inComp.Test(int(q2)) {
-					// Covered, or a different component (cannot happen).
-					continue
-				}
-				covered := r.CoveredMask[q2]
-				for m := maskOf(inst, int(q2), id) &^ covered; m != 0; m &= m - 1 {
-					b := bits.TrailingZeros64(m)
-					below := uint64(1)<<uint(b) - 1
-					elems = append(elems, elemBase[q2]+int32(b-bits.OnesCount64(covered&below)))
-				}
-			}
-			if len(elems) == 0 {
-				continue // covers nothing that still needs covering
-			}
-			sc.AddSet(elems, r.EffCost[id])
-			setIDs = append(setIDs, id)
-		}
-	}
-	return sc, setIDs
+	return ws.buildWSC(r, comp)
 }
 
-// maskOf returns classifier id's bitmask within query qi.
-func maskOf(inst *core.Instance, qi int, id core.ClassifierID) uint64 {
-	for _, qc := range inst.QueryClassifiers(qi) {
-		if qc.ID == id {
-			return qc.Mask
+// buildWSC is buildWSC on the scratch ws, which it leaves reusable.
+func (ws *compScratch) buildWSC(r *prep.Result, comp []int) (*setcover.Instance, []core.ClassifierID) {
+	inst := r.Inst
+
+	// Pass 1. setOf[id] is the candidate number + 1 of classifier id, 0 for
+	// one not numbered; cand lists the numbered classifiers, which is also
+	// the list setOf is reset through.
+	setOf := ws.setNumbering(inst.NumClassifiers())
+	cand, count := ws.cand[:0], ws.count[:0]
+	numElems := 0
+	for _, qi := range comp {
+		covered := r.CoveredMask[qi]
+		numElems += inst.Query(qi).Len() - bits.OnesCount64(covered)
+		for _, qc := range inst.QueryClassifiers(qi) {
+			v := setOf[qc.ID]
+			if v == 0 {
+				id := qc.ID
+				if c := r.EffCost[id]; r.Removed[id] || r.SelectedSet[id] || math.IsInf(c, 0) || math.IsNaN(c) {
+					// A non-finite cost would poison the greedy ratios and
+					// the LP objective; an unusable classifier simply
+					// contributes no set.
+					continue
+				}
+				cand, count = append(cand, id), append(count, 0)
+				v = int32(len(cand))
+				setOf[id] = v
+			}
+			count[v-1] += int32(bits.OnesCount64(qc.Mask &^ covered))
 		}
 	}
-	panic("solver: classifier not in query")
+	defer func() {
+		for _, id := range cand {
+			setOf[id] = 0
+		}
+		ws.cand, ws.count = cand, count
+	}()
+
+	// Drop the sets that cover nothing, keeping the order of the rest:
+	// setOf becomes set number + 1 (0 for a dropped set) and count, compacted
+	// in place, each set's fill cursor.
+	setOff := make([]int32, 1, len(cand)+1)
+	costs := make([]float64, 0, len(cand))
+	setIDs := make([]core.ClassifierID, 0, len(cand))
+	total := int32(0)
+	for i, id := range cand {
+		n := count[i]
+		if n == 0 {
+			setOf[id] = 0
+			continue
+		}
+		count[len(setIDs)] = total
+		total += n
+		setOff = append(setOff, total)
+		costs = append(costs, r.EffCost[id])
+		setIDs = append(setIDs, id)
+		setOf[id] = int32(len(setIDs))
+	}
+
+	// Pass 2. Query qi's uncovered bits get consecutive element indices from
+	// base, in bit order, so bit b's index is base plus the number of
+	// uncovered bits below it. A covered query has no uncovered bit.
+	setElem := make([]int32, total)
+	base := int32(0)
+	for _, qi := range comp {
+		covered := r.CoveredMask[qi]
+		for _, qc := range inst.QueryClassifiers(qi) {
+			v := setOf[qc.ID]
+			if v == 0 {
+				continue
+			}
+			at := count[v-1]
+			for m := qc.Mask &^ covered; m != 0; m &= m - 1 {
+				b := bits.TrailingZeros64(m)
+				setElem[at] = base + int32(b-bits.OnesCount64(covered&(1<<uint(b)-1)))
+				at++
+			}
+			count[v-1] = at
+		}
+		base += int32(inst.Query(qi).Len() - bits.OnesCount64(covered))
+	}
+	return setcover.NewCSR(numElems, setOff, setElem, costs), setIDs
 }
