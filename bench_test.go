@@ -185,8 +185,8 @@ func BenchmarkGeneralSolve(b *testing.B) {
 
 // ---- Scheduler benchmarks ----
 //
-// Multi-component loads dispatched serially vs through the work-stealing
-// scheduler at GOMAXPROCS workers. Compare within a machine:
+// Multi-component loads dispatched serially vs through the component
+// dispatcher at GOMAXPROCS workers. Compare within a machine:
 //
 //	go test -bench 'Sched' -count 5 . | tee bench-new.txt && benchstat bench-old.txt bench-new.txt
 
@@ -222,7 +222,7 @@ var schedParallelisms = []struct {
 }{{"par=1", 1}, {"par=-1", -1}}
 
 // BenchmarkSchedGeneralSolve measures Algorithm 3 over 32 independent
-// components, serial vs work-stealing dispatch.
+// components, serial vs parallel dispatch.
 func BenchmarkSchedGeneralSolve(b *testing.B) {
 	inst := benchMultiCompInstance(b, 32, 3)
 	for _, tc := range schedParallelisms {
@@ -240,7 +240,7 @@ func BenchmarkSchedGeneralSolve(b *testing.B) {
 }
 
 // BenchmarkSchedKTwoSolve measures Algorithm 2 over 32 independent
-// components, serial vs work-stealing dispatch.
+// components, serial vs parallel dispatch.
 func BenchmarkSchedKTwoSolve(b *testing.B) {
 	inst := benchMultiCompInstance(b, 32, 2)
 	for _, tc := range schedParallelisms {
@@ -259,7 +259,7 @@ func BenchmarkSchedKTwoSolve(b *testing.B) {
 
 // BenchmarkSchedIncrApply measures the incremental engine re-solving every
 // component of a 32-component load per Apply (alternating cost updates,
-// uncached so each re-solve is real work), serial vs work-stealing dispatch.
+// uncached so each re-solve is real work), serial vs parallel dispatch.
 func BenchmarkSchedIncrApply(b *testing.B) {
 	const groups = 32
 	for _, tc := range schedParallelisms {

@@ -112,8 +112,11 @@ type Instance struct {
 	costs       []float64
 	index       setIndex // C_Q by property set; +Inf subsets stay as tombstones
 
-	queryCls   [][]QueryClassifier // per query: available classifiers ⊆ q
-	clsQueries [][]int32           // per classifier: indices of queries containing it
+	queryCls [][]QueryClassifier // per query: available classifiers ⊆ q
+	// Per classifier, the ascending indices of queries containing it: id's
+	// list is clsQueries up to clsEnd[id], from clsEnd[id-1] (0 for id 0).
+	clsQueries []int32
+	clsEnd     []int32
 
 	maxQueryLen      int
 	maxClassifierLen int
@@ -296,26 +299,21 @@ func NewInstance(u *Universe, queries []PropSet, cm CostModel, opts Options) (*I
 
 	// Incidence lists, count-then-fill into one flat array: incidence[id]
 	// becomes id's fill cursor, starting at its window's offset, and ends at
-	// the offset of the next window. Filling in query order keeps every list
-	// ascending.
+	// the offset of the next window, which is the end offset clsEnd keeps.
+	// Filling in query order keeps every list ascending.
 	total := int32(0)
 	for id, c := range incidence {
 		incidence[id] = total
 		total += c
 	}
-	flat := make([]int32, total)
+	inst.clsQueries = make([]int32, total)
 	for qi, row := range inst.queryCls {
 		for _, qc := range row {
-			flat[incidence[qc.ID]] = int32(qi)
+			inst.clsQueries[incidence[qc.ID]] = int32(qi)
 			incidence[qc.ID]++
 		}
 	}
-	inst.clsQueries = make([][]int32, len(inst.classifiers))
-	lo := int32(0)
-	for id, hi := range incidence {
-		inst.clsQueries[id] = flat[lo:hi:hi]
-		lo = hi
-	}
+	inst.clsEnd = incidence
 	return inst, nil
 }
 
@@ -468,11 +466,22 @@ func (inst *Instance) QueryClassifiers(i int) []QueryClassifier { return inst.qu
 // ClassifierQueries returns the indices of queries that contain classifier
 // id's property set — the incidence list Q_S. The returned slice must not be
 // modified.
-func (inst *Instance) ClassifierQueries(id ClassifierID) []int32 { return inst.clsQueries[id] }
+func (inst *Instance) ClassifierQueries(id ClassifierID) []int32 {
+	lo, hi := inst.clsStart(id), inst.clsEnd[id]
+	return inst.clsQueries[lo:hi:hi]
+}
 
 // Incidence returns I(S) for classifier id: the number of queries containing
 // its property set.
-func (inst *Instance) Incidence(id ClassifierID) int { return len(inst.clsQueries[id]) }
+func (inst *Instance) Incidence(id ClassifierID) int { return int(inst.clsEnd[id] - inst.clsStart(id)) }
+
+// clsStart is the offset of id's incidence list in clsQueries.
+func (inst *Instance) clsStart(id ClassifierID) int32 {
+	if id == 0 {
+		return 0
+	}
+	return inst.clsEnd[id-1]
+}
 
 // MaxQueryLen returns k, the maximal query length.
 func (inst *Instance) MaxQueryLen() int { return inst.maxQueryLen }

@@ -329,13 +329,11 @@ type latencyStats struct {
 	P99   float64 `json:"p99_seconds"`
 }
 
-// schedStats surfaces the work-stealing scheduler's mc3_sched_* counters.
+// schedStats surfaces the component dispatcher's mc3_sched_* counters.
 type schedStats struct {
 	Runs       int64 `json:"runs"`
 	Components int64 `json:"components"`
 	Tasks      int64 `json:"tasks"`
-	Steals     int64 `json:"steals"`
-	Spawns     int64 `json:"spawns"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
@@ -357,8 +355,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			Runs:       s.registry.Counter("mc3_sched_runs_total").Value(),
 			Components: s.registry.Counter("mc3_sched_components_total").Value(),
 			Tasks:      s.registry.Counter("mc3_sched_tasks_total").Value(),
-			Steals:     s.registry.Counter("mc3_sched_steals_total").Value(),
-			Spawns:     s.registry.Counter("mc3_sched_spawns_total").Value(),
 		},
 		Flight: s.flight.Stats(),
 	})

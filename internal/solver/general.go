@@ -2,14 +2,11 @@ package solver
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
-	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/prep"
-	"repro/internal/setcover"
 )
 
 // General is the paper's Algorithm 3 — the MC³[G] solver for arbitrary query
@@ -45,72 +42,30 @@ func generalWithCtx(ctx context.Context, inst *core.Instance, opts Options) (*co
 	return assemble(inst, r, picks, opts)
 }
 
-// generalResidual covers the residual of a preprocessed instance and returns
-// the picked classifier IDs (preprocessing selections not included).
-// Components are independent (Observation 3.2) and dispatched through the
-// work-stealing scheduler when opts.Parallelism allows, largest-first; the
-// concatenation order is fixed, so the result is deterministic.
+// generalResidual covers the residual of a preprocessed instance component
+// by component (see solveResidual) and returns the picked classifier IDs.
 func generalResidual(ctx context.Context, r *prep.Result, opts Options) ([]core.ClassifierID, error) {
-	perComp := make([][]core.ClassifierID, len(r.Components))
-	err := ForEachComponent(ctx, len(r.Components), opts.Parallelism,
-		func(ci int) int { return len(r.Components[ci]) },
-		func(t *Task, ci int) error {
-			return generalComponent(ctx, t, r, ci, opts, perComp)
-		})
-	if err != nil {
-		return nil, err
-	}
-	var picks []core.ClassifierID
-	for _, p := range perComp {
-		picks = append(picks, p...)
-	}
-	return picks, nil
+	return solveResidual(ctx, r, opts, "general/"+opts.WSC.String(), generalComponent)
 }
 
-// generalComponent covers component ci, writing its picks into perComp[ci].
-// With opts.Cache attached, a component whose canonical signature was solved
-// before is answered from the cache without building the WSC reduction. The
-// WSC build runs as the component's first pipeline stage and the set-cover
-// race as a spawned second stage, so the scheduler can overlap one
-// component's build with another's solve. The component span covers both
-// stages; it goes unreported if dispatch aborts before the second stage.
-func generalComponent(ctx context.Context, t *Task, r *prep.Result, ci int, opts Options, perComp [][]core.ClassifierID) error {
-	csp, ctx := obs.StartChild(ctx, SpanComponent,
-		obs.Int("index", ci), obs.Int("queries", len(r.Components[ci])))
-	key, picks, hit := componentCacheLookup(ctx, opts, "general/"+opts.WSC.String(), r, r.Components[ci])
-	if hit {
-		perComp[ci] = picks
-		csp.End()
-		return nil
-	}
-	sc, setIDs := buildWSC(r, r.Components[ci])
+// generalComponent covers component comp: it builds the WSC reduction, races
+// the set-cover engines over it, and maps the picked sets back to
+// classifiers.
+func generalComponent(ctx context.Context, r *prep.Result, comp []int, opts Options) ([]core.ClassifierID, error) {
+	sc, setIDs := buildWSC(r, comp)
 	if sc.NumElements() == 0 {
-		opts.Cache.Store(key, nil)
-		csp.End()
-		return nil
+		return nil, nil
 	}
-	t.Spawn(func() error {
-		err := solveWSCComponent(ctx, sc, setIDs, key, ci, opts, perComp)
-		csp.EndErr(err)
-		return err
-	})
-	return nil
-}
-
-// solveWSCComponent is the second pipeline stage of generalComponent: race
-// the set-cover engines over the built reduction, translate the picked sets
-// back to classifiers, and memoize the result.
-func solveWSCComponent(ctx context.Context, sc *setcover.Instance, setIDs []core.ClassifierID, key cache.Key, ci int, opts Options, perComp [][]core.ClassifierID) error {
 	sets, _, _, err := runWSC(ctx, sc, opts.WSC)
 	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return err
+		if isContextErr(err) {
+			return nil, err
 		}
-		return fmt.Errorf("solver: WSC failed on component: %w", err)
+		return nil, fmt.Errorf("solver: WSC failed on component: %w", err)
 	}
-	for _, s := range sets {
-		perComp[ci] = append(perComp[ci], setIDs[s])
+	picks := make([]core.ClassifierID, len(sets))
+	for i, s := range sets {
+		picks[i] = setIDs[s]
 	}
-	opts.Cache.Store(key, perComp[ci])
-	return nil
+	return picks, nil
 }

@@ -1,0 +1,50 @@
+package solver
+
+import (
+	"context"
+
+	"repro/internal/core"
+	"repro/internal/obs"
+	"repro/internal/prep"
+)
+
+// solveResidual covers the residual of a preprocessed instance and returns
+// the picked classifier IDs (preprocessing selections not included).
+// Components are independent (Observation 3.2) and dispatched through
+// ForEachComponent when opts.Parallelism allows, largest-first; the
+// concatenation order is fixed, so the result is deterministic.
+//
+// solve covers one component (its query indices into r.Inst) and returns
+// its picks. Each component runs under its own span. With opts.Cache
+// attached, a component whose canonical signature was solved before under
+// domain is answered from the cache without calling solve, and a fresh
+// solve is memoized.
+func solveResidual(ctx context.Context, r *prep.Result, opts Options, domain string,
+	solve func(ctx context.Context, r *prep.Result, comp []int, opts Options) ([]core.ClassifierID, error)) ([]core.ClassifierID, error) {
+	perComp := make([][]core.ClassifierID, len(r.Components))
+	err := ForEachComponent(ctx, len(r.Components), opts.Parallelism,
+		func(ci int) int { return len(r.Components[ci]) },
+		func(ci int) error {
+			comp := r.Components[ci]
+			csp, ctx := obs.StartChild(ctx, SpanComponent,
+				obs.Int("index", ci), obs.Int("queries", len(comp)))
+			key, picks, hit := componentCacheLookup(ctx, opts, domain, r, comp)
+			var err error
+			if !hit {
+				if picks, err = solve(ctx, r, comp, opts); err == nil {
+					opts.Cache.Store(key, picks)
+				}
+			}
+			perComp[ci] = picks
+			csp.EndErr(err)
+			return err
+		})
+	if err != nil {
+		return nil, err
+	}
+	var picks []core.ClassifierID
+	for _, p := range perComp {
+		picks = append(picks, p...)
+	}
+	return picks, nil
+}

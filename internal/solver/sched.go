@@ -12,71 +12,38 @@ import (
 	"repro/internal/obs"
 )
 
-// The work-stealing component scheduler — the single dispatch primitive
-// behind General, KTwo, and internal/incr's dirty-component re-solves, per
-// the paper's Section 3 remark that the decomposition "allows us to solve
-// all sub-instances in parallel".
+// The component dispatcher — the single dispatch primitive behind General,
+// KTwo, and internal/incr's dirty-component re-solves, per the paper's
+// Section 3 remark that the decomposition "allows us to solve all
+// sub-instances in parallel".
 //
-// Design:
+// Design: the serial path runs components in index order. The parallel path
+// sorts the indices largest-first (per the caller's size hint, stable on the
+// index) and lets every worker claim the next index from one shared atomic
+// cursor, so stragglers start early and a worker held by a large component
+// never strands queued work: the others keep claiming.
 //
-//   - One deque per worker. The owner pushes and pops at the bottom; idle
-//     workers steal from the top of other deques. Each deque is guarded by
-//     its own mutex, so workers only contend when stealing.
-//   - Components are seeded round-robin across the deques in
-//     largest-first order (per the caller's size hint), with each deque's
-//     share arranged so the owner pops its largest component first —
-//     stragglers start early instead of serializing at the end.
-//   - A component function may split itself into pipeline stages with
-//     Task.Spawn: the continuation is pushed onto the running worker's
-//     deque (run next by the owner, or stolen), so one component's build
-//     and another's solve interleave instead of each component being a
-//     monolithic unit.
-//
-// Contracts (unchanged from the flat dispatcher this replaces):
+// Contracts:
 //
 //   - Determinism: results are written into per-index slots by the caller,
 //     so the final concatenation is independent of scheduling.
 //   - The first failure (fn error, recovered panic, or the context firing)
-//     stops dispatch: tasks not yet started are never run. In-flight tasks
-//     finish, and their failures are aggregated too.
+//     stops dispatch: components not yet claimed are never run. In-flight
+//     components finish, and their failures are aggregated too.
 //   - Bare context errors pass through for errors.Is; other failures are
 //     wrapped, multiple concurrent ones joined via errors.Join.
 
-// Task is the handle a component function receives from ForEachComponent.
-// Its zero value is not useful; the scheduler constructs one per component.
-type Task struct {
-	index  int
-	s      *sched          // parallel mode
-	w      int             // worker running the task (parallel mode)
-	serial *[]func() error // serial mode: deferred stage queue
-}
-
-// Spawn schedules stage as a separately schedulable continuation of the
-// task's component. The stage runs after the current function returns —
-// immediately on the same worker when it is idle, or stolen by another —
-// and its error is attributed to the component. In serial mode stages run
-// in FIFO order right after the component function returns. A stage is
-// skipped (never run) when dispatch has already stopped on a failure.
-func (t *Task) Spawn(stage func() error) {
-	if t.s != nil {
-		t.s.spawn(t.w, t.index, stage)
-		return
-	}
-	*t.serial = append(*t.serial, stage)
-}
-
-// ForEachComponent runs fn for every component index, serially or on a
-// work-stealing worker pool per parallelism (0/1 = serial, < 0 = GOMAXPROCS,
-// else that many workers). size, when non-nil, is a per-component work hint
-// used to start the largest components first; nil keeps index order.
+// ForEachComponent runs fn for every component index, serially or on a pool
+// of workers per parallelism (0/1 = serial, < 0 = GOMAXPROCS, else that many
+// workers). size, when non-nil, is a per-component work hint used to start
+// the largest components first; nil keeps index order.
 //
 // fn must write results into per-index slots so the caller's concatenation
-// is deterministic regardless of scheduling. See Task.Spawn for splitting a
-// component into pipeline stages.
+// is deterministic regardless of scheduling.
 //
 // Exported for internal/incr, whose dirty-component re-solve loop shares
 // this dispatcher with the full solvers.
-func ForEachComponent(ctx context.Context, n, parallelism int, size func(i int) int, fn func(t *Task, i int) error) error {
+func ForEachComponent(ctx context.Context, n, parallelism int, size func(i int) int, fn func(i int) error) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -84,238 +51,88 @@ func ForEachComponent(ctx context.Context, n, parallelism int, size func(i int) 
 	if workers < 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || n <= 1 {
+	workers = min(workers, n)
+	if workers <= 1 {
 		return runSerial(ctx, n, fn)
 	}
 
-	s := &sched{
-		deques: make([]*schedDeque, workers),
-		done:   ctx.Done(),
-		ctxErr: ctx.Err,
-	}
-	s.cond = sync.NewCond(&s.mu)
-
-	// Largest-first seed order (stable on the index for determinism of the
-	// schedule itself, not of the results — those are index-slotted).
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
+	// Largest-first claim order, stable on the index so the schedule itself
+	// is deterministic (the results are index-slotted either way).
+	d := &dispatch{order: make([]int, n)}
+	for i := range d.order {
+		d.order[i] = i
 	}
 	if size != nil {
-		sort.SliceStable(order, func(a, b int) bool { return size(order[a]) > size(order[b]) })
+		sort.SliceStable(d.order, func(a, b int) bool { return size(d.order[a]) > size(d.order[b]) })
 	}
-	// Round-robin the sorted components across the deques, then reverse
-	// each share: the owner pops at the bottom (the slice tail), so the
-	// tail must hold the worker's largest component.
-	for w := range s.deques {
-		s.deques[w] = &schedDeque{}
-	}
-	for r, idx := range order {
-		i := idx
-		d := s.deques[r%workers]
-		d.tasks = append(d.tasks, schedTask{index: i, run: func(w int) error {
-			return fn(&Task{index: i, s: s, w: w}, i)
-		}})
-	}
-	for _, d := range s.deques {
-		for a, b := 0, len(d.tasks)-1; a < b; a, b = a+1, b-1 {
-			d.tasks[a], d.tasks[b] = d.tasks[b], d.tasks[a]
-		}
-	}
-	s.inflight.Store(int64(n))
 
 	var wg sync.WaitGroup
+	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			s.worker(w)
-		}(w)
+			d.work(ctx, fn)
+		}()
 	}
 	wg.Wait()
 
-	s.emit(ctx, workers, n)
-	return s.err()
+	d.emit(ctx, workers, n)
+	return d.err()
 }
 
-// schedTask is one schedulable unit: a component function or a spawned
-// pipeline stage. run receives the id of the worker executing it so spawned
-// continuations land on that worker's deque.
-type schedTask struct {
-	index int
-	run   func(w int) error
-}
-
-// schedDeque is one worker's task deque. The owner operates at the bottom
-// (the slice tail): popBottom takes the most recently pushed task, so
-// spawned pipeline stages run depth-first and the seeded share is arranged
-// largest-at-the-tail. Thieves steal from the top (the slice head).
-type schedDeque struct {
-	mu    sync.Mutex
-	tasks []schedTask
-}
-
-func (d *schedDeque) pushBottom(t schedTask) {
-	d.mu.Lock()
-	d.tasks = append(d.tasks, t)
-	d.mu.Unlock()
-}
-
-func (d *schedDeque) popBottom() (schedTask, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.tasks) == 0 {
-		return schedTask{}, false
-	}
-	t := d.tasks[len(d.tasks)-1]
-	d.tasks[len(d.tasks)-1] = schedTask{}
-	d.tasks = d.tasks[:len(d.tasks)-1]
-	return t, true
-}
-
-func (d *schedDeque) stealTop() (schedTask, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.tasks) == 0 {
-		return schedTask{}, false
-	}
-	t := d.tasks[0]
-	d.tasks[0] = schedTask{}
-	d.tasks = d.tasks[1:]
-	return t, true
-}
-
-// schedErr is one recorded failure, attributed to a component index
-// (-1 for the dispatcher observing the context fire).
+// schedErr is one recorded failure, attributed to a component index.
 type schedErr struct {
 	index int
 	err   error
 }
 
-// sched is the shared state of one ForEachComponent run.
-type sched struct {
-	deques   []*schedDeque
-	inflight atomic.Int64  // tasks queued or running; 0 terminates the pool
-	quit     atomic.Bool   // set on first failure: queued tasks are dropped
-	version  atomic.Uint64 // bumped per spawn; parked workers re-scan on change
-	steals   atomic.Int64
-	spawns   atomic.Int64
-	ran      atomic.Int64
+// dispatch is the shared state of one parallel ForEachComponent run.
+type dispatch struct {
+	order  []int        // component indices in claim order
+	cursor atomic.Int64 // next position of order to claim
+	quit   atomic.Bool  // set on first failure: no further claims
+	ran    atomic.Int64
 
 	mu   sync.Mutex
-	cond *sync.Cond
 	errs []schedErr
-
-	done   <-chan struct{}
-	ctxErr func() error
 }
 
-// worker runs tasks until the pool drains.
-func (s *sched) worker(w int) {
-	for {
-		t, ok := s.next(w)
-		if !ok {
+// work claims and runs components until the order is exhausted or a failure
+// stops dispatch. A component claimed after the context fired fails without
+// running.
+func (d *dispatch) work(ctx context.Context, fn func(i int) error) {
+	for !d.quit.Load() {
+		k := int(d.cursor.Add(1)) - 1
+		if k >= len(d.order) {
 			return
 		}
-		s.run(w, t)
-	}
-}
-
-// next returns the next task for worker w: its own deque's bottom, else a
-// steal from another deque's top, else it parks until work appears or the
-// pool drains. The version counter closes the race between an empty scan
-// and a concurrent spawn: a worker only parks if no task was pushed since
-// its scan began.
-func (s *sched) next(w int) (schedTask, bool) {
-	for {
-		v := s.version.Load()
-		if t, ok := s.deques[w].popBottom(); ok {
-			return t, true
+		i := d.order[k]
+		err := ctx.Err()
+		if err == nil {
+			d.ran.Add(1)
+			err = runRecover(i, func() error { return fn(i) })
 		}
-		for i := 1; i < len(s.deques); i++ {
-			if t, ok := s.deques[(w+i)%len(s.deques)].stealTop(); ok {
-				s.steals.Add(1)
-				return t, true
-			}
-		}
-		s.mu.Lock()
-		if s.inflight.Load() == 0 {
-			s.mu.Unlock()
-			return schedTask{}, false
-		}
-		if s.version.Load() != v {
-			s.mu.Unlock()
-			continue
-		}
-		s.cond.Wait()
-		s.mu.Unlock()
-	}
-}
-
-// run executes one task: dropped when dispatch already stopped, failed
-// without running when the context has fired, else run with panic recovery.
-func (s *sched) run(w int, t schedTask) {
-	defer s.taskDone()
-	if s.quit.Load() {
-		return
-	}
-	if s.done != nil {
-		select {
-		case <-s.done:
-			s.fail(t.index, s.ctxErr())
-			return
-		default:
+		if err != nil {
+			d.quit.Store(true)
+			d.mu.Lock()
+			d.errs = append(d.errs, schedErr{index: i, err: err})
+			d.mu.Unlock()
 		}
 	}
-	s.ran.Add(1)
-	if err := runRecover(t.index, func() error { return t.run(w) }); err != nil {
-		s.fail(t.index, err)
-	}
-}
-
-func (s *sched) taskDone() {
-	if s.inflight.Add(-1) == 0 {
-		s.mu.Lock()
-		s.cond.Broadcast()
-		s.mu.Unlock()
-	}
-}
-
-func (s *sched) fail(index int, err error) {
-	s.quit.Store(true)
-	s.mu.Lock()
-	s.errs = append(s.errs, schedErr{index: index, err: err})
-	s.mu.Unlock()
-}
-
-// spawn enqueues a pipeline stage on worker w's deque. The caller is a task
-// currently running on w, so inflight cannot reach zero before the
-// increment: the pool never terminates with a stage pending.
-func (s *sched) spawn(w, index int, stage func() error) {
-	s.spawns.Add(1)
-	s.inflight.Add(1)
-	s.deques[w].pushBottom(schedTask{index: index, run: func(int) error { return stage() }})
-	s.version.Add(1)
-	s.mu.Lock()
-	s.cond.Signal()
-	s.mu.Unlock()
 }
 
 // err assembles the run's outcome: nil, a bare context error (so callers'
 // errors.Is(err, context.Canceled/DeadlineExceeded) keep working), a single
 // wrapped failure, or an errors.Join of every concurrent failure in
 // component order.
-func (s *sched) err() error {
-	if len(s.errs) == 0 {
+func (d *dispatch) err() error {
+	if len(d.errs) == 0 {
 		return nil
 	}
-	sort.SliceStable(s.errs, func(a, b int) bool { return s.errs[a].index < s.errs[b].index })
+	sort.SliceStable(d.errs, func(a, b int) bool { return d.errs[a].index < d.errs[b].index })
 	allCtx := true
-	list := make([]error, 0, len(s.errs))
-	for _, se := range s.errs {
+	list := make([]error, 0, len(d.errs))
+	for _, se := range d.errs {
 		if !isContextErr(se.err) {
 			allCtx = false
 		}
@@ -330,62 +147,34 @@ func (s *sched) err() error {
 	return fmt.Errorf("solver: %d components failed: %w", len(list), errors.Join(list...))
 }
 
-// emit records the run's scheduler counters on the enclosing span (attrs
-// sched_workers/sched_steals/sched_spawns) and, when the trace carries a
-// metrics registry, the mc3_sched_* metrics. Called after the pool has
-// drained, from the dispatching goroutine that owns the span.
-func (s *sched) emit(ctx context.Context, workers, n int) {
+// emit records the run's worker count on the enclosing span (attr
+// sched_workers) and, when the trace carries a metrics registry, the
+// mc3_sched_* metrics. Called after the workers have exited, from the
+// dispatching goroutine that owns the span.
+func (d *dispatch) emit(ctx context.Context, workers, n int) {
 	sp := obs.FromContext(ctx)
 	if sp == nil {
 		return
 	}
-	steals, spawns := s.steals.Load(), s.spawns.Load()
-	sp.SetAttr(obs.Int("sched_workers", workers),
-		obs.I64("sched_steals", steals),
-		obs.I64("sched_spawns", spawns))
+	sp.SetAttr(obs.Int("sched_workers", workers))
 	if m := sp.Tracer().Metrics(); m != nil {
 		m.Counter("mc3_sched_runs_total").Inc()
 		m.Counter("mc3_sched_components_total").Add(int64(n))
-		m.Counter("mc3_sched_tasks_total").Add(s.ran.Load())
-		m.Counter("mc3_sched_steals_total").Add(steals)
-		m.Counter("mc3_sched_spawns_total").Add(spawns)
+		m.Counter("mc3_sched_tasks_total").Add(d.ran.Load())
 		m.Gauge("mc3_sched_workers").Set(float64(workers))
 	}
 }
 
-// runSerial is the parallelism ≤ 1 path: components in index order, each
-// followed by its spawned stages in FIFO order, stopping at the first
-// failure or when the context fires between tasks.
-func runSerial(ctx context.Context, n int, fn func(t *Task, i int) error) error {
-	done := ctx.Done()
-	check := func() error {
-		if done != nil {
-			select {
-			case <-done:
-				return ctx.Err()
-			default:
-			}
-		}
-		return nil
-	}
-	var stages []func() error
+// runSerial is the parallelism ≤ 1 path: components in index order,
+// stopping at the first failure or when the context fires between
+// components.
+func runSerial(ctx context.Context, n int, fn func(i int) error) error {
 	for i := 0; i < n; i++ {
-		if err := check(); err != nil {
+		if err := ctx.Err(); err != nil {
 			return err
 		}
-		t := &Task{index: i, serial: &stages}
-		if err := runRecover(i, func() error { return fn(t, i) }); err != nil {
+		if err := runRecover(i, func() error { return fn(i) }); err != nil {
 			return componentErr(err)
-		}
-		for len(stages) > 0 {
-			stage := stages[0]
-			stages = stages[1:]
-			if err := check(); err != nil {
-				return err
-			}
-			if err := runRecover(i, stage); err != nil {
-				return componentErr(err)
-			}
 		}
 	}
 	return nil
@@ -400,6 +189,15 @@ func runRecover(index int, f func() error) (err error) {
 		}
 	}()
 	return f()
+}
+
+// componentErr wraps a component failure, except for bare context errors,
+// which pass through so callers can match them with errors.Is.
+func componentErr(err error) error {
+	if isContextErr(err) {
+		return err
+	}
+	return fmt.Errorf("solver: component failed: %w", err)
 }
 
 func isContextErr(err error) bool {

@@ -3,23 +3,23 @@ package solver
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// TestForEachComponentAggregatesConcurrentErrors is the regression test for
-// the flat dispatcher dropping all-but-first concurrent failures: two
-// components rendezvous on a barrier so both are mid-flight when they fail,
-// and both sentinels must be visible through errors.Is on the joined error.
+// TestForEachComponentAggregatesConcurrentErrors guards against keeping only
+// the first of several concurrent failures: two components rendezvous on a
+// barrier so both are mid-flight when they fail, and both sentinels must be
+// visible through errors.Is on the joined error.
 func TestForEachComponentAggregatesConcurrentErrors(t *testing.T) {
 	errA := errors.New("component A exploded")
 	errB := errors.New("component B exploded")
 	var barrier sync.WaitGroup
 	barrier.Add(2)
-	err := ForEachComponent(context.Background(), 2, 2, nil, func(_ *Task, i int) error {
+	err := ForEachComponent(context.Background(), 2, 2, nil, func(i int) error {
 		barrier.Done()
 		barrier.Wait() // both components are in flight; both will fail
 		if i == 0 {
@@ -48,7 +48,7 @@ func TestForEachComponentAggregatesConcurrentErrors(t *testing.T) {
 func TestForEachComponentConcurrentContextErrorsStayBare(t *testing.T) {
 	var barrier sync.WaitGroup
 	barrier.Add(2)
-	err := ForEachComponent(context.Background(), 2, 2, nil, func(_ *Task, i int) error {
+	err := ForEachComponent(context.Background(), 2, 2, nil, func(i int) error {
 		barrier.Done()
 		barrier.Wait()
 		return context.Canceled
@@ -65,7 +65,7 @@ func TestForEachComponentMixedContextAndRealErrors(t *testing.T) {
 	boom := errors.New("boom")
 	var barrier sync.WaitGroup
 	barrier.Add(2)
-	err := ForEachComponent(context.Background(), 2, 2, nil, func(_ *Task, i int) error {
+	err := ForEachComponent(context.Background(), 2, 2, nil, func(i int) error {
 		barrier.Done()
 		barrier.Wait()
 		if i == 0 {
@@ -84,140 +84,49 @@ func TestForEachComponentMixedContextAndRealErrors(t *testing.T) {
 	}
 }
 
-// TestTaskSpawnSerialRunsStagesInOrder checks serial mode: spawned stages run
-// FIFO after the component function returns, before the next component.
-func TestTaskSpawnSerialRunsStagesInOrder(t *testing.T) {
-	var trace []string
-	err := ForEachComponent(context.Background(), 2, 1, nil, func(task *Task, i int) error {
-		name := string(rune('A' + i))
-		trace = append(trace, "fn"+name)
-		task.Spawn(func() error {
-			trace = append(trace, "stage1"+name)
-			return nil
-		})
-		task.Spawn(func() error {
-			trace = append(trace, "stage2"+name)
-			return nil
-		})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := "fnA stage1A stage2A fnB stage1B stage2B"
-	if got := strings.Join(trace, " "); got != want {
-		t.Fatalf("serial trace = %q, want %q", got, want)
-	}
-}
-
-// TestTaskSpawnParallelStageErrorsAttributed checks that a spawned stage's
-// failure is reported like a component failure, with the sentinel matchable.
-func TestTaskSpawnParallelStageErrorsAttributed(t *testing.T) {
-	stageErr := errors.New("stage failed")
-	for _, par := range []int{1, 4} {
-		var ran atomic.Int64
-		err := ForEachComponent(context.Background(), 4, par,
-			func(i int) int { return i },
-			func(task *Task, i int) error {
-				task.Spawn(func() error {
-					ran.Add(1)
-					if i == 2 {
-						return stageErr
-					}
-					return nil
-				})
-				return nil
-			})
-		if err == nil {
-			t.Fatalf("parallelism %d: want error, got nil", par)
-		}
-		if !errors.Is(err, stageErr) {
-			t.Errorf("parallelism %d: errors.Is(err, stageErr) = false; err = %v", par, err)
-		}
-	}
-}
-
-// TestTaskSpawnParallelStagesAllRun checks that every component's spawned
-// stage executes under parallel dispatch (the pool must not terminate while
-// continuations are queued) and that per-index slot writes all land.
-func TestTaskSpawnParallelStagesAllRun(t *testing.T) {
-	const n = 32
-	got := make([]int, n)
-	err := ForEachComponent(context.Background(), n, 4,
-		func(i int) int { return n - i },
-		func(task *Task, i int) error {
-			task.Spawn(func() error {
-				got[i] = i + 1
-				return nil
-			})
-			return nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range got {
-		if v != i+1 {
-			t.Fatalf("slot %d = %d, want %d (stage skipped?)", i, v, i+1)
-		}
-	}
-}
-
-// TestTaskSpawnStagePanicRecovered checks that a panic inside a spawned stage
-// is converted into an attributed error in both modes.
-func TestTaskSpawnStagePanicRecovered(t *testing.T) {
-	for _, par := range []int{1, 2} {
-		err := ForEachComponent(context.Background(), 2, par, nil,
-			func(task *Task, i int) error {
-				task.Spawn(func() error {
-					if i == 1 {
-						panic("stage kaboom")
-					}
-					return nil
-				})
-				return nil
-			})
-		if err == nil || !strings.Contains(err.Error(), "panicked") || !strings.Contains(err.Error(), "stage kaboom") {
-			t.Fatalf("parallelism %d: want recovered panic error, got %v", par, err)
-		}
-	}
-}
-
-// TestForEachComponentStealsUnderImbalance gives one worker a long-running
-// component and checks the other worker steals the rest: everything completes
-// even though the seeded shares are maximally unbalanced.
-func TestForEachComponentStealsUnderImbalance(t *testing.T) {
-	const n = 16
+// TestForEachComponentLargestFirstOrder checks the parallel claim order:
+// largest size first, ties in index order. The worker that claims the
+// largest component is held, so the other worker must claim and finish every
+// remaining component, in exactly the sorted order, while the first is
+// blocked.
+func TestForEachComponentLargestFirstOrder(t *testing.T) {
+	sizes := []int{3, 9, 1, 9, 5, 0, 5, 2}
+	want := []int{3, 4, 6, 0, 7, 2, 5} // after index 1, which is held
 	release := make(chan struct{})
-	var done atomic.Int64
+	rest := make(chan struct{})
+	var mu sync.Mutex
+	var order []int
 	errCh := make(chan error, 1)
 	go func() {
-		errCh <- ForEachComponent(context.Background(), n, 2,
-			func(i int) int {
-				if i == 0 {
-					return 1 << 20 // component 0 dominates; seeded first
+		errCh <- ForEachComponent(context.Background(), len(sizes), 2,
+			func(i int) int { return sizes[i] },
+			func(i int) error {
+				if i == 1 {
+					<-release
+					return nil
 				}
-				return 1
-			},
-			func(_ *Task, i int) error {
-				if i == 0 {
-					<-release // hold worker 0 hostage
+				mu.Lock()
+				order = append(order, i)
+				if len(order) == len(want) {
+					close(rest)
 				}
-				done.Add(1)
+				mu.Unlock()
 				return nil
 			})
 	}()
-	// All other components must finish while component 0 blocks its worker.
-	deadline := time.Now().Add(10 * time.Second)
-	for done.Load() < n-1 {
-		if time.Now().After(deadline) {
-			got := done.Load()
-			close(release)
-			t.Fatalf("only %d/%d components finished while one worker was blocked; stealing broken?", got, n)
-		}
-		time.Sleep(time.Millisecond)
+	select {
+	case <-rest:
+	case <-time.After(10 * time.Second):
+		close(release)
+		mu.Lock()
+		defer mu.Unlock()
+		t.Fatalf("only %v finished while one worker was held", order)
 	}
 	close(release)
 	if err := <-errCh; err != nil {
 		t.Fatal(err)
+	}
+	if !slices.Equal(order, want) {
+		t.Errorf("claim order %v, want %v", order, want)
 	}
 }
