@@ -62,10 +62,11 @@ serve:
 # Short fuzzing passes over the parsers, the set algebra, the price table
 # (against a map), the C_Q enumeration kernel, the set-cover CSR kernel, the
 # preprocessing Step 2 and Step 3 kernels and the cache-key kernel (each
-# kernel against its reference), the instance scanner against
-# encoding/json, the fused decode against Read plus File.Build, the flight
-# recorder's records against the recorder that kept Events, and the session
-# delta endpoint against from-scratch solves.
+# kernel against its reference), the canonical component order (key bytes
+# and set-cover reduction against those of a permuted load), the instance
+# scanner against encoding/json, the fused decode against Read plus
+# File.Build, the flight recorder's records against the recorder that kept
+# Events, and the session delta endpoint against from-scratch solves.
 # Patterns are anchored: go test refuses a -fuzz pattern that matches more
 # than one target. FuzzReadDifferential's and FuzzReadLoadDifferential's
 # seeds include bodies several scan windows long, and
@@ -89,6 +90,7 @@ fuzz:
 	$(GO) test -fuzz '^FuzzNewInstance$$' -fuzztime 30s .
 	$(GO) test -fuzz '^FuzzPrep$$' -fuzztime 30s ./internal/prep/
 	$(GO) test -fuzz '^FuzzComponentKey$$' -fuzztime 30s ./internal/cache/
+	$(GO) test -fuzz '^FuzzComponentOrder$$' -fuzztime 30s ./internal/solver/
 	$(GO) test -fuzz '^FuzzSessionDelta$$' -fuzztime 30s ./internal/serve/
 	$(GO) test -fuzz '^FuzzFlightRecorderDifferential$$' -fuzztime 30s -fuzzminimizetime 10x ./internal/obs/
 

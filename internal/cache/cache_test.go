@@ -51,8 +51,8 @@ func TestComponentKeyRenamingInvariance(t *testing.T) {
 		t.Fatalf("component counts differ: %d vs %d", len(r1.Components), len(r2.Components))
 	}
 	for ci := range r1.Components {
-		k1 := c.ComponentKey("general/x", r1, r1.Components[ci])
-		k2 := c.ComponentKey("general/x", r2, r2.Components[ci])
+		k1 := componentKey(c, "general/x", r1, r1.Components[ci])
+		k2 := componentKey(c, "general/x", r2, r2.Components[ci])
 		if !k1.Valid() || !k2.Valid() {
 			t.Fatalf("component %d: invalid key(s)", ci)
 		}
@@ -70,8 +70,8 @@ func TestComponentKeyQueryOrderInvariance(t *testing.T) {
 
 	// Distinct lengths make the per-query fingerprints distinct, so the
 	// canonical sort is strict. (Locally indistinguishable queries tie and
-	// fall back to load order — a documented extra-miss case, not tested
-	// for invariance here.)
+	// fall back to their property-ID tuples, which a renaming can reorder —
+	// a documented extra-miss case, not tested here.)
 	u1 := core.NewUniverse()
 	q1 := []core.PropSet{u1.Set("a", "b", "c"), u1.Set("b", "d"), u1.Set("c", "d", "e", "f")}
 	r1 := prepFor(t, u1, q1, costByLen)
@@ -84,8 +84,8 @@ func TestComponentKeyQueryOrderInvariance(t *testing.T) {
 	if len(r1.Components) != 1 || len(r2.Components) != 1 {
 		t.Fatalf("expected one component each, got %d and %d", len(r1.Components), len(r2.Components))
 	}
-	k1 := c.ComponentKey("d", r1, r1.Components[0])
-	k2 := c.ComponentKey("d", r2, r2.Components[0])
+	k1 := componentKey(c, "d", r1, r1.Components[0])
+	k2 := componentKey(c, "d", r2, r2.Components[0])
 	if k1.id != k2.id {
 		t.Error("reordered load got a different signature")
 	}
@@ -101,8 +101,8 @@ func TestComponentKeyDistinguishesStructure(t *testing.T) {
 	u2 := core.NewUniverse()
 	r2 := prepFor(t, u2, []core.PropSet{u2.Set("a", "b"), u2.Set("c", "d")}, core.UniformCost(3))
 
-	k1 := c.ComponentKey("d", r1, r1.Components[0])
-	k2 := c.ComponentKey("d", r2, r2.Components[0])
+	k1 := componentKey(c, "d", r1, r1.Components[0])
+	k2 := componentKey(c, "d", r2, r2.Components[0])
 	if k1.id == k2.id {
 		t.Error("shared-property and disjoint loads must not share a signature")
 	}
@@ -115,14 +115,14 @@ func TestComponentKeyDistinguishesCostsAndDomain(t *testing.T) {
 		r1 := prepFor(t, u1, []core.PropSet{u1.Set("a", "b")}, core.UniformCost(costs[0]))
 		u2 := core.NewUniverse()
 		r2 := prepFor(t, u2, []core.PropSet{u2.Set("a", "b")}, core.UniformCost(costs[1]))
-		if c.ComponentKey("d", r1, r1.Components[0]).id == c.ComponentKey("d", r2, r2.Components[0]).id {
+		if componentKey(c, "d", r1, r1.Components[0]).id == componentKey(c, "d", r2, r2.Components[0]).id {
 			t.Errorf("costs %v and %v must not share a signature", costs[0], costs[1])
 		}
 	}
 
 	u := core.NewUniverse()
 	r := prepFor(t, u, []core.PropSet{u.Set("a", "b")}, core.UniformCost(3))
-	if c.ComponentKey("ktwo/dinic", r, r.Components[0]).id == c.ComponentKey("general/greedy", r, r.Components[0]).id {
+	if componentKey(c, "ktwo/dinic", r, r.Components[0]).id == componentKey(c, "general/greedy", r, r.Components[0]).id {
 		t.Error("different algorithm domains must not share a signature")
 	}
 }
@@ -131,7 +131,7 @@ func TestLookupStoreTranslation(t *testing.T) {
 	c := New(Config{})
 	u := core.NewUniverse()
 	r := prepFor(t, u, []core.PropSet{u.Set("a", "b"), u.Set("b", "c")}, core.UniformCost(3))
-	k := c.ComponentKey("d", r, r.Components[0])
+	k := componentKey(c, "d", r, r.Components[0])
 
 	if _, ok := c.Lookup(k); ok {
 		t.Fatal("lookup before store must miss")
@@ -161,7 +161,7 @@ func TestStoreForeignPickIsDropped(t *testing.T) {
 	c := New(Config{})
 	u := core.NewUniverse()
 	r := prepFor(t, u, []core.PropSet{u.Set("a", "b")}, core.UniformCost(3))
-	k := c.ComponentKey("d", r, r.Components[0])
+	k := componentKey(c, "d", r, r.Components[0])
 
 	// A classifier ID outside the component's enumeration cannot be
 	// canonicalized; the store must be a no-op rather than caching garbage.
@@ -177,7 +177,7 @@ func TestLRUEviction(t *testing.T) {
 	for i := range keys {
 		u := core.NewUniverse()
 		r := prepFor(t, u, []core.PropSet{u.Set("a", "b")}, core.UniformCost(float64(i+1)))
-		keys[i] = c.ComponentKey("d", r, r.Components[0])
+		keys[i] = componentKey(c, "d", r, r.Components[0])
 		c.Store(keys[i], nil)
 	}
 	if _, ok := c.Lookup(keys[0]); ok {
@@ -197,7 +197,7 @@ func TestLRUEviction(t *testing.T) {
 	c.Lookup(keys[1])
 	u := core.NewUniverse()
 	r := prepFor(t, u, []core.PropSet{u.Set("a", "b")}, core.UniformCost(99))
-	c.Store(c.ComponentKey("d", r, r.Components[0]), nil)
+	c.Store(componentKey(c, "d", r, r.Components[0]), nil)
 	if _, ok := c.Lookup(keys[1]); !ok {
 		t.Error("recently used entry must not be evicted")
 	}
@@ -210,7 +210,7 @@ func TestResetAndLen(t *testing.T) {
 	c := New(Config{})
 	u := core.NewUniverse()
 	r := prepFor(t, u, []core.PropSet{u.Set("a", "b")}, core.UniformCost(1))
-	c.Store(c.ComponentKey("d", r, r.Components[0]), nil)
+	c.Store(componentKey(c, "d", r, r.Components[0]), nil)
 	if c.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", c.Len())
 	}
@@ -222,7 +222,10 @@ func TestResetAndLen(t *testing.T) {
 
 func TestNilCacheIsSafe(t *testing.T) {
 	var c *Cache
-	k := c.ComponentKey("d", nil, nil)
+	u := core.NewUniverse()
+	r := prepFor(t, u, []core.PropSet{u.Set("a", "b")}, core.UniformCost(3))
+	cc, k := Canonical(c, "d", r, r.Components[0])
+	cc.Release()
 	if k.Valid() {
 		t.Error("nil cache must produce invalid keys")
 	}
@@ -242,7 +245,7 @@ func TestManyEntriesStayConsistent(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		u := core.NewUniverse()
 		r := prepFor(t, u, []core.PropSet{u.Set("a", fmt.Sprintf("b%d", i))}, core.UniformCost(float64(i+1)))
-		k := c.ComponentKey("d", r, r.Components[0])
+		k := componentKey(c, "d", r, r.Components[0])
 		c.Store(k, nil)
 		keys = append(keys, k)
 	}

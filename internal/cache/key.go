@@ -11,42 +11,46 @@
 // component is answered in O(signature) instead of re-running the set-cover
 // or max-flow machinery.
 //
-// # Signature canonicalization
+// # The canonical component
 //
 // A component's solve outcome is fully determined by its local structure:
 // per residual query, the set of alive classifiers (query-local bitmask +
 // effective cost), the query's already-covered property mask, and the
 // cross-query identity of classifiers (which queries share which
-// classifier). The signature encodes exactly that, with two canonical
-// renamings applied so that structurally identical components met in
-// different loads — different property names, different query order — map to
-// the same key:
+// classifier). Canonical puts a component in one order that only this
+// structure and the queries' properties define, whatever order the load
+// presented them in:
 //
-//   - queries are ordered by a local fingerprint (length, covered mask,
-//     classifier masks and the exact IEEE-754 bits of their costs), not by
-//     their instance indices;
-//   - classifiers are numbered by first appearance in that canonical order,
-//     not by their instance IDs.
+//   - queries are sorted by a local fingerprint (length, covered mask,
+//     classifier masks and the exact IEEE-754 bits of their costs), largest
+//     first, ties broken by the query's property-ID tuple (identical
+//     queries, kept under KeepDuplicateQueries, have identical rows, so
+//     their order changes nothing);
+//   - classifiers are numbered by first appearance in that order.
 //
-// The full encoding is the map key (byte equality, no hash collisions), so
-// equal keys imply an exact isomorphism between the components, under which
-// a stored solution transfers soundly: the translated picks cover the new
-// component at the same effective cost, bit for bit, so a hit returns what a
-// fresh solve of the same signature returned. Renamings that permute
-// properties *within* a query reorder its local bits and produce a different
-// signature; that costs a miss, never a wrong hit. The algorithm domain
-// (general vs k ≤ 2, set-cover method, max-flow engine) is part of the key,
-// so different configurations never share entries.
+// Every residual solve reads its component in this order, cached or not,
+// and the signature (Key) encodes it. The full encoding is the map key
+// (byte equality, no hash collisions), so equal keys imply an exact
+// isomorphism between the components, under which a stored solution
+// transfers soundly: the translated picks cover the new component at the
+// same effective cost, bit for bit. As the solvers read nothing but the
+// canonical component, its cover is a function of the key bytes, and a hit
+// returns what a fresh solve would. Isomorphic components under other
+// property names share a key unless tied queries' property tuples order
+// differently, and renamings that permute properties *within* a query
+// reorder its local bits; either costs a miss, never a wrong hit. The
+// algorithm domain (general vs k ≤ 2, set-cover method, max-flow engine) is
+// part of the key, so different configurations never share entries.
 //
-// # The key kernel
+// # The kernel
 //
-// The signature is built on every cached component solve, so it is built
-// without maps: fingerprints go back to back into one byte arena, queries
-// are ordered by a sort over their positions, and classifiers are numbered
-// through a dense array indexed by ClassifierID. That working memory is
-// pooled; a call takes one scratch from the pool, clears the entries it
-// numbered through the key's classifier list, and returns it, so concurrent
-// calls never share scratch and no call pays for the instance's size.
+// The canonical component is built on every residual solve, without maps:
+// fingerprints go back to back into one byte arena, one sort orders the
+// queries, and one walk numbers the classifiers through a dense array
+// indexed by ClassifierID. That scratch is pooled and held from Canonical
+// to Release, which clears the entries it numbered, so concurrent solves
+// never share scratch and no call pays for the instance's size. The key
+// bytes are written only when a cache is attached.
 package cache
 
 import (
@@ -63,9 +67,9 @@ import (
 )
 
 // Key identifies one residual component under one algorithm domain. The zero
-// Key is invalid; build one with Cache.ComponentKey. A Key carries the
-// local→global classifier mapping of the component it was built from, so the
-// cache can translate stored solutions into the current instance's IDs.
+// Key is invalid; build one with Canonical. A Key carries the local→global
+// classifier mapping of the component it was built from, so the cache can
+// translate stored solutions into the current instance's IDs.
 type Key struct {
 	id      string
 	globals []core.ClassifierID // canonical local index → instance classifier ID
@@ -74,42 +78,57 @@ type Key struct {
 // Valid reports whether the key was successfully built.
 func (k Key) Valid() bool { return k.id != "" }
 
-// keyScratch is the working memory of ComponentKey and Store.
-type keyScratch struct {
-	arena []byte  // the component's query fingerprints, back to back
+// Component is a residual component in canonical order (see the package
+// doc). Build one with Canonical and hand it back with Release; its fields
+// and numbering stay valid until then and must not be modified.
+type Component struct {
+	// Queries holds the component's residual query indices in canonical
+	// order.
+	Queries []int
+	// Classifiers lists the component's alive classifiers by local number:
+	// the order of their first appearance along Queries.
+	Classifiers []core.ClassifierID
+	// Uncovered holds, per local number, how many still-uncovered query
+	// properties the classifier tests over all of Queries.
+	Uncovered []int32
+
+	arena []byte  // query fingerprints in component order, back to back
 	off   []int32 // fingerprint i is arena[off[i]:off[i+1]]
-	order []int32 // fingerprint positions in canonical order
-	// local numbers classifiers: local index + 1 per ClassifierID, 0 for
-	// one not numbered. Every call leaves it all zero.
-	local   []int32
-	globals []core.ClassifierID
-	buf     []byte
+	order []int32 // component positions in canonical order
+	// local is local number + 1 per ClassifierID, 0 for one not numbered.
+	// Release leaves it all zero.
+	local []int32
+	buf   []byte
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(keyScratch) }}
+var componentPool = sync.Pool{New: func() any { return new(Component) }}
 
 // numbering returns the scratch's local array, grown to index IDs below n.
-func (sc *keyScratch) numbering(n int) []int32 {
-	if len(sc.local) < n {
-		sc.local = make([]int32, n)
+func (cc *Component) numbering(n int) []int32 {
+	if len(cc.local) < n {
+		cc.local = make([]int32, n)
 	}
-	return sc.local
+	return cc.local
 }
 
-// ComponentKey builds the canonical signature of component comp (a slice of
-// residual query indices, as produced by preprocessing) of r, under the
-// given algorithm domain. A nil cache returns an invalid Key.
-func (c *Cache) ComponentKey(domain string, r *prep.Result, comp []int) Key {
-	if c == nil || len(comp) == 0 {
-		return Key{}
-	}
+// Canonical puts component comp of r (residual query indices, as produced
+// by preprocessing) in canonical order and returns it with its key for
+// cache c under the given algorithm domain: one pass writes the
+// fingerprints, one sort orders them, and one walk numbers the classifiers
+// and writes the key bytes. With c nil it writes no key bytes and returns
+// an invalid Key, as it does for an empty component.
+func Canonical(c *Cache, domain string, r *prep.Result, comp []int) (*Component, Key) {
 	inst := r.Inst
-	sc := scratchPool.Get().(*keyScratch)
-	defer scratchPool.Put(sc)
+	cc := componentPool.Get().(*Component)
 
-	// Pass 1: per-query local fingerprints — everything about the query
-	// except cross-query classifier identity — into the arena.
-	arena, off := sc.arena[:0], append(sc.off[:0], 0)
+	// Per-query local fingerprints — everything about the query except
+	// cross-query classifier identity — into the arena, sized up front for
+	// ten bytes a row (a growing arena would allocate several times over).
+	est := 0
+	for _, qi := range comp {
+		est += 2 + 10*len(inst.QueryClassifiers(qi))
+	}
+	arena, off := slices.Grow(cc.arena[:0], est), append(slices.Grow(cc.off[:0], len(comp)+1), 0)
 	rows := 0 // alive classifier rows over all queries
 	for _, qi := range comp {
 		arena = binary.AppendUvarint(arena, uint64(inst.Query(qi).Len()))
@@ -124,63 +143,88 @@ func (c *Cache) ComponentKey(domain string, r *prep.Result, comp []int) Key {
 		}
 		off = append(off, int32(len(arena)))
 	}
-	sc.arena, sc.off = arena, off
 
-	// Canonical query order: by fingerprint, original position breaking ties.
-	// Tied queries are locally indistinguishable, so either order yields a
-	// signature that transfers correctly; ties merely make two isomorphic
-	// components *potentially* hash apart (an extra miss, never a wrong hit).
-	order := sc.order[:0]
+	// Largest fingerprint first, then the property-ID tuple, then the
+	// component position (reached only by identical queries).
+	order := slices.Grow(cc.order[:0], len(comp))
 	for i := range comp {
 		order = append(order, int32(i))
 	}
 	slices.SortFunc(order, func(a, b int32) int {
-		if c := bytes.Compare(arena[off[a]:off[a+1]], arena[off[b]:off[b+1]]); c != 0 {
+		if c := bytes.Compare(arena[off[b]:off[b+1]], arena[off[a]:off[a+1]]); c != 0 {
+			return c
+		}
+		if c := slices.Compare(inst.Query(comp[a]), inst.Query(comp[b])); c != 0 {
 			return c
 		}
 		return cmp.Compare(a, b)
 	})
-	sc.order = order
 
-	// Pass 2: number classifiers by first appearance in canonical order and
-	// emit the final encoding: header, then per query its fingerprint plus
-	// the local-ID sequence of its alive classifiers. Local IDs stay below
-	// rows and no fingerprint is longer than the arena, which bounds the
-	// encoding's length.
-	size := len(domain) + 1 + uvarintLen(uint64(len(comp))) +
-		len(comp)*uvarintLen(uint64(len(arena))) + len(arena) + rows*uvarintLen(uint64(rows))
-	buf := slices.Grow(sc.buf[:0], size)
-	local := sc.numbering(inst.NumClassifiers())
-	globals := sc.globals[:0]
-	buf = append(buf, domain...)
-	buf = append(buf, 0)
-	buf = binary.AppendUvarint(buf, uint64(len(comp)))
+	// Number the alive classifiers by first appearance in that order and
+	// emit the key: a header, then per query its fingerprint plus the local
+	// numbers of its alive classifiers. Local numbers stay below rows and no
+	// fingerprint is longer than the arena, which bounds the key's length.
+	keyed := c != nil && len(comp) > 0
+	var buf []byte
+	if keyed {
+		size := len(domain) + 1 + uvarintLen(uint64(len(comp))) +
+			len(comp)*uvarintLen(uint64(len(arena))) + len(arena) + rows*uvarintLen(uint64(rows))
+		buf = append(slices.Grow(cc.buf[:0], size), domain...)
+		buf = append(buf, 0)
+		buf = binary.AppendUvarint(buf, uint64(len(comp)))
+	}
+	queries := slices.Grow(cc.Queries[:0], len(comp))
+	globals, uncovered := slices.Grow(cc.Classifiers[:0], rows), slices.Grow(cc.Uncovered[:0], rows)
+	local := cc.numbering(inst.NumClassifiers())
 	for _, i := range order {
-		fp := arena[off[i]:off[i+1]]
-		buf = binary.AppendUvarint(buf, uint64(len(fp)))
-		buf = append(buf, fp...)
-		for _, qc := range inst.QueryClassifiers(comp[i]) {
+		qi := comp[i]
+		queries = append(queries, qi)
+		if keyed {
+			fp := arena[off[i]:off[i+1]]
+			buf = binary.AppendUvarint(buf, uint64(len(fp)))
+			buf = append(buf, fp...)
+		}
+		covered := r.CoveredMask[qi]
+		for _, qc := range inst.QueryClassifiers(qi) {
 			if r.Removed[qc.ID] {
 				continue
 			}
 			li := local[qc.ID]
 			if li == 0 {
-				globals = append(globals, qc.ID)
+				globals, uncovered = append(globals, qc.ID), append(uncovered, 0)
 				li = int32(len(globals))
 				local[qc.ID] = li
 			}
-			buf = binary.AppendUvarint(buf, uint64(li-1))
+			uncovered[li-1] += int32(bits.OnesCount64(qc.Mask &^ covered))
+			if keyed {
+				buf = binary.AppendUvarint(buf, uint64(li-1))
+			}
 		}
 	}
-	for _, id := range globals {
-		local[id] = 0
+	cc.arena, cc.off, cc.order = arena, off, order
+	cc.Queries, cc.Classifiers, cc.Uncovered = queries, globals, uncovered
+	if !keyed {
+		return cc, Key{}
 	}
-	sc.buf, sc.globals = buf, globals
-	return Key{id: string(buf), globals: slices.Clone(globals)}
+	cc.buf = buf
+	return cc, Key{id: string(buf), globals: slices.Clone(globals)}
 }
 
 // uvarintLen returns the length of x's uvarint encoding.
 func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// Local returns the local number of classifier id, or -1 for a classifier
+// that is not an alive classifier of the component.
+func (cc *Component) Local(id core.ClassifierID) int32 { return cc.local[id] - 1 }
+
+// Release hands the component's scratch back to the pool. cc must not be
+// used afterwards.
+func (cc *Component) Release() {
+	for _, id := range cc.Classifiers {
+		cc.local[id] = 0
+	}
+	componentPool.Put(cc)
+}
 
 // encode translates picks (instance classifier IDs) into k's canonical
 // local indices. It reports false when a pick is outside the component's
@@ -190,8 +234,8 @@ func (k Key) encode(picks []core.ClassifierID) ([]int32, bool) {
 	for _, id := range k.globals {
 		n = max(n, int(id)+1)
 	}
-	sc := scratchPool.Get().(*keyScratch)
-	defer scratchPool.Put(sc)
+	sc := componentPool.Get().(*Component)
+	defer componentPool.Put(sc)
 	local := sc.numbering(n)
 	for i, id := range k.globals {
 		local[id] = int32(i) + 1

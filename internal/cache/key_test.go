@@ -19,8 +19,9 @@ import (
 
 // refComponentKey is the straightforward signature builder the key kernel
 // replaced, kept as the reference it is checked against: a string per
-// query fingerprint, a sort over fingerprint records, classifiers numbered
-// through a map, and a key buffer grown append by append.
+// query fingerprint, a sort over fingerprint records (largest first, then
+// the property-ID tuple, then the component position), classifiers
+// numbered through a map, and a key buffer grown append by append.
 func refComponentKey(domain string, r *prep.Result, comp []int) Key {
 	if len(comp) == 0 {
 		return Key{}
@@ -48,7 +49,10 @@ func refComponentKey(domain string, r *prep.Result, comp []int) Key {
 	}
 	sort.Slice(fps, func(i, j int) bool {
 		if fps[i].fp != fps[j].fp {
-			return fps[i].fp < fps[j].fp
+			return fps[i].fp > fps[j].fp
+		}
+		if c := slices.Compare(inst.Query(fps[i].qi), inst.Query(fps[j].qi)); c != 0 {
+			return c < 0
 		}
 		return fps[i].pos < fps[j].pos
 	})
@@ -79,13 +83,20 @@ func refComponentKey(domain string, r *prep.Result, comp []int) Key {
 	return Key{id: string(buf), globals: globals}
 }
 
+// componentKey builds the key of component comp of r through the kernel.
+func componentKey(c *Cache, domain string, r *prep.Result, comp []int) Key {
+	cc, k := Canonical(c, domain, r, comp)
+	cc.Release()
+	return k
+}
+
 // checkKeys keys every component of r through the kernel and through the
 // reference, and fails unless the key bytes and classifier lists agree. It
 // returns the number of components checked.
 func checkKeys(t testing.TB, c *Cache, domain string, r *prep.Result) int {
 	t.Helper()
 	for ci, comp := range r.Components {
-		got, want := c.ComponentKey(domain, r, comp), refComponentKey(domain, r, comp)
+		got, want := componentKey(c, domain, r, comp), refComponentKey(domain, r, comp)
 		if got.id != want.id {
 			t.Fatalf("component %d (%d queries): key bytes differ from the reference", ci, len(comp))
 		}
@@ -241,7 +252,7 @@ func FuzzComponentKey(f *testing.F) {
 	})
 }
 
-// TestComponentKeyConcurrent runs ComponentKey, Lookup and Store from
+// TestComponentKeyConcurrent runs Canonical, Lookup and Store from
 // several goroutines on one cache, over instances of different sizes, so
 // the pooled scratch is shared, grown and reused; run it with -race. Every
 // key must match the reference, and every hit must translate to the picks
@@ -271,7 +282,7 @@ func TestComponentKeyConcurrent(t *testing.T) {
 				for i := range results {
 					r := results[(i+w)%len(results)]
 					for ci, comp := range r.Components {
-						k := c.ComponentKey("d", r, comp)
+						k := componentKey(c, "d", r, comp)
 						want := refComponentKey("d", r, comp)
 						if k.id != want.id || !slices.Equal(k.globals, want.globals) {
 							errs <- fmt.Errorf("worker %d: component %d: key differs from the reference", w, ci)

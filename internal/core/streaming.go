@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // StreamingBuilder ingests a query load one query at a time and maintains the
@@ -45,19 +46,11 @@ type StreamingBuilder struct {
 
 // liveComponent is one property-connected group of queries still being grown.
 type liveComponent struct {
-	queries  []streamQuery
+	queries  []PropSet
 	shapes   map[string]struct{}
+	first    int64 // seq of the earliest query held; set once queries is non-empty
 	last     int64 // seq of the last query that touched this component
 	reopened bool  // created by a reopen of already-sealed properties
-}
-
-// streamQuery is a query plus its arrival sequence number, kept so merged
-// components can restore global arrival order at seal time (solvers are
-// presentation-dependent in their tie-breaking; arrival order is the
-// presentation a whole-load solve would see).
-type streamQuery struct {
-	seq int64
-	q   PropSet
 }
 
 // StreamOptions configure a StreamingBuilder.
@@ -80,7 +73,9 @@ type StreamOptions struct {
 // SealedComponent is one property-disjoint group of queries handed off by the
 // builder, ready to be solved as a standalone instance.
 type SealedComponent struct {
-	// Queries holds the component's distinct query shapes in arrival order.
+	// Queries holds the component's distinct query shapes, in no particular
+	// order: the solvers read each residual component in its canonical
+	// order.
 	Queries []PropSet
 	// Index is the seal sequence number (0-based): the deterministic order
 	// in which components were handed off.
@@ -209,7 +204,10 @@ func (b *StreamingBuilder) Add(q PropSet) error {
 	}
 	c := b.comps[root]
 	c.shapes[string(b.keyBuf)] = struct{}{}
-	c.queries = append(c.queries, streamQuery{seq: b.seq, q: q})
+	if len(c.queries) == 0 {
+		c.first = b.seq
+	}
+	c.queries = append(c.queries, q)
 	c.last = b.seq
 	b.liveQ++
 	if b.liveQ > b.peakQ {
@@ -249,8 +247,8 @@ func (b *StreamingBuilder) Finish() []*SealedComponent {
 	return out
 }
 
-// sealWhere extracts the components matching pred, restores arrival order
-// within each, marks their properties sealed, and frees the live state.
+// sealWhere extracts the components matching pred, marks their properties
+// sealed, and frees the live state.
 func (b *StreamingBuilder) sealWhere(pred func(*liveComponent) bool) []*SealedComponent {
 	type rooted struct {
 		root int32
@@ -270,20 +268,14 @@ func (b *StreamingBuilder) sealWhere(pred func(*liveComponent) bool) []*SealedCo
 			picked = append(picked, rooted{root, c})
 		}
 	}
-	// Deterministic seal order: by earliest arrival. Each component's query
-	// list is append-ordered per merge, so its minimum seq is the earliest
-	// element after sorting.
-	for _, rc := range picked {
-		sort.Slice(rc.c.queries, func(i, j int) bool { return rc.c.queries[i].seq < rc.c.queries[j].seq })
-	}
-	sort.Slice(picked, func(i, j int) bool { return picked[i].c.queries[0].seq < picked[j].c.queries[0].seq })
+	// Deterministic seal order: by earliest arrival.
+	slices.SortFunc(picked, func(x, y rooted) int { return cmp.Compare(x.c.first, y.c.first) })
 
 	out := make([]*SealedComponent, 0, len(picked))
 	for _, rc := range picked {
-		qs := make([]PropSet, len(rc.c.queries))
-		for i, sq := range rc.c.queries {
-			qs[i] = sq.q
-			for _, p := range sq.q {
+		qs := rc.c.queries
+		for _, q := range qs {
+			for _, p := range q {
 				b.sealed[p] = true
 			}
 		}
@@ -359,6 +351,10 @@ func (b *StreamingBuilder) union(a, b2 int32) int32 {
 			// Keep the larger payload; only the root pointer follows rank.
 			ca.queries, cb.queries = cb.queries, ca.queries
 			ca.shapes, cb.shapes = cb.shapes, ca.shapes
+			ca.first, cb.first = cb.first, ca.first
+		}
+		if len(cb.queries) > 0 {
+			ca.first = min(ca.first, cb.first)
 		}
 		ca.queries = append(ca.queries, cb.queries...)
 		for k := range cb.shapes {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -38,9 +39,16 @@ func TestStreamingBuilderPartition(t *testing.T) {
 	if comps[0].Index != 0 || comps[1].Index != 1 {
 		t.Errorf("indices = %d,%d, want 0,1", comps[0].Index, comps[1].Index)
 	}
-	// Arrival order within a component is preserved.
-	if comps[0].Queries[0].Len() != 2 || comps[1].Queries[1].Len() != 1 {
-		t.Errorf("queries out of arrival order: %v / %v", comps[0].Queries, comps[1].Queries)
+	// Each component holds exactly its own queries, in no particular order.
+	for i, want := range [][]string{{"a,b", "b,c"}, {"x", "x,y"}} {
+		var got []string
+		for _, q := range comps[i].Queries {
+			got = append(got, strings.Join(u.SetNames(q), ","))
+		}
+		slices.Sort(got)
+		if !slices.Equal(got, want) {
+			t.Errorf("component %d holds %v, want %v", i, got, want)
+		}
 	}
 }
 

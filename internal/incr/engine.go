@@ -130,7 +130,7 @@ type qEntry struct {
 	set   core.PropSet
 	key   string
 	count int   // multiset multiplicity
-	seq   int64 // first-insertion sequence; materialization order
+	seq   int64 // first-insertion sequence: QuerySets order, split numbering
 	comp  int   // owning component id
 }
 
@@ -814,21 +814,17 @@ func (e *Engine) rebuildLocked(comp *component, res *Result, oldPicks *[]core.Pr
 }
 
 // solveComponent re-solves one component: it materializes the component's
-// queries (insertion order) as a standalone instance over the shared
-// universe and runs the configured solver with the shared cache and the
-// load's ambient query length. Called from scheduler workers during Apply
-// (which holds mu): the engine state it reads (universe, cost model, cache,
-// options) is stable for the duration, and it writes only comp, which no
-// other in-flight solve touches.
+// queries, in whatever order the map yields them, as a standalone instance
+// over the shared universe and runs the configured solver with the shared
+// cache and the load's ambient query length. The solvers read each residual
+// component in its canonical order, so the query order does not matter.
+// Called from scheduler workers during Apply (which holds mu): the engine
+// state it reads (universe, cost model, cache, options) is stable for the
+// duration, and it writes only comp, which no other in-flight solve touches.
 func (e *Engine) solveComponent(ctx context.Context, comp *component, maxLen int) error {
-	entries := make([]*qEntry, 0, len(comp.queries))
+	qs := make([]core.PropSet, 0, len(comp.queries))
 	for _, qe := range comp.queries {
-		entries = append(entries, qe)
-	}
-	slices.SortFunc(entries, bySeq)
-	qs := make([]core.PropSet, len(entries))
-	for i, qe := range entries {
-		qs[i] = qe.set
+		qs = append(qs, qe.set)
 	}
 
 	inst, err := core.NewInstance(e.u, qs, e.costs, core.Options{})

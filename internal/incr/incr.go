@@ -34,10 +34,11 @@
 //     Step 4 gate both flip for *every* component, so the engine dirties
 //     all of them.
 //
-// Within a fixed gate, a component instance materialized in insertion order
-// enumerates queries and classifiers in the same relative order as the
-// whole-load instance, so the deterministic solvers make identical
-// decisions and the composed cost is bit-identical, not merely close.
+// Within a fixed gate, each residual component is solved in its canonical
+// order (internal/cache), which only the component's structure defines. A
+// component instance materialized in any query order therefore makes the
+// same decisions as the whole-load solve, and the composed cost is
+// bit-identical, not merely close.
 package incr
 
 import (

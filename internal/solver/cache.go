@@ -6,21 +6,19 @@ import (
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/prep"
 )
 
-// componentCacheLookup consults opts.Cache for the component's memoized
-// solution. It returns the component's key (for a later Store on miss), the
-// translated picks, and whether the lookup hit. With no cache attached it
-// returns an invalid key and no hit at zero cost. The outcome is recorded on
-// the surrounding component span (attribute "cache": "hit" | "miss"), so
-// traces and the auto per-span metrics expose the amortization directly.
-func componentCacheLookup(ctx context.Context, opts Options, domain string, r *prep.Result, comp []int) (cache.Key, []core.ClassifierID, bool) {
-	if opts.Cache == nil {
-		return cache.Key{}, nil, false
+// componentCacheLookup consults c for the memoized solution of the
+// component key was built from, and returns the translated picks and
+// whether the lookup hit. With no cache attached it returns no hit at zero
+// cost. The outcome is recorded on the surrounding component span
+// (attribute "cache": "hit" | "miss"), so traces and the auto per-span
+// metrics expose the amortization directly.
+func componentCacheLookup(ctx context.Context, c *cache.Cache, key cache.Key) ([]core.ClassifierID, bool) {
+	if c == nil {
+		return nil, false
 	}
-	key := opts.Cache.ComponentKey(domain, r, comp)
-	picks, hit := opts.Cache.Lookup(key)
+	picks, hit := c.Lookup(key)
 	if sp := obs.FromContext(ctx); sp != nil {
 		if hit {
 			sp.SetAttr(obs.Str("cache", "hit"))
@@ -28,5 +26,5 @@ func componentCacheLookup(ctx context.Context, opts Options, domain string, r *p
 			sp.SetAttr(obs.Str("cache", "miss"))
 		}
 	}
-	return key, picks, hit
+	return picks, hit
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/prep"
@@ -48,11 +49,11 @@ func generalResidual(ctx context.Context, r *prep.Result, opts Options) ([]core.
 	return solveResidual(ctx, r, opts, "general/"+opts.WSC.String(), generalComponent)
 }
 
-// generalComponent covers component comp: it builds the WSC reduction, races
-// the set-cover engines over it, and maps the picked sets back to
-// classifiers.
-func generalComponent(ctx context.Context, r *prep.Result, comp []int, opts Options) ([]core.ClassifierID, error) {
-	sc, setIDs := buildWSC(r, comp)
+// generalComponent covers the canonical component cc: it builds the WSC
+// reduction, races the set-cover engines over it, and maps the picked sets
+// back to classifiers.
+func generalComponent(ctx context.Context, r *prep.Result, cc *cache.Component, opts Options) ([]core.ClassifierID, error) {
+	sc, setIDs := buildWSC(r, cc)
 	if sc.NumElements() == 0 {
 		return nil, nil
 	}

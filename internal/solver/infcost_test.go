@@ -33,7 +33,7 @@ func TestBuildWSCFiltersNonFiniteCosts(t *testing.T) {
 	r.EffCost[abID] = math.Inf(1)
 	r.EffCost[bcID] = math.NaN()
 
-	sc, setIDs := buildWSC(r, r.Components[0])
+	sc, setIDs := wscOf(r, r.Components[0])
 	for _, id := range setIDs {
 		if id == abID || id == bcID {
 			t.Errorf("non-finite-cost classifier %d became a WSC set", id)

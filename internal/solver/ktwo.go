@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"repro/internal/bipartite"
+	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/prep"
@@ -55,10 +56,11 @@ func ktwoResidual(ctx context.Context, r *prep.Result, opts Options) ([]core.Cla
 	return solveResidual(ctx, r, opts, "ktwo/"+opts.Engine.String(), ktwoComponent)
 }
 
-// ktwoComponent solves component comp exactly: it builds the bipartite WVC
-// reduction's flow network, runs the max-flow engine over it, and maps the
-// cover back to classifiers.
-func ktwoComponent(ctx context.Context, r *prep.Result, comp []int, opts Options) ([]core.ClassifierID, error) {
+// ktwoComponent solves the canonical component cc exactly: it builds the
+// bipartite WVC reduction's flow network, runs the max-flow engine over it,
+// and maps the cover back to classifiers. The cover is read off the minimal
+// minimum cut, which does not depend on the order of the network's nodes.
+func ktwoComponent(ctx context.Context, r *prep.Result, cc *cache.Component, opts Options) ([]core.ClassifierID, error) {
 	inst := r.Inst
 	// Left: one node per property in the component (its singleton
 	// classifier, or a +Inf placeholder when that classifier is absent
@@ -94,7 +96,7 @@ func ktwoComponent(ctx context.Context, r *prep.Result, comp []int, opts Options
 		return i
 	}
 
-	for _, qi := range comp {
+	for _, qi := range cc.Queries {
 		q := inst.Query(qi)
 		if q.Len() != 2 {
 			return nil, fmt.Errorf("solver: residual query %v has length %d; preprocessing should leave only length-2 queries", q, q.Len())

@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/prep"
 )
@@ -26,7 +27,9 @@ func LPLowerBound(inst *core.Instance, opts Options) (float64, error) {
 		bound += inst.Cost(id)
 	}
 	for _, comp := range r.Components {
-		sc, _ := buildWSC(r, comp)
+		cc, _ := cache.Canonical(nil, "", r, comp)
+		sc, _ := buildWSC(r, cc)
+		cc.Release()
 		if sc.NumElements() == 0 {
 			continue
 		}

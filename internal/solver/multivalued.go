@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/bits"
 
+	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/prep"
@@ -65,13 +66,13 @@ func GeneralWithMultiValued(inst *core.Instance, multis []MultiValued, opts Opti
 	var picksBinary []core.ClassifierID
 	var picksMulti []int
 	for _, comp := range r.Components {
-		sc, setIDs := buildWSC(r, comp)
+		cc, _ := cache.Canonical(nil, "", r, comp)
+		sc, setIDs := buildWSC(r, cc)
+		multiSets := addMultiValuedSets(r, cc.Queries, sc, multis)
+		cc.Release()
 		if sc.NumElements() == 0 {
 			continue
 		}
-		// Element numbering inside buildWSC: queries in comp order, then
-		// uncovered bits in query order. Recreate it to attach multi sets.
-		multiSets := addMultiValuedSets(r, comp, sc, multis)
 
 		sets, _, _, err := runWSC(ctx, sc, opts.WSC)
 		if err != nil {
@@ -111,45 +112,22 @@ func GeneralWithMultiValued(inst *core.Instance, multis []MultiValued, opts Opti
 }
 
 // addMultiValuedSets appends one WSC set per useful multi-valued candidate
-// and returns the candidate index of each appended set.
-func addMultiValuedSets(r *prep.Result, comp []int, sc *setcover.Instance, multis []MultiValued) []int {
+// to sc, the reduction buildWSC made of the component whose canonical query
+// order is queries, and returns the candidate index of each appended set.
+func addMultiValuedSets(r *prep.Result, queries []int, sc *setcover.Instance, multis []MultiValued) []int {
 	inst := r.Inst
-	// Recompute the element numbering used by buildWSC.
-	type qinfo struct {
-		base  int
-		slots []int
-	}
-	infos := make(map[int]qinfo, len(comp))
-	numElems := 0
-	for _, qi := range comp {
-		L := inst.Query(qi).Len()
-		slots := make([]int, L)
-		cnt := 0
-		for b := 0; b < L; b++ {
-			if r.CoveredMask[qi]&(1<<uint(b)) != 0 {
-				slots[b] = -1
-				continue
-			}
-			slots[b] = cnt
-			cnt++
-		}
-		infos[qi] = qinfo{base: numElems, slots: slots}
-		numElems += cnt
-	}
-
 	var added []int
+	var elems []int32
 	for mi, m := range multis {
-		var elems []int32
-		for _, qi := range comp {
-			info := infos[qi]
-			q := inst.Query(qi)
+		elems = elems[:0]
+		base := int32(0)
+		for _, qi := range queries {
+			q, covered := inst.Query(qi), r.CoveredMask[qi]
 			mask, _ := m.Properties.Intersect(q).MaskIn(q)
-			for mm := mask; mm != 0; mm &= mm - 1 {
-				b := bits.TrailingZeros64(mm)
-				if info.slots[b] >= 0 {
-					elems = append(elems, int32(info.base+info.slots[b]))
-				}
+			for mm := mask &^ covered; mm != 0; mm &= mm - 1 {
+				elems = append(elems, element(base, covered, bits.TrailingZeros64(mm)))
 			}
+			base += int32(q.Len() - bits.OnesCount64(covered))
 		}
 		if len(elems) == 0 {
 			continue

@@ -126,10 +126,12 @@ type Options struct {
 	// solves: components whose canonical signature (query bitmasks,
 	// classifier structure, effective costs) matches a previously solved
 	// component are answered from the cache instead of re-running the
-	// set-cover or max-flow machinery. Safe to share between concurrent
-	// solves; nil (the default) disables memoization at zero overhead. The
-	// algorithm domain (general/k≤2, WSC method, max-flow engine) is part of
-	// every key, so one cache serves mixed configurations soundly.
+	// set-cover or max-flow machinery. Every component is solved in the
+	// canonical order its signature encodes, cached or not, so a hit returns
+	// exactly what a fresh solve would. Safe to share between concurrent
+	// solves; nil (the default) disables memoization. The algorithm domain
+	// (general/k≤2, WSC method, max-flow engine) is part of every key, so
+	// one cache serves mixed configurations soundly.
 	Cache *cache.Cache
 	// Tracer, when non-nil and enabled (it has at least one sink or a
 	// metrics registry), receives hierarchical spans covering the whole

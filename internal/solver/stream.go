@@ -76,10 +76,11 @@ type StreamResult struct {
 // the add callback it receives (return an error to abort; ParseQueryLogFunc
 // and the workload stream generators have exactly this shape). Components
 // seal per cfg and are solved concurrently with ingestion through the
-// General path, each as a standalone instance presented in arrival order
-// with the ambient query length — the construction internal/incr proved
-// cost-identical to a whole-load General solve (see docs/STREAMING.md for
-// the argument and its AmbientQueryLen caveat).
+// General path, each as a standalone instance with the ambient query length
+// — the construction internal/incr proved cost-identical to a whole-load
+// General solve, since every residual component is solved in its canonical
+// order (see docs/STREAMING.md for the argument and its AmbientQueryLen
+// caveat).
 //
 // The cost model must price classifiers by content (it is consulted
 // per-component); opts.Validate verifies each component's cover against its
@@ -180,15 +181,19 @@ func SolveStream(u *core.Universe, cm core.CostModel, feed func(add func(core.Pr
 		PeakLiveQueries: st.PeakLiveQueries,
 		MaxQueryLen:     st.MaxQueryLen,
 	}
+	// Sealed components are property-disjoint, so only a reopened one can
+	// repeat a classifier.
 	seen := make(map[string]struct{})
 	var keyBuf []byte
 	for _, cr := range results {
 		for i, cls := range cr.classifiers {
-			keyBuf = cls.AppendKey(keyBuf[:0])
-			if _, ok := seen[string(keyBuf)]; ok {
-				continue // only reachable under AllowReopen
+			if cfg.AllowReopen {
+				keyBuf = cls.AppendKey(keyBuf[:0])
+				if _, ok := seen[string(keyBuf)]; ok {
+					continue
+				}
+				seen[string(keyBuf)] = struct{}{}
 			}
-			seen[string(keyBuf)] = struct{}{}
 			res.Classifiers = append(res.Classifiers, cls)
 			res.Cost += cr.costs[i]
 		}
@@ -262,11 +267,11 @@ func (p *sealPool) worker() {
 	}
 }
 
-// solveOne mirrors internal/incr's per-component solve: the component's
-// queries in arrival order become a standalone instance over the shared
-// universe, solved by General with the ambient query length — the recipe
-// that makes the per-component cover bit-identical to the whole-load solve's
-// share for that component.
+// solveOne solves one sealed component: its queries become a standalone
+// instance over the shared universe, solved by General with the ambient
+// query length. General reads each residual component in its canonical
+// order, so the per-component cover is bit-identical to the whole-load
+// solve's share for that component.
 func (p *sealPool) solveOne(comp *core.SealedComponent) ([]core.PropSet, []float64, error) {
 	inst, err := core.NewInstance(p.u, comp.Queries, p.cm, core.Options{})
 	if err != nil {

@@ -10,6 +10,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/hardness"
 	"repro/internal/prep"
@@ -19,9 +20,10 @@ import (
 
 // refBuildWSC is the pre-optimization WSC reduction, kept verbatim in test
 // form: map-based element numbering with materialized per-bit slot tables and
-// a map-based classifier dedup. The pooled-scratch buildWSC must produce a
-// bit-identical reduction — same element numbering, same set order, same
-// costs — so the downstream engines see exactly the same instance.
+// a map-based classifier dedup. Given the component's canonical query order,
+// the pooled-scratch buildWSC must produce a bit-identical reduction — same
+// element numbering, same set order, same costs — so the downstream engines
+// see exactly the same instance.
 func refBuildWSC(r *prep.Result, comp []int) (*setcover.Instance, []core.ClassifierID) {
 	inst := r.Inst
 
@@ -84,6 +86,14 @@ func refBuildWSC(r *prep.Result, comp []int) (*setcover.Instance, []core.Classif
 		}
 	}
 	return sc, setIDs
+}
+
+// wscOf builds the reduction of component comp of r in its canonical order,
+// as the residual solvers do.
+func wscOf(r *prep.Result, comp []int) (*setcover.Instance, []core.ClassifierID) {
+	cc, _ := cache.Canonical(nil, "", r, comp)
+	defer cc.Release()
+	return buildWSC(r, cc)
 }
 
 // maskOf returns classifier id's bitmask within query qi by scanning the
@@ -186,8 +196,10 @@ func TestBuildWSCDifferential(t *testing.T) {
 			t.Fatalf("%s: prep: %v", name, err)
 		}
 		for ci, comp := range r.Components {
-			gotSC, gotIDs := buildWSC(r, comp)
-			wantSC, wantIDs := refBuildWSC(r, comp)
+			cc, _ := cache.Canonical(nil, "", r, comp)
+			gotSC, gotIDs := buildWSC(r, cc)
+			wantSC, wantIDs := refBuildWSC(r, cc.Queries)
+			cc.Release()
 			compareWSC(t, fmt.Sprintf("%s %v component %d", name, level, ci), gotSC, wantSC, gotIDs, wantIDs)
 		}
 	}
@@ -286,8 +298,8 @@ func TestSolveDifferentialWorkloads(t *testing.T) {
 	}
 }
 
-// refGeneralSolve mirrors generalWithCtx but routes every component through
-// the reference reduction.
+// refGeneralSolve mirrors generalWithCtx but routes every component, in its
+// canonical order, through the reference reduction.
 func refGeneralSolve(inst *core.Instance, opts Options) (*core.Solution, error) {
 	ctx, cancelTimeout, opts := opts.solveContext()
 	defer cancelTimeout()
@@ -297,7 +309,9 @@ func refGeneralSolve(inst *core.Instance, opts Options) (*core.Solution, error) 
 	}
 	var picks []core.ClassifierID
 	for _, comp := range r.Components {
-		sc, setIDs := refBuildWSC(r, comp)
+		cc, _ := cache.Canonical(nil, "", r, comp)
+		sc, setIDs := refBuildWSC(r, cc.Queries)
+		cc.Release()
 		if sc.NumElements() == 0 {
 			continue
 		}
@@ -356,10 +370,12 @@ func TestBuildWSCSteadyStateAllocs(t *testing.T) {
 			comp = c
 		}
 	}
+	cc, _ := cache.Canonical(nil, "", r, comp)
+	defer cc.Release()
 	ws := new(compScratch)
-	sc, _ := ws.buildWSC(r, comp) // warm the scratch
+	sc, _ := ws.buildWSC(r, cc) // warm the scratch
 	const budget = 5
-	if avg := testing.AllocsPerRun(20, func() { ws.buildWSC(r, comp) }); avg > budget {
+	if avg := testing.AllocsPerRun(20, func() { ws.buildWSC(r, cc) }); avg > budget {
 		t.Errorf("buildWSC allocates %.0f per call on a %d-set component, want ≤ %d (output only)",
 			avg, sc.NumSets(), budget)
 	}

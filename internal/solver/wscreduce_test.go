@@ -28,7 +28,7 @@ func TestWSCReductionParameters(t *testing.T) {
 		if len(r.Components) == 0 {
 			continue
 		}
-		sc, setIDs := buildWSC(r, r.Components[0])
+		sc, setIDs := wscOf(r, r.Components[0])
 		if sc.NumElements() == 0 {
 			continue
 		}
@@ -83,7 +83,7 @@ func TestWSCReductionSolutionEquivalence(t *testing.T) {
 		var picks []core.ClassifierID
 		var wscCost float64
 		for _, comp := range r.Components {
-			sc, setIDs := buildWSC(r, comp)
+			sc, setIDs := wscOf(r, comp)
 			if sc.NumElements() == 0 {
 				continue
 			}

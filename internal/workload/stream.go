@@ -116,9 +116,10 @@ func streamPartition(count, seed int64, prefix string, emit func(props []string)
 //   - "synthetic:SEED" — the synthetic generator's content-addressed
 //     integer costs in [1, 50] under SEED.
 //
-// Synthetic costs hash interned property IDs, so they are deterministic for
-// a fixed arrival order of the stream — the same order-sharing requirement
-// the streamed-vs-materialized cost-identity guarantee already imposes.
+// Synthetic costs hash interned property IDs, so a streamed and a
+// materialized solve price classifiers alike only when they intern the
+// stream's properties in the same order. Nothing else in a solve depends on
+// the order its queries arrive in.
 func ParseCostModel(spec string) (core.CostModel, error) {
 	kind, arg, ok := strings.Cut(spec, ":")
 	if !ok {
