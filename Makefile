@@ -60,13 +60,15 @@ serve:
 	$(GO) run ./cmd/mc3serve -addr localhost:8080
 
 # Short fuzzing passes over the parsers, the set algebra, the price table
-# (against a map), the C_Q enumeration kernel, the set-cover CSR kernel, the
-# preprocessing Step 2 and Step 3 kernels and the cache-key kernel (each
-# kernel against its reference), the canonical component order (key bytes
-# and set-cover reduction against those of a permuted load), the instance
-# scanner against encoding/json, the fused decode against Read plus
-# File.Build, the flight recorder's records against the recorder that kept
-# Events, and the session delta endpoint against from-scratch solves.
+# (against a map), the C_Q enumeration kernel (FuzzNewInstance also checks
+# instances assembled from a C_Q store, before and after re-pricing), the
+# set-cover CSR kernel, the preprocessing Step 2 and Step 3 kernels and the
+# cache-key kernel (each kernel against its reference), the canonical
+# component order (key bytes and set-cover reduction against those of a
+# permuted load), the instance scanner against encoding/json, the fused
+# decode against Read plus File.Build, the flight recorder's records
+# against the recorder that kept Events, and the session delta endpoint
+# against from-scratch solves.
 # Patterns are anchored: go test refuses a -fuzz pattern that matches more
 # than one target. FuzzReadDifferential's and FuzzReadLoadDifferential's
 # seeds include bodies several scan windows long, and

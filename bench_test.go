@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/core"
 	"repro/internal/incr"
 	"repro/internal/prep"
 	"repro/internal/solver"
@@ -120,6 +121,56 @@ func BenchmarkInstanceBuild(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := NewInstance(u, queries, cm, InstanceOptions{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkAssemble builds the instance of a 5,000-query Private subset,
+// priced by the full load's cost table as a session's /load body prices
+// it, two ways: NewInstance enumerates and prices every subset, and
+// Assemble copies the rows a C_Q store enumerated once, as a session
+// rebuilds a dirty component.
+func BenchmarkAssemble(b *testing.B) {
+	d := workload.Private(1)
+	full, err := d.Instance()
+	if err != nil {
+		b.Fatal(err)
+	}
+	f := textio.FromInstance(full)
+	sub, err := d.SubsetQueries(5000, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	u := NewUniverse()
+	queries := make([]PropSet, len(sub))
+	for i, q := range sub {
+		queries[i] = u.Set(d.Universe.SetNames(q)...)
+	}
+	cm := f.CostModelFor(u)
+	store, err := core.NewEnumeration(u, cm, InstanceOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	handles := make([]int32, len(queries))
+	for i, q := range queries {
+		if handles[i], err = store.Add(q); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Run("NewInstance", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := NewInstance(u, queries, cm, InstanceOptions{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("Assemble", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := store.Assemble(handles); err != nil {
 				b.Fatal(err)
 			}
 		}

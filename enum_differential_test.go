@@ -10,6 +10,7 @@ package mc3
 import (
 	"math"
 	"math/bits"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -231,11 +232,17 @@ func TestEnumerationDifferentialDuplicates(t *testing.T) {
 // loads over at most 12 properties: each pair of input bytes is one query's
 // property bitmask, salt decides which subsets are priced +Inf, and the
 // duplicate-keeping and bounded-classifier options vary with the input.
+//
+// It then enumerates the load into a C_Q store and assembles the queries
+// pick chooses, one byte per query, in pick's order (repeats only under
+// KeepDuplicateQueries), against the reference of that list: as enumerated,
+// after SetCost makes one +Inf subset of the list available, and after it
+// makes the subset +Inf again.
 func FuzzNewInstance(f *testing.F) {
-	f.Add([]byte{0x07, 0x00, 0x06, 0x00, 0x07, 0x00, 0x18, 0x00}, uint64(1), false, uint8(0))
-	f.Add([]byte{0x07, 0x00, 0x06, 0x00, 0x07, 0x00, 0x18, 0x00}, uint64(7), true, uint8(2))
-	f.Add([]byte{0xff, 0x0f, 0x0f, 0x00, 0xf0, 0x0f, 0xff, 0x0f}, uint64(3), true, uint8(3))
-	f.Fuzz(func(t *testing.T, load []byte, salt uint64, keepDups bool, maxLen uint8) {
+	f.Add([]byte{0x07, 0x00, 0x06, 0x00, 0x07, 0x00, 0x18, 0x00}, uint64(1), false, uint8(0), []byte{3, 0, 1})
+	f.Add([]byte{0x07, 0x00, 0x06, 0x00, 0x07, 0x00, 0x18, 0x00}, uint64(7), true, uint8(2), []byte{1, 1, 0, 2, 1})
+	f.Add([]byte{0xff, 0x0f, 0x0f, 0x00, 0xf0, 0x0f, 0xff, 0x0f}, uint64(3), true, uint8(3), []byte{2, 0, 2})
+	f.Fuzz(func(t *testing.T, load []byte, salt uint64, keepDups bool, maxLen uint8, pick []byte) {
 		const maxQueries = 24
 		var queries []PropSet
 		for i := 0; i+1 < len(load) && len(queries) < maxQueries; i += 2 {
@@ -269,6 +276,63 @@ func FuzzNewInstance(f *testing.F) {
 			t.Fatalf("NewInstance: %v", err)
 		}
 		compareInstance(t, "fuzz", inst, refEnumerateBounded(t, queries, cm, keepDups, k))
+
+		store, err := core.NewEnumeration(NewUniverse(), cm, InstanceOptions{MaxClassifierLen: k})
+		if err != nil {
+			t.Fatalf("NewEnumeration: %v", err)
+		}
+		var distinct []int32
+		var distinctQueries []PropSet
+		for _, q := range queries {
+			h, err := store.Add(q)
+			if err != nil {
+				t.Fatalf("Add(%v): %v", q, err)
+			}
+			if !slices.Contains(distinct, h) {
+				distinct = append(distinct, h)
+				distinctQueries = append(distinctQueries, q)
+			}
+		}
+		var handles []int32
+		var list []PropSet
+		for _, b := range pick {
+			i := int(b) % len(distinct)
+			if !keepDups && slices.Contains(handles, distinct[i]) {
+				continue
+			}
+			handles = append(handles, distinct[i])
+			list = append(list, distinctQueries[i])
+		}
+		if len(handles) == 0 {
+			return
+		}
+		assemble := func(name string, cm CostModel) *refInstance {
+			t.Helper()
+			inst, err := store.Assemble(handles)
+			if err != nil {
+				t.Fatalf("%s: Assemble: %v", name, err)
+			}
+			ref := refEnumerateBounded(t, list, cm, true, k)
+			compareInstance(t, name, inst, ref)
+			return ref
+		}
+		ref := assemble("assembled", cm)
+		if len(ref.unavailable) == 0 {
+			return
+		}
+		flip := ref.unavailable[int(salt>>32)%len(ref.unavailable)]
+		flipped := CostFunc(func(s PropSet) float64 {
+			if s.Equal(flip) {
+				return 4
+			}
+			return cm.Cost(s)
+		})
+		if !store.SetCost(flip, 4) {
+			t.Fatalf("SetCost(%v): the store does not hold an enumerated subset", flip)
+		}
+		assemble("made available", flipped)
+		store.SetCost(flip, math.Inf(1))
+		assemble("made +Inf again", cm)
 	})
 }
 

@@ -1,0 +1,154 @@
+package core
+
+import (
+	"math"
+	"testing"
+)
+
+// countingCost prices like UniformCost(1) and counts its calls.
+type countingCost struct{ calls *int }
+
+func (c countingCost) Cost(PropSet) float64 {
+	*c.calls++
+	return 1
+}
+
+// TestEnumerationRetireAndCompact: a retired query comes back with its row
+// and no pricing; once retired queries outnumber live ones the store
+// compacts, live queries keep their handles, retired ones are freed and
+// reused, and every assembly equals NewInstance of the same queries.
+func TestEnumerationRetireAndCompact(t *testing.T) {
+	calls := 0
+	e, err := NewEnumeration(NewUniverse(), countingCost{&calls}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs := distinctQueries(6)
+	hs := make([]int32, len(qs))
+	for i, q := range qs {
+		if hs[i], err = e.Add(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	assembleMatches := func(what string, handles []int32) {
+		t.Helper()
+		inst, err := e.Assemble(handles)
+		if err != nil {
+			t.Fatalf("%s: Assemble: %v", what, err)
+		}
+		qs := make([]PropSet, len(handles))
+		for i, h := range handles {
+			qs[i] = e.queries[h]
+		}
+		want, err := NewInstance(inst.Universe, qs, UniformCost(1), Options{KeepDuplicateQueries: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if inst.NumClassifiers() != want.NumClassifiers() {
+			t.Fatalf("%s: %d classifiers, NewInstance has %d", what, inst.NumClassifiers(), want.NumClassifiers())
+		}
+		for qi := range qs {
+			got, exp := inst.QueryClassifiers(qi), want.QueryClassifiers(qi)
+			for i := range exp {
+				if got[i] != exp[i] || !inst.Classifier(got[i].ID).Equal(want.Classifier(exp[i].ID)) {
+					t.Fatalf("%s: query %d row %v, NewInstance %v", what, qi, got, exp)
+				}
+			}
+		}
+	}
+
+	e.Remove(hs[1])
+	e.Remove(hs[2])
+	priced := calls
+	if h, _ := e.Add(qs[1]); h != hs[1] || calls != priced {
+		t.Fatalf("re-adding a retired query: handle %d (want %d), %d pricing calls", h, hs[1], calls-priced)
+	}
+	if _, err := e.Assemble([]int32{hs[2]}); err == nil {
+		t.Fatal("Assemble took a retired handle")
+	}
+	assembleMatches("retired", []int32{hs[3], hs[1], hs[0], hs[1]})
+
+	// The third removal leaves four retired against two live, and the store
+	// compacts.
+	for _, i := range []int{1, 3, 5} {
+		e.Remove(hs[i])
+	}
+	if e.nDead != 0 || len(e.free) != 4 || len(e.costs) != 14 {
+		t.Fatalf("after compaction: %d retired, %d free handles, %d classifiers; want 0, 4, 14", e.nDead, len(e.free), len(e.costs))
+	}
+	assembleMatches("compacted", []int32{hs[4], hs[0]})
+	if !e.SetCost(qs[0], 5) || e.SetCost(qs[1], 5) {
+		t.Fatal("SetCost does not report what the compacted store holds")
+	}
+	fresh := NewPropSet(100, 101)
+	h, err := e.Add(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h != hs[5] {
+		t.Fatalf("a new query got handle %d, want the last freed handle %d", h, hs[5])
+	}
+	back, _ := e.Add(qs[1])
+	if !e.queries[back].Equal(qs[1]) {
+		t.Fatalf("re-added query has handle %d holding %v", back, e.queries[back])
+	}
+	assembleMatches("refilled", []int32{hs[0], back, hs[4], h})
+}
+
+// TestAssembleAllocs gates assembly's allocation budget: a constant number
+// of flat arrays, however many queries and classifiers it assembles. A run
+// may also refill the store's scratch pool (the garbage collector empties
+// it, and the race detector drops pooled items at random), which costs up
+// to four allocations.
+func TestAssembleAllocs(t *testing.T) {
+	e, err := NewEnumeration(NewUniverse(), UniformCost(1), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hs []int32
+	for _, q := range distinctQueries(400) {
+		h, err := e.Add(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs = append(hs, h)
+	}
+	count := func(n int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, err := e.Assemble(hs[:n]); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if few, many := count(10), count(400); many > few+4 {
+		t.Errorf("Assemble allocates %.1f times for 10 queries and %.1f for 400, want no growth", few, many)
+	}
+}
+
+// TestAssembleRejectsInvalidCost: a price the cost model gets wrong fails
+// the instances that hold the subset, with NewInstance's error, and no
+// other.
+func TestAssembleRejectsInvalidCost(t *testing.T) {
+	bad := NewPropSet(1, 2)
+	cm := CostFunc(func(s PropSet) float64 {
+		if s.Equal(bad) {
+			return math.NaN()
+		}
+		return 1
+	})
+	e, err := NewEnumeration(NewUniverse(), cm, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hBad, _ := e.Add(NewPropSet(1, 2, 3))
+	hOK, _ := e.Add(NewPropSet(4, 5))
+	if _, err := e.Assemble([]int32{hOK, hBad}); err == nil {
+		t.Fatal("Assemble accepted a NaN price")
+	}
+	if _, err := e.Assemble([]int32{hOK}); err != nil {
+		t.Fatalf("Assemble of a query without the bad subset: %v", err)
+	}
+	if _, err := NewInstance(NewUniverse(), []PropSet{NewPropSet(1, 2, 3)}, cm, Options{}); err == nil {
+		t.Fatal("NewInstance accepted a NaN price")
+	}
+}

@@ -117,8 +117,6 @@ func (t *PriceTable) find(h uint64, s PropSet) (int, int32) {
 func (t *PriceTable) grow() {
 	t.index = newSetIndex(max(len(t.index.slots), 1))
 	for off := int32(0); off < int32(len(t.data)); off += 3 + int32(t.data[off]) {
-		members := PropSet(t.data[off+1 : off+1+int32(t.data[off])])
-		slot, _ := t.index.find(setHash(members), func(int32) bool { return false })
-		t.index.slots[slot] = off
+		t.index.insert(setHash(PropSet(t.data[off+1:off+1+int32(t.data[off])])), off)
 	}
 }

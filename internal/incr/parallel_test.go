@@ -8,17 +8,17 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/solver"
 )
 
-// gateCost prices like sqCost but rendezvouses callers: a Cost call blocks
-// briefly until a second caller is inside Cost concurrently, then the gate
-// opens for good. Since the engine prices classifiers inside its per-component
-// solve callback, the gate firing proves two component solves were in flight
-// at once. A single timeout (serial engine) releases all waiters so the test
-// fails fast instead of hanging.
-type gateCost struct {
+// gateSink consumes spans but rendezvouses callers: a Span call blocks
+// briefly until a second caller is inside Span concurrently, then the gate
+// opens for good. Every component solve ends spans inside the engine's
+// per-component solve callback, so the gate firing proves two component
+// solves were in flight at once. A single timeout (serial engine) releases
+// all waiters so the test fails fast instead of hanging.
+type gateSink struct {
 	inflight atomic.Int32
 	fired    atomic.Bool
 	dead     atomic.Bool
@@ -26,9 +26,9 @@ type gateCost struct {
 	gate     chan struct{}
 }
 
-func newGateCost() *gateCost { return &gateCost{gate: make(chan struct{})} }
+func newGateSink() *gateSink { return &gateSink{gate: make(chan struct{})} }
 
-func (g *gateCost) Cost(s core.PropSet) float64 {
+func (g *gateSink) Span(obs.Event) {
 	if !g.fired.Load() && !g.dead.Load() {
 		if g.inflight.Add(1) >= 2 {
 			g.once.Do(func() {
@@ -43,7 +43,6 @@ func (g *gateCost) Cost(s core.PropSet) float64 {
 		}
 		g.inflight.Add(-1)
 	}
-	return float64(s.Len() * s.Len())
 }
 
 // TestEngineSolvesDirtyComponentsConcurrently is the regression test for the
@@ -54,10 +53,10 @@ func TestEngineSolvesDirtyComponentsConcurrently(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		t.Skip("needs GOMAXPROCS ≥ 2 for concurrent component solves")
 	}
-	gc := newGateCost()
+	gs := newGateSink()
 	opts := solver.DefaultOptions()
 	opts.Parallelism = -1
-	e := newTestEngine(t, Config{Costs: gc, Options: opts})
+	e := newTestEngine(t, Config{Options: opts, Tracer: obs.New(gs)})
 
 	res, err := e.Apply(context.Background(), []Delta{
 		Add("a1", "a2"), Add("a2", "a3"),
@@ -71,7 +70,7 @@ func TestEngineSolvesDirtyComponentsConcurrently(t *testing.T) {
 	if res.Dirty != 4 {
 		t.Fatalf("Dirty = %d, want 4", res.Dirty)
 	}
-	if !gc.fired.Load() {
+	if !gs.fired.Load() {
 		t.Fatalf("no two component solves were ever in flight together at Parallelism=-1")
 	}
 	if sol, err := e.Solution(); err != nil {
