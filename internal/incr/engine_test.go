@@ -114,6 +114,50 @@ func TestEngineMergeAndSplit(t *testing.T) {
 	}
 }
 
+// TestEngineFreedPropertyJoinsUntilSplitCheck removes the only query
+// holding a property and, in the same batch, adds a query through that
+// property and another component's. Until the batch's split check, the
+// freed property still maps to the component the removed query left: the
+// new query merges the two components, and the check splits the merged
+// one. The parts are numbered in the order of their earliest queries.
+func TestEngineFreedPropertyJoinsUntilSplitCheck(t *testing.T) {
+	e := newTestEngine(t, Config{})
+	mustApply(t, e, Add("a", "b"), Add("b", "c"), Add("e", "f"))
+	res := mustApply(t, e, Remove("a", "b"), Add("a", "e"))
+	if res.Merged != 1 || res.Split != 1 || res.Components != 2 || res.Dirty != 2 {
+		t.Fatalf("merged %d, split %d, components %d, dirty %d; want 1, 1, 2, 2",
+			res.Merged, res.Split, res.Components, res.Dirty)
+	}
+	checkPartition(t, e, map[int][]string{3: {"b|c"}, 4: {"a|e", "e|f"}})
+
+	// Once a split check has run, a property freed before it maps nowhere:
+	// a later query through it joins only the components of its other
+	// properties.
+	mustApply(t, e, Remove("a", "e"))
+	res = mustApply(t, e, Add("a", "b"))
+	if res.Merged != 0 || res.Split != 0 || res.Components != 2 {
+		t.Fatalf("after the check: merged %d, split %d, components %d; want 0, 0, 2",
+			res.Merged, res.Split, res.Components)
+	}
+	checkPartition(t, e, map[int][]string{3: {"a|b", "b|c"}, 4: {"e|f"}})
+}
+
+// checkPartition compares e's components, each as its sorted query names
+// by component id, with want.
+func checkPartition(t *testing.T, e *Engine, want map[int][]string) {
+	t.Helper()
+	got := make(map[int][]string)
+	for id, comp := range e.comps {
+		for _, qe := range comp.queries {
+			got[id] = append(got[id], strings.Join(e.u.SetNames(qe.set), "|"))
+		}
+		sort.Strings(got[id])
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("components %v, want %v", got, want)
+	}
+}
+
 func TestEngineDirtyLocality(t *testing.T) {
 	e := newTestEngine(t, Config{})
 	mustApply(t, e, Add("a", "b"), Add("c", "d"), Add("e", "f"))
