@@ -49,16 +49,14 @@ type Enumeration struct {
 
 	rows []int32 // store classifiers
 
-	// Per store classifier v: its set arena[setOff[v]:setOff[v+1]], set
-	// hash and current price. setOff starts with a 0.
+	// Per store classifier v: its set arena[setOff[v]:setOff[v+1]] and
+	// current price. setOff starts with a 0.
 	arena  []PropID
 	setOff []int32
-	hashes []uint64
 	costs  []float64
 	index  setIndex // store classifier by set
 
-	maskHash []uint64  // enumeration scratch: set hash by mask
-	scratch  sync.Pool // *assembly
+	maskHash []uint64 // enumeration scratch: set hash by mask
 }
 
 // NewEnumeration returns an empty store that enumerates queries over u and
@@ -189,12 +187,11 @@ func (e *Enumeration) reserve(subsets, members int) {
 	e.rows = reserved(e.rows, subsets)
 	e.arena = reserved(e.arena, members)
 	e.setOff = reserved(e.setOff, subsets)
-	e.hashes = reserved(e.hashes, subsets)
 	e.costs = reserved(e.costs, subsets)
 	if n := len(e.costs) + subsets; 2*n > len(e.index.slots) {
 		e.index = newSetIndex(max(n, len(e.index.slots)))
-		for v, h := range e.hashes {
-			e.index.insert(h, int32(v))
+		for v := range e.costs {
+			e.index.insert(setHash(e.set(int32(v))), int32(v))
 		}
 	}
 }
@@ -204,7 +201,7 @@ func (e *Enumeration) reserve(subsets, members int) {
 // it as a new one, and writes the query's row at the end of rows.
 func (e *Enumeration) enumerate(lo, hi int32) {
 	// The arrays are appended to as locals, and stored back at the end.
-	rows, arena, setOff, hashes, costs := e.rows, e.arena, e.setOff, e.hashes, e.costs
+	rows, arena, setOff, costs := e.rows, e.arena, e.setOff, e.costs
 	index, kPrime := e.index, e.kPrime
 	for h := lo; h < hi; h++ {
 		q := e.queries[h]
@@ -247,14 +244,13 @@ func (e *Enumeration) enumerate(lo, hi int32) {
 				v = int32(len(costs))
 				index.slots[slot] = v
 				setOff = append(setOff, int32(len(arena)))
-				hashes = append(hashes, sh)
 				costs = append(costs, c)
 			}
 			rows = append(rows, v)
 		}
 		e.rowHi[h] = int32(len(rows))
 	}
-	e.rows, e.arena, e.setOff, e.hashes, e.costs = rows, arena, setOff, hashes, costs
+	e.rows, e.arena, e.setOff, e.costs = rows, arena, setOff, costs
 }
 
 // compact drops the retired queries' rows and the classifiers no live row
@@ -282,18 +278,17 @@ func (e *Enumeration) compact() {
 	}
 	arena := make([]PropID, 0, members)
 	setOff := append(make([]int32, 0, n+1), 0)
-	hashes := make([]uint64, 0, n)
 	costs := make([]float64, 0, n)
 	e.index = newSetIndex(n)
 	for v, k := range keep {
 		if k == 0 {
 			continue
 		}
-		arena = append(arena, e.set(int32(v))...)
+		set := e.set(int32(v))
+		arena = append(arena, set...)
 		setOff = append(setOff, int32(len(arena)))
-		hashes = append(hashes, e.hashes[v])
 		costs = append(costs, e.costs[v])
-		e.index.insert(e.hashes[v], k-1)
+		e.index.insert(setHash(set), k-1)
 	}
 
 	rows := make([]int32, 0, nRows)
@@ -314,18 +309,25 @@ func (e *Enumeration) compact() {
 		e.rowLo[h], e.rowHi[h] = int32(lo), int32(len(rows))
 		e.shapes.insert(setHash(e.queries[h]), int32(h))
 	}
-	e.rows, e.arena, e.setOff, e.hashes, e.costs = rows, arena, setOff, hashes, costs
+	e.rows, e.arena, e.setOff, e.costs = rows, arena, setOff, costs
 	e.nDead = 0
 }
 
-// assembly is Assemble's scratch, pooled per store: local numbers store
-// classifiers and first the queries of handles, both off by one so that
-// zero means unseen, and sids lists the classifiers numbered so far.
+// assembly is Assemble's scratch: local numbers store classifiers and
+// first the queries of handles, both off by one so that zero means unseen,
+// and sids lists the classifiers numbered so far. Every store draws it
+// from one pool, and Assemble zeroes what it wrote before putting it back,
+// whether it succeeds or not.
 type assembly struct {
 	local []int32 // by store classifier: instance ID + 1
 	first []int32 // by handle: −1 once counted, then the first query's index + 1
 	sids  []int32 // by instance ID: store classifier
 }
+
+// assemblies pools *assembly for every store. A pool joins the runtime's
+// list of pools on first use, so a pool inside each store would keep a
+// dropped store reachable until the second collection after it.
+var assemblies sync.Pool
 
 // Assemble returns the instance over the queries with the given live
 // handles, in list order; a handle listed twice gives two queries sharing
@@ -337,7 +339,7 @@ func (e *Enumeration) Assemble(handles []int32) (*Instance, error) {
 	if len(handles) == 0 {
 		return nil, errors.New("core: no queries")
 	}
-	sc, _ := e.scratch.Get().(*assembly)
+	sc, _ := assemblies.Get().(*assembly)
 	if sc == nil {
 		sc = new(assembly)
 	}
@@ -353,7 +355,7 @@ func (e *Enumeration) Assemble(handles []int32) (*Instance, error) {
 			}
 		}
 		sc.sids = sc.sids[:0]
-		e.scratch.Put(sc)
+		assemblies.Put(sc)
 	}()
 
 	// Size every array from the rows of the distinct handles: their length
@@ -426,66 +428,6 @@ func (e *Enumeration) Assemble(handles []int32) (*Instance, error) {
 	}
 	sc.sids = sids
 	inst.classifiers, inst.costs = classifiers, costs
-
-	inst.index = newSetIndex(len(sc.sids))
-	for id, v := range sc.sids {
-		inst.index.insert(e.hashes[v], int32(id))
-	}
-	inst.fillIncidence(counts)
-	return inst, nil
-}
-
-// adopt is Assemble for NewInstance's store, which lists every handle in
-// the order the store gave them out, holds no +Inf price and is dropped
-// afterwards: store classifier v is then instance classifier v, so the
-// instance takes the store's arena, prices and index as they are, and its
-// query list too unless a handle repeats, and its rows are the store's
-// with their masks. Assemble would copy the prices and queries and build a
-// second index through a translation array: a tenth of serve-solve's
-// throughput, where every request builds an instance (docs/PERFORMANCE.md).
-func (e *Enumeration) adopt(handles []int32) (*Instance, error) {
-	inst := &Instance{
-		Universe:    e.u,
-		queries:     e.queries,
-		classifiers: make([]PropSet, len(e.costs)),
-		costs:       e.costs,
-		index:       e.index,
-		queryCls:    make([][]QueryClassifier, len(handles)),
-	}
-	for v, c := range e.costs {
-		set := e.set(int32(v))
-		if c < 0 || math.IsNaN(c) {
-			return nil, fmt.Errorf("core: cost model returned invalid cost %v for classifier %v", c, set)
-		}
-		inst.classifiers[v] = set
-		inst.totalFiniteCost += c
-		inst.maxClassifierLen = max(inst.maxClassifierLen, set.Len())
-	}
-	if len(handles) > len(e.queries) {
-		inst.queries = make([]PropSet, len(handles))
-		for i, h := range handles {
-			inst.queries[i] = e.queries[h]
-		}
-	}
-	rows := make([]QueryClassifier, len(e.rows))
-	for h := range e.queries {
-		mask := uint64(0)
-		for i := e.rowLo[h]; i < e.rowHi[h]; i++ {
-			mask = e.nextMask(mask)
-			rows[i] = QueryClassifier{ID: ClassifierID(e.rows[i]), Mask: mask}
-		}
-	}
-	counts := make([]int32, len(e.costs))
-	for i, h := range handles {
-		q := e.queries[h]
-		inst.maxQueryLen = max(inst.maxQueryLen, q.Len())
-		inst.sumQueryLen += q.Len()
-		lo, hi := e.rowLo[h], e.rowHi[h]
-		inst.queryCls[i] = rows[lo:hi:hi]
-		for _, qc := range inst.queryCls[i] {
-			counts[qc.ID]++
-		}
-	}
 	inst.fillIncidence(counts)
 	return inst, nil
 }

@@ -2,7 +2,10 @@ package core
 
 import (
 	"math"
+	"runtime"
+	"sync"
 	"testing"
+	"time"
 )
 
 // countingCost prices like UniformCost(1) and counts its calls.
@@ -32,29 +35,7 @@ func TestEnumerationRetireAndCompact(t *testing.T) {
 	}
 	assembleMatches := func(what string, handles []int32) {
 		t.Helper()
-		inst, err := e.Assemble(handles)
-		if err != nil {
-			t.Fatalf("%s: Assemble: %v", what, err)
-		}
-		qs := make([]PropSet, len(handles))
-		for i, h := range handles {
-			qs[i] = e.queries[h]
-		}
-		want, err := NewInstance(inst.Universe, qs, UniformCost(1), Options{KeepDuplicateQueries: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if inst.NumClassifiers() != want.NumClassifiers() {
-			t.Fatalf("%s: %d classifiers, NewInstance has %d", what, inst.NumClassifiers(), want.NumClassifiers())
-		}
-		for qi := range qs {
-			got, exp := inst.QueryClassifiers(qi), want.QueryClassifiers(qi)
-			for i := range exp {
-				if got[i] != exp[i] || !inst.Classifier(got[i].ID).Equal(want.Classifier(exp[i].ID)) {
-					t.Fatalf("%s: query %d row %v, NewInstance %v", what, qi, got, exp)
-				}
-			}
-		}
+		assembleMatchesNewInstance(t, what, e, handles, UniformCost(1))
 	}
 
 	e.Remove(hs[1])
@@ -97,9 +78,9 @@ func TestEnumerationRetireAndCompact(t *testing.T) {
 
 // TestAssembleAllocs gates assembly's allocation budget: a constant number
 // of flat arrays, however many queries and classifiers it assembles. A run
-// may also refill the store's scratch pool (the garbage collector empties
-// it, and the race detector drops pooled items at random), which costs up
-// to four allocations.
+// may also refill the scratch pool (the garbage collector empties it, and
+// the race detector drops pooled items at random), which costs up to four
+// allocations.
 func TestAssembleAllocs(t *testing.T) {
 	e, err := NewEnumeration(NewUniverse(), UniformCost(1), Options{})
 	if err != nil {
@@ -151,4 +132,136 @@ func TestAssembleRejectsInvalidCost(t *testing.T) {
 	if _, err := NewInstance(NewUniverse(), []PropSet{NewPropSet(1, 2, 3)}, cm, Options{}); err == nil {
 		t.Fatal("NewInstance accepted a NaN price")
 	}
+}
+
+// assembleMatchesNewInstance assembles handles from e and requires the
+// instance NewInstance builds from the same queries priced by cm.
+func assembleMatchesNewInstance(t *testing.T, what string, e *Enumeration, handles []int32, cm CostModel) {
+	t.Helper()
+	inst, err := e.Assemble(handles)
+	if err != nil {
+		t.Fatalf("%s: Assemble: %v", what, err)
+	}
+	qs := make([]PropSet, len(handles))
+	for i, h := range handles {
+		qs[i] = e.queries[h]
+	}
+	want, err := NewInstance(inst.Universe, qs, cm, Options{KeepDuplicateQueries: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inst.NumClassifiers() != want.NumClassifiers() {
+		t.Fatalf("%s: %d classifiers, NewInstance has %d", what, inst.NumClassifiers(), want.NumClassifiers())
+	}
+	for qi := range qs {
+		got, exp := inst.QueryClassifiers(qi), want.QueryClassifiers(qi)
+		for i := range exp {
+			if got[i] != exp[i] || !inst.Classifier(got[i].ID).Equal(want.Classifier(exp[i].ID)) {
+				t.Fatalf("%s: query %d row %v, NewInstance %v", what, qi, got, exp)
+			}
+		}
+	}
+}
+
+// TestDroppedStoreCollected: a store nothing references is freed by the
+// next collection after it assembled an instance. Assemble's scratch pool
+// must not hold the store: the runtime keeps every used pool on a list
+// until the second collection after its last use.
+func TestDroppedStoreCollected(t *testing.T) {
+	collected := make(chan struct{})
+	func() {
+		e, err := NewEnumeration(NewUniverse(), UniformCost(1), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var hs []int32
+		for _, q := range distinctQueries(20) {
+			h, err := e.Add(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hs = append(hs, h)
+		}
+		if _, err := e.Assemble(hs); err != nil {
+			t.Fatal(err)
+		}
+		runtime.SetFinalizer(e, func(*Enumeration) { close(collected) })
+	}()
+	runtime.GC()
+	select {
+	case <-collected:
+	case <-time.After(time.Second):
+		t.Fatal("a dropped store outlived a collection")
+	}
+}
+
+// TestClassifierIDOfConcurrentFirstUse looks up every classifier of fresh
+// instances from several goroutines at once, so they race to build the
+// index. Run it under -race; every goroutine must find every classifier.
+// Then, since every store draws Assemble's scratch from one pool, an
+// Assemble that fails midway on one store, at a retired handle or at a NaN
+// price, must leave nothing behind for the next Assemble on another store.
+func TestClassifierIDOfConcurrentFirstUse(t *testing.T) {
+	qs := append(distinctQueries(30), NewPropSet(0, 3, 6), NewPropSet(1, 4))
+	for round := 0; round < 4; round++ {
+		inst, err := NewInstance(NewUniverse(), qs, UniformCost(1), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := inst.NumClassifiers()
+		var wg sync.WaitGroup
+		for g := 0; g < 6; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < m; i++ {
+					id := ClassifierID((i + 13*g) % m)
+					if got, ok := inst.ClassifierIDOf(inst.Classifier(id)); !ok || got != id {
+						t.Errorf("round %d goroutine %d: ClassifierIDOf(%v) = %d, %v; want %d, true", round, g, inst.Classifier(id), got, ok, id)
+						return
+					}
+				}
+				if id, ok := inst.ClassifierIDOf(NewPropSet(0, 4)); ok {
+					t.Errorf("round %d goroutine %d: ClassifierIDOf found %d for a set no query holds", round, g, id)
+				}
+			}(g)
+		}
+		wg.Wait()
+	}
+
+	bad := NewPropSet(101, 102)
+	cm := CostFunc(func(s PropSet) float64 {
+		if s.Equal(bad) {
+			return math.NaN()
+		}
+		return 1
+	})
+	failing, err := NewEnumeration(NewUniverse(), cm, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h0, _ := failing.Add(NewPropSet(0, 1, 2))
+	h1, _ := failing.Add(NewPropSet(2, 3))
+	retired, _ := failing.Add(NewPropSet(7, 8))
+	hBad, _ := failing.Add(NewPropSet(101, 102, 103))
+	failing.Remove(retired)
+	if _, err := failing.Assemble([]int32{h0, h1, retired}); err == nil {
+		t.Fatal("Assemble took a retired handle")
+	}
+	if _, err := failing.Assemble([]int32{h1, h0, hBad}); err == nil {
+		t.Fatal("Assemble accepted a NaN price")
+	}
+	other, err := NewEnumeration(NewUniverse(), cm, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hs []int32
+	for _, q := range qs[:6] {
+		h, err := other.Add(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs = append(hs, h)
+	}
+	assembleMatchesNewInstance(t, "after failed assemblies", other, []int32{hs[2], hs[0], hs[1], hs[5], hs[3], hs[0]}, cm)
 }

@@ -3,9 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/bits"
-	"slices"
+	"sync"
 )
 
 // CostModel assigns a construction cost to every candidate classifier.
@@ -103,15 +102,19 @@ const MaxEnumQueryLen = 20
 // classifier universe C_Q (every non-empty subset of a query priced below
 // +Inf by the cost model), and per-query / per-classifier cross-indexes.
 //
-// Instances are immutable after construction; solvers layer their own mutable
-// state (effective costs, selections) on top.
+// Instances are immutable after construction, apart from the index
+// ClassifierIDOf reads, which the first call builds once and which is safe
+// for concurrent readers. Solvers layer their own mutable state (effective
+// costs, selections) on top.
 type Instance struct {
 	Universe *Universe
 
 	queries     []PropSet
 	classifiers []PropSet
 	costs       []float64
-	index       setIndex // C_Q by property set
+
+	indexOnce sync.Once
+	index     setIndex // C_Q by property set, built by ClassifierIDOf
 
 	queryCls [][]QueryClassifier // per query: available classifiers ⊆ q
 	// Per classifier, the ascending indices of queries containing it: id's
@@ -175,12 +178,7 @@ func NewInstance(u *Universe, queries []PropSet, cm CostModel, opts Options) (*I
 	e.reserve(subsets, members)
 	e.maskHash = make([]uint64, 1<<uint(maxLen))
 	e.enumerate(0, int32(len(e.queries)))
-	// A +Inf price leaves a store classifier out of the instance, so only
-	// Assemble, which renumbers, can build it.
-	if slices.ContainsFunc(e.costs, func(c float64) bool { return math.IsInf(c, 1) }) {
-		return e.Assemble(handles)
-	}
-	return e.adopt(handles)
+	return e.Assemble(handles)
 }
 
 // subsetCount returns Σ_{1≤j≤min(k,l)} C(l, j), the number of classifiers of
@@ -321,8 +319,15 @@ func (inst *Instance) Cost(id ClassifierID) float64 { return inst.costs[id] }
 func (inst *Instance) Costs() []float64 { return inst.costs }
 
 // ClassifierIDOf returns the ID of the classifier testing exactly s, if it is
-// part of the instance's universe.
+// part of the instance's universe. The first call indexes the classifiers
+// by set, so an instance nobody asks builds no index.
 func (inst *Instance) ClassifierIDOf(s PropSet) (ClassifierID, bool) {
+	inst.indexOnce.Do(func() {
+		inst.index = newSetIndex(len(inst.classifiers))
+		for id, c := range inst.classifiers {
+			inst.index.insert(setHash(c), int32(id))
+		}
+	})
 	_, v := inst.index.find(setHash(s), func(v int32) bool { return inst.classifiers[v].Equal(s) })
 	return ClassifierID(v), v >= 0
 }

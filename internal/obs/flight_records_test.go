@@ -182,7 +182,7 @@ func BenchmarkFlightRingGC(b *testing.B) {
 			var ms runtime.MemStats
 			runtime.ReadMemStats(&ms)
 			b.ResetTimer()
-			for b.Loop() {
+			for i := 0; i < b.N; i++ {
 				runtime.GC()
 			}
 			b.StopTimer()

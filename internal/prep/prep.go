@@ -270,16 +270,12 @@ func run(ctx context.Context, inst *core.Instance, level Level, ambientLen int) 
 	// ---- Step 1 ----
 	s1, _ := obs.StartChild(ctx, SpanStep, obs.Str("step", "step1"))
 	for qi := 0; qi < n; qi++ {
-		q := inst.Query(qi)
-		if q.Len() != 1 {
+		if inst.Query(qi).Len() != 1 {
 			continue
 		}
-		id, ok := inst.ClassifierIDOf(q)
-		if !ok {
-			err := fmt.Errorf("prep: singleton query %v has no finite-cost classifier", q)
-			s1.EndErr(err)
-			return nil, err
-		}
+		// The feasibility pass leaves a singleton its own classifier, the
+		// only entry of its row.
+		id := inst.QueryClassifiers(qi)[0].ID
 		if !r.SelectedSet[id] {
 			r.Stats.SingletonSelected++
 		}

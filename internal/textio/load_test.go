@@ -267,7 +267,7 @@ func BenchmarkDecodeBuild(b *testing.B) {
 			b.Run(body.name+"/"+path.name, func(b *testing.B) {
 				b.SetBytes(int64(len(body.data)))
 				b.ReportAllocs()
-				for b.Loop() {
+				for i := 0; i < b.N; i++ {
 					if _, err := path.build(strings.NewReader(body.data)); err != nil {
 						b.Fatal(err)
 					}
