@@ -62,7 +62,8 @@ serve:
 # Short fuzzing passes over the parsers, the set algebra, the price table
 # (against a map), the C_Q enumeration kernel (FuzzNewInstance also checks
 # instances assembled from a C_Q store, before and after re-pricing), the
-# set-cover CSR kernel, the preprocessing Step 2 and Step 3 kernels and the
+# set-cover CSR kernel (greedy against a reference that scans every set for
+# its choice), the preprocessing Step 2 and Step 3 kernels and the
 # cache-key kernel (each kernel against its reference), the canonical
 # component order (key bytes and set-cover reduction against those of a
 # permuted load), the instance scanner against encoding/json, the fused

@@ -170,7 +170,7 @@ func BenchmarkAssemble(b *testing.B) {
 	b.Run("Assemble", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := store.Assemble(handles); err != nil {
+			if _, _, err := store.Assemble(handles); err != nil {
 				b.Fatal(err)
 			}
 		}

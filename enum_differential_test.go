@@ -308,7 +308,7 @@ func FuzzNewInstance(f *testing.F) {
 		}
 		assemble := func(name string, cm CostModel) *refInstance {
 			t.Helper()
-			inst, err := store.Assemble(handles)
+			inst, _, err := store.Assemble(handles)
 			if err != nil {
 				t.Fatalf("%s: Assemble: %v", name, err)
 			}

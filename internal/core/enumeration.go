@@ -22,13 +22,18 @@ import (
 //
 // Remove retires a query. Its row stays, and a later Add of the same query
 // takes it back without enumerating it again. Once retired queries
-// outnumber live ones, the store compacts: it drops their rows and every
-// classifier no live row holds, and frees their handles for later Adds. A
-// live query keeps its handle.
+// outnumber live ones, Compact drops their rows and every classifier no
+// live row holds, and frees their handles for later Adds. A live query
+// keeps its handle.
+//
+// Each store classifier has an ID, a small non-negative int32 that stays
+// the same until Compact renumbers it; Assemble reports the ID behind each
+// of an instance's classifiers.
 //
 // Assemble calls may run concurrently with each other, not with Add,
-// Remove or SetCost. An instance shares no memory the store writes
-// afterwards, so it stays valid and unchanged whatever the store does.
+// Remove, SetCost or Compact. An instance shares no memory the store
+// writes afterwards, so it stays valid and unchanged whatever the store
+// does.
 type Enumeration struct {
 	u  *Universe
 	cm CostModel
@@ -122,15 +127,28 @@ func (e *Enumeration) Add(q PropSet) (int32, error) {
 	return h, nil
 }
 
-// Remove retires the live query with handle h.
+// Remove retires the live query with handle h. Its row stays until
+// Compact drops it.
 func (e *Enumeration) Remove(h int32) {
 	e.live[h] = false
 	e.nLive--
 	e.nDead++
-	if e.nDead > e.nLive {
-		e.compact()
-	}
 }
+
+// Compact compacts the store when its retired queries outnumber its live
+// ones. It returns the renumbering, by old classifier ID the new ID + 1 or
+// 0 for a classifier it dropped, and nil when it did not compact.
+func (e *Enumeration) Compact() []int32 {
+	if e.nDead <= e.nLive {
+		return nil
+	}
+	return e.compact()
+}
+
+// Classifier returns the set of the classifier with ID v: a window of the
+// store's arena, which must not be modified, and which keeps that arena
+// alive.
+func (e *Enumeration) Classifier(v int32) PropSet { return e.set(v) }
 
 // SetCost re-prices the classifier testing exactly s in every row holding
 // it, live or retired, and reports whether any row holds it. A subset no
@@ -256,8 +274,9 @@ func (e *Enumeration) enumerate(lo, hi int32) {
 // compact drops the retired queries' rows and the classifiers no live row
 // holds, renumbering the kept classifiers in their old order, and frees
 // the retired handles. It writes every array afresh, so instances
-// assembled before keep what they share with the store.
-func (e *Enumeration) compact() {
+// assembled before keep what they share with the store. It returns the
+// renumbering Compact documents.
+func (e *Enumeration) compact() []int32 {
 	keep := make([]int32, len(e.costs)) // kept classifier's new ID + 1; 0 drops it
 	nRows := 0
 	for h, live := range e.live {
@@ -311,13 +330,14 @@ func (e *Enumeration) compact() {
 	}
 	e.rows, e.arena, e.setOff, e.costs = rows, arena, setOff, costs
 	e.nDead = 0
+	return keep
 }
 
 // assembly is Assemble's scratch: local numbers store classifiers and
 // first the queries of handles, both off by one so that zero means unseen,
-// and sids lists the classifiers numbered so far. Every store draws it
-// from one pool, and Assemble zeroes what it wrote before putting it back,
-// whether it succeeds or not.
+// and sids lists the classifiers numbered so far, unless the caller keeps
+// that list. Every store draws it from one pool, and assemble zeroes what
+// it wrote before putting it back, whether it succeeds or not.
 type assembly struct {
 	local []int32 // by store classifier: instance ID + 1
 	first []int32 // by handle: −1 once counted, then the first query's index + 1
@@ -334,10 +354,17 @@ var assemblies sync.Pool
 // one row, as KeepDuplicateQueries does. Classifiers are numbered by first
 // sighting, each query's row in ascending mask order, and priced at the
 // store's current prices, so the instance is the one NewInstance builds
-// from the same queries with KeepDuplicateQueries set.
-func (e *Enumeration) Assemble(handles []int32) (*Instance, error) {
+// from the same queries with KeepDuplicateQueries set. The second result
+// holds, by instance ClassifierID, the store classifier's ID.
+func (e *Enumeration) Assemble(handles []int32) (*Instance, []int32, error) {
+	return e.assemble(handles, true)
+}
+
+// assemble is Assemble. Unless keepIDs is set, it lists the store
+// classifiers in the pooled scratch and returns no IDs.
+func (e *Enumeration) assemble(handles []int32, keepIDs bool) (inst *Instance, sids []int32, err error) {
 	if len(handles) == 0 {
-		return nil, errors.New("core: no queries")
+		return nil, nil, errors.New("core: no queries")
 	}
 	sc, _ := assemblies.Get().(*assembly)
 	if sc == nil {
@@ -346,7 +373,7 @@ func (e *Enumeration) Assemble(handles []int32) (*Instance, error) {
 	sc.local = grown(sc.local, len(e.costs))
 	sc.first = grown(sc.first, len(e.queries))
 	defer func() {
-		for _, v := range sc.sids {
+		for _, v := range sids {
 			sc.local[v] = 0
 		}
 		for _, h := range handles {
@@ -354,17 +381,22 @@ func (e *Enumeration) Assemble(handles []int32) (*Instance, error) {
 				sc.first[h] = 0
 			}
 		}
-		sc.sids = sc.sids[:0]
+		if !keepIDs {
+			sc.sids, sids = sids[:0], nil
+		}
+		if err != nil {
+			inst, sids = nil, nil
+		}
 		assemblies.Put(sc)
 	}()
 
 	// Size every array from the rows of the distinct handles: their length
 	// bounds the instance's rows and classifiers.
-	inst := &Instance{Universe: e.u, queries: make([]PropSet, len(handles))}
+	inst = &Instance{Universe: e.u, queries: make([]PropSet, len(handles))}
 	nRows := 0
 	for i, h := range handles {
 		if h < 0 || int(h) >= len(e.live) || !e.live[h] {
-			return nil, fmt.Errorf("core: handle %d is not a live query", h)
+			return nil, nil, fmt.Errorf("core: handle %d is not a live query", h)
 		}
 		q := e.queries[h]
 		inst.queries[i] = q
@@ -376,8 +408,8 @@ func (e *Enumeration) Assemble(handles []int32) (*Instance, error) {
 		}
 	}
 	nCls := min(nRows, len(e.costs))
-	if cap(sc.sids) < nCls {
-		sc.sids = make([]int32, 0, nCls)
+	if sids = sc.sids[:0]; keepIDs || cap(sids) < nCls {
+		sids = make([]int32, 0, nCls)
 	}
 	classifiers := make([]PropSet, 0, nCls)
 	costs := make([]float64, 0, nCls)
@@ -386,7 +418,7 @@ func (e *Enumeration) Assemble(handles []int32) (*Instance, error) {
 	inst.queryCls = make([][]QueryClassifier, len(handles))
 
 	// The hot loop reads the store and writes the instance through locals.
-	local, sids, prices := sc.local, sc.sids, e.costs
+	local, prices := sc.local, e.costs
 	for i, h := range handles {
 		if f := sc.first[h]; f > 0 {
 			// A repeat shares its first occurrence's row.
@@ -409,8 +441,7 @@ func (e *Enumeration) Assemble(handles []int32) (*Instance, error) {
 			if id < 0 {
 				set := e.set(v)
 				if c < 0 || math.IsNaN(c) {
-					sc.sids = sids
-					return nil, fmt.Errorf("core: cost model returned invalid cost %v for classifier %v", c, set)
+					return nil, sids, fmt.Errorf("core: cost model returned invalid cost %v for classifier %v", c, set)
 				}
 				id = int32(len(classifiers))
 				local[v] = id + 1
@@ -426,10 +457,9 @@ func (e *Enumeration) Assemble(handles []int32) (*Instance, error) {
 		}
 		inst.queryCls[i] = rows[lo:len(rows):len(rows)]
 	}
-	sc.sids = sids
 	inst.classifiers, inst.costs = classifiers, costs
 	inst.fillIncidence(counts)
-	return inst, nil
+	return inst, sids, nil
 }
 
 // nextMask returns the first mask after mask that selects at most k'

@@ -40,22 +40,43 @@ func TestEnumerationRetireAndCompact(t *testing.T) {
 
 	e.Remove(hs[1])
 	e.Remove(hs[2])
+	if e.Compact() != nil {
+		t.Fatal("the store compacted with two retired queries against four live")
+	}
 	priced := calls
 	if h, _ := e.Add(qs[1]); h != hs[1] || calls != priced {
 		t.Fatalf("re-adding a retired query: handle %d (want %d), %d pricing calls", h, hs[1], calls-priced)
 	}
-	if _, err := e.Assemble([]int32{hs[2]}); err == nil {
+	if _, _, err := e.Assemble([]int32{hs[2]}); err == nil {
 		t.Fatal("Assemble took a retired handle")
 	}
 	assembleMatches("retired", []int32{hs[3], hs[1], hs[0], hs[1]})
 
 	// The third removal leaves four retired against two live, and the store
-	// compacts.
+	// compacts, renumbering the classifiers it keeps in their old order.
 	for _, i := range []int{1, 3, 5} {
 		e.Remove(hs[i])
 	}
+	before := make([]PropSet, len(e.costs))
+	for v := range before {
+		before[v] = e.Classifier(int32(v))
+	}
+	remap := e.Compact()
 	if e.nDead != 0 || len(e.free) != 4 || len(e.costs) != 14 {
 		t.Fatalf("after compaction: %d retired, %d free handles, %d classifiers; want 0, 4, 14", e.nDead, len(e.free), len(e.costs))
+	}
+	kept, last := 0, int32(0)
+	for v, k := range remap {
+		if k == 0 {
+			continue
+		}
+		if kept++; k <= last || !e.Classifier(k-1).Equal(before[v]) {
+			t.Fatalf("compaction renumbered classifier %d %v as %d", v, before[v], k-1)
+		}
+		last = k
+	}
+	if kept != len(e.costs) {
+		t.Fatalf("the renumbering keeps %d classifiers, the store %d", kept, len(e.costs))
 	}
 	assembleMatches("compacted", []int32{hs[4], hs[0]})
 	if !e.SetCost(qs[0], 5) || e.SetCost(qs[1], 5) {
@@ -96,7 +117,7 @@ func TestAssembleAllocs(t *testing.T) {
 	}
 	count := func(n int) float64 {
 		return testing.AllocsPerRun(20, func() {
-			if _, err := e.Assemble(hs[:n]); err != nil {
+			if _, _, err := e.Assemble(hs[:n]); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -123,10 +144,10 @@ func TestAssembleRejectsInvalidCost(t *testing.T) {
 	}
 	hBad, _ := e.Add(NewPropSet(1, 2, 3))
 	hOK, _ := e.Add(NewPropSet(4, 5))
-	if _, err := e.Assemble([]int32{hOK, hBad}); err == nil {
+	if _, _, err := e.Assemble([]int32{hOK, hBad}); err == nil {
 		t.Fatal("Assemble accepted a NaN price")
 	}
-	if _, err := e.Assemble([]int32{hOK}); err != nil {
+	if _, _, err := e.Assemble([]int32{hOK}); err != nil {
 		t.Fatalf("Assemble of a query without the bad subset: %v", err)
 	}
 	if _, err := NewInstance(NewUniverse(), []PropSet{NewPropSet(1, 2, 3)}, cm, Options{}); err == nil {
@@ -138,9 +159,17 @@ func TestAssembleRejectsInvalidCost(t *testing.T) {
 // instance NewInstance builds from the same queries priced by cm.
 func assembleMatchesNewInstance(t *testing.T, what string, e *Enumeration, handles []int32, cm CostModel) {
 	t.Helper()
-	inst, err := e.Assemble(handles)
+	inst, sids, err := e.Assemble(handles)
 	if err != nil {
 		t.Fatalf("%s: Assemble: %v", what, err)
+	}
+	if len(sids) != inst.NumClassifiers() {
+		t.Fatalf("%s: %d store IDs for %d classifiers", what, len(sids), inst.NumClassifiers())
+	}
+	for id, v := range sids {
+		if !e.Classifier(v).Equal(inst.Classifier(ClassifierID(id))) {
+			t.Fatalf("%s: classifier %d is %v, its store classifier %d is %v", what, id, inst.Classifier(ClassifierID(id)), v, e.Classifier(v))
+		}
 	}
 	qs := make([]PropSet, len(handles))
 	for i, h := range handles {
@@ -182,7 +211,7 @@ func TestDroppedStoreCollected(t *testing.T) {
 			}
 			hs = append(hs, h)
 		}
-		if _, err := e.Assemble(hs); err != nil {
+		if _, _, err := e.Assemble(hs); err != nil {
 			t.Fatal(err)
 		}
 		runtime.SetFinalizer(e, func(*Enumeration) { close(collected) })
@@ -245,10 +274,10 @@ func TestClassifierIDOfConcurrentFirstUse(t *testing.T) {
 	retired, _ := failing.Add(NewPropSet(7, 8))
 	hBad, _ := failing.Add(NewPropSet(101, 102, 103))
 	failing.Remove(retired)
-	if _, err := failing.Assemble([]int32{h0, h1, retired}); err == nil {
+	if _, _, err := failing.Assemble([]int32{h0, h1, retired}); err == nil {
 		t.Fatal("Assemble took a retired handle")
 	}
-	if _, err := failing.Assemble([]int32{h1, h0, hBad}); err == nil {
+	if _, _, err := failing.Assemble([]int32{h1, h0, hBad}); err == nil {
 		t.Fatal("Assemble accepted a NaN price")
 	}
 	other, err := NewEnumeration(NewUniverse(), cm, Options{})

@@ -178,7 +178,8 @@ func NewInstance(u *Universe, queries []PropSet, cm CostModel, opts Options) (*I
 	e.reserve(subsets, members)
 	e.maskHash = make([]uint64, 1<<uint(maxLen))
 	e.enumerate(0, int32(len(e.queries)))
-	return e.Assemble(handles)
+	inst, _, err := e.assemble(handles, false)
+	return inst, err
 }
 
 // subsetCount returns Σ_{1≤j≤min(k,l)} C(l, j), the number of classifiers of

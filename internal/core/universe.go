@@ -30,6 +30,12 @@ func NewUniverse() *Universe {
 	return &Universe{ids: make(map[string]PropID)}
 }
 
+// NewSizedUniverse returns an empty property universe with room for n names
+// before it grows.
+func NewSizedUniverse(n int) *Universe {
+	return &Universe{names: make([]string, 0, n), ids: make(map[string]PropID, n)}
+}
+
 // Intern returns the PropID for name, assigning a fresh ID on first use.
 func (u *Universe) Intern(name string) PropID {
 	if id, ok := u.ids[name]; ok {

@@ -64,8 +64,9 @@ func checkDifferential(t *testing.T, e *Engine, costs core.CostModel, algo strin
 	}
 }
 
-// refDiff is the map version of diffLocked, kept as the reference: it keys
-// every old and every new pick by its PropSet.Key string.
+// refDiff is the hash version of diffLocked, kept as the reference: it keys
+// every old and every new pick by its PropSet.Key string, so it needs no
+// store IDs and no compaction can change what it matches.
 func refDiff(u *core.Universe, oldPicks, newPicks []core.PropSet) (added, removed [][]string) {
 	oldKeys := make(map[string]core.PropSet, len(oldPicks))
 	for _, p := range oldPicks {
@@ -289,33 +290,50 @@ func TestDifferentialPrivate(t *testing.T) {
 }
 
 // TestDiffMatchesMapReference compares diffLocked with the map reference on
-// random pick lists drawn from a small pool of sets, so old picks repeat,
-// new picks repeat, and the two lists overlap.
+// random pick lists drawn from a small pool of the store's classifiers, so
+// old picks repeat, new picks repeat, and the two lists overlap.
 func TestDiffMatchesMapReference(t *testing.T) {
 	u := core.NewUniverse()
 	e, err := New(Config{Costs: core.UniformCost(1), Universe: u})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var pool []core.PropSet
+	var sets []core.PropSet
+	var handles []int32
 	for i := 0; i < 12; i++ {
 		names := []string{"p" + string(rune('a'+i))}
 		if i%3 != 0 {
 			names = append(names, "q"+string(rune('a'+i/2)))
 		}
-		pool = append(pool, u.Set(names...))
+		set := u.Set(names...)
+		h, err := e.enum.Add(set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sets, handles = append(sets, set), append(handles, h)
+	}
+	inst, sids, err := e.enum.Assemble(handles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := make([]int32, len(sets))
+	for i, set := range sets {
+		id, _ := inst.ClassifierIDOf(set)
+		pool[i] = sids[id]
 	}
 	rng := rand.New(rand.NewSource(31))
-	draw := func() []core.PropSet {
-		out := make([]core.PropSet, rng.Intn(10))
-		for i := range out {
-			out[i] = pool[rng.Intn(len(pool))]
+	draw := func() ([]int32, []core.PropSet) {
+		ids, picks := make([]int32, rng.Intn(10)), []core.PropSet(nil)
+		for i := range ids {
+			ids[i] = pool[rng.Intn(len(pool))]
+			picks = append(picks, e.enum.Classifier(ids[i]))
 		}
-		return out
+		return ids, picks
 	}
 	for trial := 0; trial < 500; trial++ {
-		oldPicks, newPicks := draw(), draw()
-		added, removed := e.diffLocked(oldPicks, newPicks)
+		oldIDs, oldPicks := draw()
+		newIDs, newPicks := draw()
+		added, removed := e.diffLocked(oldIDs, newIDs)
 		wantAdded, wantRemoved := refDiff(u, oldPicks, newPicks)
 		if !reflect.DeepEqual(added, wantAdded) || !reflect.DeepEqual(removed, wantRemoved) {
 			t.Fatalf("trial %d: old %v new %v: added %v removed %v, reference added %v removed %v",

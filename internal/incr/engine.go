@@ -154,7 +154,7 @@ type component struct {
 	dirty   bool // listed in Engine.dirty
 	rebuild bool // listed in Engine.suspects: a removal may have split it
 
-	picks []core.PropSet // solved classifier selection
+	picks []int32 // solved classifier selection, as store classifier IDs
 	cost  float64
 }
 
@@ -180,7 +180,7 @@ type Engine struct {
 
 	// enum holds the C_Q row of every distinct query of the load, and of
 	// removed ones until it compacts them away; dirty components are
-	// assembled from it.
+	// assembled from it, and their picks are its classifier IDs.
 	enum     *core.Enumeration
 	queries  map[string]*qEntry
 	comps    map[int]*component
@@ -203,6 +203,9 @@ type Engine struct {
 	gate     bool // load max query length ≤ 2
 
 	split splitScratch
+	// marks is diffLocked's scratch, by store classifier ID: 1 for an old
+	// pick not yet matched, 0 otherwise.
+	marks []uint8
 
 	stats Stats
 }
@@ -424,8 +427,8 @@ func (e *Engine) Solution() (*Solution, error) {
 	sol := &Solution{}
 	for _, comp := range e.comps {
 		sol.Cost += comp.cost
-		for _, p := range comp.picks {
-			sol.Classifiers = append(sol.Classifiers, e.u.SetNames(p))
+		for _, v := range comp.picks {
+			sol.Classifiers = append(sol.Classifiers, e.u.SetNames(e.enum.Classifier(v)))
 		}
 	}
 	sortNameSets(sol.Classifiers)
@@ -462,6 +465,10 @@ type canonDelta struct {
 //
 // An empty batch is valid: it re-solves whatever is dirty and returns the
 // current solution summary.
+//
+// A batch that leaves no component dirty ends by compacting the C_Q store
+// when its removals retired more queries than stay live; until then, store
+// classifier IDs, and so the picks, stay put.
 func (e *Engine) Apply(ctx context.Context, deltas []Delta) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -484,7 +491,7 @@ func (e *Engine) Apply(ctx context.Context, deltas []Delta) (*Result, error) {
 
 	sp, ctx := obs.StartSpan(ctx, e.tracer, SpanApply, obs.Int("deltas", len(deltas)))
 	res := &Result{Deltas: len(deltas)}
-	var oldPicks []core.PropSet
+	var oldPicks []int32
 	for _, d := range canon {
 		switch d.op {
 		case OpAdd:
@@ -496,6 +503,9 @@ func (e *Engine) Apply(ctx context.Context, deltas []Delta) (*Result, error) {
 		}
 	}
 	buildNS, err := e.resolveLocked(ctx, res, &oldPicks)
+	if err == nil {
+		e.compactLocked()
+	}
 	res.Seconds = time.Since(start).Seconds()
 	e.recordLocked(res)
 	sp.SetAttr(obs.Int("components", res.Components), obs.Int("dirty", res.Dirty),
@@ -576,7 +586,7 @@ func (e *Engine) validateLocked(deltas []Delta) ([]canonDelta, []string, error) 
 
 // addLocked inserts one occurrence of a query, merging components its
 // properties bridge. Callers hold mu.
-func (e *Engine) addLocked(d canonDelta, res *Result, oldPicks *[]core.PropSet) {
+func (e *Engine) addLocked(d canonDelta, res *Result, oldPicks *[]int32) {
 	if qe := e.queries[d.key]; qe != nil {
 		qe.count++
 		return // duplicate queries merge in the instance: solution unchanged
@@ -649,7 +659,7 @@ func (e *Engine) attachLocked(comp *component, qe *qEntry) {
 
 // removeLocked deletes one occurrence of a query, dissolving or marking its
 // component for a split recheck. Callers hold mu.
-func (e *Engine) removeLocked(d canonDelta, res *Result, oldPicks *[]core.PropSet) {
+func (e *Engine) removeLocked(d canonDelta, res *Result, oldPicks *[]int32) {
 	qe := e.queries[d.key] // present: the batch was validated
 	if qe.count > 1 {
 		qe.count--
@@ -746,7 +756,7 @@ func (e *Engine) listedLocked(list []*component, keep func(*component) bool) []*
 // resolveLocked rebuilds split-suspect components, handles k = 2 boundary
 // crossings, re-solves every dirty component, and fills res. It returns
 // the time the re-solves spent assembling instances. Callers hold mu.
-func (e *Engine) resolveLocked(ctx context.Context, res *Result, oldPicks *[]core.PropSet) (int64, error) {
+func (e *Engine) resolveLocked(ctx context.Context, res *Result, oldPicks *[]int32) (int64, error) {
 	// Lazy split rebuild, in ascending id, so that split parts are
 	// numbered the same way on every run.
 	for _, comp := range e.listedLocked(e.suspects, func(c *component) bool { return c.rebuild }) {
@@ -792,7 +802,7 @@ func (e *Engine) resolveLocked(ctx context.Context, res *Result, oldPicks *[]cor
 		func(i int) int { return len(dirty[i].queries) },
 		func(i int) error { return e.solveComponent(ctx, dirty[i], maxLen, &buildNS) })
 
-	var newPicks []core.PropSet
+	var newPicks []int32
 	for _, comp := range dirty {
 		if comp.dirty {
 			e.dirty = append(e.dirty, comp)
@@ -818,7 +828,7 @@ func (e *Engine) resolveLocked(ctx context.Context, res *Result, oldPicks *[]cor
 // The parts are numbered in the order of their earliest-inserted queries,
 // so a split gives the same component ids, and resolveLocked the same
 // dispatch order, on every run. Callers hold mu.
-func (e *Engine) rebuildLocked(comp *component, res *Result, oldPicks *[]core.PropSet) {
+func (e *Engine) rebuildLocked(comp *component, res *Result, oldPicks *[]int32) {
 	comp.rebuild = false
 	e.dropFreedLocked(comp)
 	// Union-find over the component's remaining properties.
@@ -886,7 +896,7 @@ func (e *Engine) solveComponent(ctx context.Context, comp *component, maxLen int
 		handles[i] = qe.h
 	}
 	start := time.Now()
-	inst, err := e.enum.Assemble(handles)
+	inst, sids, err := e.enum.Assemble(handles)
 	buildNS.Add(int64(time.Since(start)))
 	if err != nil {
 		return fmt.Errorf("incr: component instance: %w", err)
@@ -906,9 +916,12 @@ func (e *Engine) solveComponent(ctx context.Context, comp *component, maxLen int
 	if err != nil {
 		return fmt.Errorf("incr: component solve: %w", err)
 	}
-	// Copied out: the instance's classifier sets are windows of the store's
-	// arena, which the picks would otherwise keep alive after a compaction.
-	comp.picks = inst.CopyClassifiers(sol.Selected)
+	// The old picks went to the batch's diff before the re-solves began, so
+	// their array is free to take the new ones.
+	comp.picks = comp.picks[:0]
+	for _, id := range sol.Selected {
+		comp.picks = append(comp.picks, sids[id])
+	}
 	comp.cost = sol.Cost
 	comp.dirty = false
 	return nil
@@ -917,34 +930,50 @@ func (e *Engine) solveComponent(ctx context.Context, comp *component, maxLen int
 // diffLocked computes the classifier sets entering and leaving the
 // solution, as sorted name lists: a new pick is added unless it matches an
 // old pick not yet matched, and every distinct old pick left unmatched is
-// removed. The old picks are marked in a flat table keyed by the set hash
-// (mark 1: unmatched, 0: matched or already listed), which the new picks
-// probe. Callers hold mu.
-func (e *Engine) diffLocked(oldPicks, newPicks []core.PropSet) (added, removed [][]string) {
-	members := 0
-	for _, p := range oldPicks {
-		members += p.Len()
+// removed. Picks are store classifier IDs, one per set, so a mark by ID
+// (1: unmatched, 0: matched or already listed) does the matching; every
+// mark ends at 0. Callers hold mu.
+func (e *Engine) diffLocked(oldPicks, newPicks []int32) (added, removed [][]string) {
+	marks := e.marks
+	for _, v := range oldPicks {
+		if n := int(v) + 1; n > len(marks) {
+			marks = append(marks, make([]uint8, n-len(marks))...)
+		}
+		marks[v] = 1
 	}
-	marks := core.NewPriceTable(0, len(oldPicks), members)
-	for _, p := range oldPicks {
-		marks.Put(p, 1)
-	}
-	for _, p := range newPicks {
-		if m, _ := marks.Lookup(p); m == 1 {
-			marks.Put(p, 0)
+	e.marks = marks
+	for _, v := range newPicks {
+		if int(v) < len(marks) && marks[v] == 1 {
+			marks[v] = 0
 			continue
 		}
-		added = append(added, e.u.SetNames(p))
+		added = append(added, e.u.SetNames(e.enum.Classifier(v)))
 	}
-	for _, p := range oldPicks {
-		if m, _ := marks.Lookup(p); m == 1 {
-			marks.Put(p, 0)
-			removed = append(removed, e.u.SetNames(p))
+	for _, v := range oldPicks {
+		if marks[v] == 1 {
+			marks[v] = 0
+			removed = append(removed, e.u.SetNames(e.enum.Classifier(v)))
 		}
 	}
 	sortNameSets(added)
 	sortNameSets(removed)
 	return added, removed
+}
+
+// compactLocked runs the store compaction the batch's removals made due,
+// once the diff has named the old picks, and renumbers every component's
+// picks. A solved component's picks are classifiers of its live queries,
+// which the compaction keeps. Callers hold mu.
+func (e *Engine) compactLocked() {
+	remap := e.enum.Compact()
+	if remap == nil {
+		return
+	}
+	for _, comp := range e.comps {
+		for i, v := range comp.picks {
+			comp.picks[i] = remap[v] - 1
+		}
+	}
 }
 
 // recordLocked folds res into the lifetime counters and metrics. Callers

@@ -63,6 +63,20 @@ func newSession(t *testing.T, costs, refBase core.CostModel, u *core.Universe) *
 // the engine against a from-scratch solve and returns the session's cost.
 func (s *session) apply(deltas ...Delta) float64 {
 	s.t.Helper()
+	return s.result(deltas...).Cost
+}
+
+// applyDiffed is apply that also requires the batch's Added and Removed to
+// equal the reference diff of the solutions before and after it.
+func (s *session) applyDiffed(deltas ...Delta) {
+	s.t.Helper()
+	before := solutionPicks(s.t, s.e)
+	checkDiff(s.t, s.e, before, s.result(deltas...))
+}
+
+// result is apply returning the batch's Result.
+func (s *session) result(deltas ...Delta) *Result {
+	s.t.Helper()
 	res, err := s.e.Apply(context.Background(), deltas)
 	if err != nil {
 		s.t.Fatalf("Apply(%v): %v", deltas, err)
@@ -73,7 +87,7 @@ func (s *session) apply(deltas ...Delta) float64 {
 		}
 	}
 	checkDifferential(s.t, s.e, s.ref, s.algo, s.opts)
-	return res.Cost
+	return res
 }
 
 // TestStoreUnpricedSubsets runs a session over a price table without a
@@ -143,10 +157,12 @@ func TestStoreRepriceRemovedQuery(t *testing.T) {
 }
 
 // TestStoreCompactionChurn adds and removes enough queries that the store
-// compacts several times: it compacts whenever its retired queries
+// compacts several times: a batch compacts it whenever its retired queries
 // outnumber its live ones, and each removal wave below retires more than
 // half of the load. Later batches add removed queries back, add new ones
-// into the freed handles and re-price across the waves.
+// into the freed handles and re-price across the waves. Every batch's
+// Added and Removed must equal the reference diff, which matches picks by
+// set and so does not see the store renumber them.
 func TestStoreCompactionChurn(t *testing.T) {
 	u := core.NewUniverse()
 	s := newSession(t, sqCost{}, sqCost{}, u)
@@ -162,20 +178,20 @@ func TestStoreCompactionChurn(t *testing.T) {
 				live = append(live, i)
 			}
 		}
-		s.apply(adds...)
-		s.apply(UpdateCost(1, query(wave * 10)[:2]...), UpdateCost(math.Inf(1), query(wave*10 + 1)[2]))
+		s.applyDiffed(adds...)
+		s.applyDiffed(UpdateCost(1, query(wave * 10)[:2]...), UpdateCost(math.Inf(1), query(wave*10 + 1)[2]))
 		kept := live[:0]
 		for _, i := range live {
 			if i%4 == 0 {
 				kept = append(kept, i)
 				continue
 			}
-			s.apply(Remove(query(i)...))
+			s.applyDiffed(Remove(query(i)...))
 		}
 		live = kept
 	}
 	for _, i := range live {
-		s.apply(Remove(query(i)...))
+		s.applyDiffed(Remove(query(i)...))
 	}
 }
 
@@ -226,7 +242,7 @@ func TestStoreInstanceStable(t *testing.T) {
 			handles = append(handles, qe.h)
 		}
 	}
-	inst, err := s.e.enum.Assemble(handles)
+	inst, _, err := s.e.enum.Assemble(handles)
 	if err != nil {
 		t.Fatalf("Assemble: %v", err)
 	}

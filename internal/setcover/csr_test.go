@@ -52,7 +52,7 @@ func errText(err error) string { return fmt.Sprint(err) }
 func compareToRef(t *testing.T, name string, ref *refInstance, withLP bool, ins ...*Instance) {
 	t.Helper()
 	ctx := context.Background()
-	rgp, rgc, rpops, rgerr := ref.greedyCtx(ctx)
+	rgp, rgc, rpops, rgerr := ref.greedy()
 	rpp, rpc, rtight, rperr := ref.primalDualCtx(ctx)
 	for _, in := range ins {
 		if in.NumElements() != ref.numElements || in.NumSets() != len(ref.sets) {
@@ -176,12 +176,37 @@ func hardnessSetCover(rng *rand.Rand, nElems, nSets int) *hardness.SetCover {
 	return sc
 }
 
+// tieSets draws trial's instance of a family whose greedy ratios tie often:
+// costs 1–3, and on odd trials every set priced at one or two times its size.
+func tieSets(rng *rand.Rand, trial int) (int, [][]int32, []float64) {
+	nElems := 5 + rng.Intn(40)
+	sets, costs := randomSets(rng, nElems, 3+rng.Intn(60), 3)
+	if trial%2 == 1 {
+		for s, elems := range sets {
+			costs[s] = float64((1 + rng.Intn(2)) * len(elems))
+		}
+	}
+	return nElems, sets, costs
+}
+
+// distinctSets draws an instance whose costs are real-valued, so no two
+// sets start at the same priority and greedy's buckets hold one set each.
+func distinctSets(rng *rand.Rand) (int, [][]int32, []float64) {
+	nElems := 5 + rng.Intn(40)
+	sets, costs := randomSets(rng, nElems, 3+rng.Intn(60), 1)
+	for s := range costs {
+		costs[s] = 0.5 + 2.5*rng.Float64()
+	}
+	return nElems, sets, costs
+}
+
 // TestCSRMatchesReference requires the CSR instance, built both through
 // AddSet and through NewCSR, to store the reference's set windows and
 // element → sets lists in the same order, and every engine to return the
-// reference engine's output: on random instances whose greedy ratios tie
-// often, and on every residual component of the three workload families
-// and of both hardness reductions.
+// reference engine's output, greedy's picks, cost and pops included: on
+// random instances whose greedy ratios tie often, on random instances whose
+// ratios all differ, and on every residual component of the three workload
+// families and of both hardness reductions.
 func TestCSRMatchesReference(t *testing.T) {
 	check := func(t *testing.T, name string, nElems int, sets [][]int32, costs []float64) {
 		in, ref := buildBoth(nElems, sets, costs)
@@ -192,6 +217,13 @@ func TestCSRMatchesReference(t *testing.T) {
 		rng := rand.New(rand.NewSource(20))
 		for trial := 0; trial < 300; trial++ {
 			nElems, sets, costs := tieSets(rng, trial)
+			check(t, "trial "+strconv.Itoa(trial), nElems, sets, costs)
+		}
+	})
+	t.Run("distinct", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(21))
+		for trial := 0; trial < 300; trial++ {
+			nElems, sets, costs := distinctSets(rng)
 			check(t, "trial "+strconv.Itoa(trial), nElems, sets, costs)
 		}
 	})

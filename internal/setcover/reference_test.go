@@ -13,8 +13,8 @@ import (
 // refInstance is the slice-of-slices Instance the CSR layout replaced, kept
 // statement for statement with its engines as the reference the CSR kernel
 // must match: one sorted element slice per set, element → sets lists grown
-// by append, and engine arrays allocated per call. It shares greedyHeap,
-// whose steps are the same in both.
+// by append, and engine arrays allocated per call. Its greedy keeps no
+// queue: it scans every set for greedy's choice.
 type refInstance struct {
 	numElements int
 	sets        [][]int32
@@ -96,38 +96,40 @@ func (in *refInstance) CoverCost(sets []int) float64 {
 	return c
 }
 
-func (in *refInstance) greedyCtx(ctx context.Context) ([]int, float64, int, error) {
+// greedy is greedy's choice rule with no queue. Every set with an element
+// is queued at its cost per element, its stored priority, and each step
+// scans every queued set for the lowest (stored priority, set number). That
+// set leaves the queue: it is dropped when it covers nothing new, re-queued
+// at its recomputed priority when that exceeds the stored one by more than
+// 1e-15, and picked otherwise.
+func (in *refInstance) greedy() ([]int, float64, int, error) {
 	if err := in.checkCoverable(); err != nil {
 		return nil, 0, 0, err
 	}
-	done := ctx.Done()
-	covered := bitset.New(in.numElements)
-	h := make(greedyHeap, 0, len(in.sets))
+	queued := make([]bool, len(in.sets))
+	stored := make([]float64, len(in.sets))
 	for s, elems := range in.sets {
 		if len(elems) > 0 {
-			h = append(h, greedyItem{set: int32(s), priority: in.costs[s] / float64(len(elems))})
+			queued[s], stored[s] = true, in.costs[s]/float64(len(elems))
 		}
 	}
-	h.init()
-
+	covered := bitset.New(in.numElements)
 	remaining := in.numElements
 	var picked []int
 	var total float64
 	pops := 0
 	for ; remaining > 0; pops++ {
-		if done != nil && pops&255 == 0 {
-			select {
-			case <-done:
-				return nil, 0, pops, ctx.Err()
-			default:
+		s := -1
+		for t := range in.sets {
+			if queued[t] && (s < 0 || stored[t] < stored[s]) {
+				s = t
 			}
 		}
-		if len(h) == 0 {
+		if s < 0 {
 			return nil, 0, pops, fmt.Errorf("setcover: internal error: queue drained with %d elements uncovered", remaining)
 		}
-		it := h.pop()
-		s := it.set
-		cnt := int32(0)
+		queued[s] = false
+		cnt := 0
 		for _, e := range in.sets[s] {
 			if !covered.Test(int(e)) {
 				cnt++
@@ -136,12 +138,11 @@ func (in *refInstance) greedyCtx(ctx context.Context) ([]int, float64, int, erro
 		if cnt == 0 {
 			continue
 		}
-		current := in.costs[s] / float64(cnt)
-		if current > it.priority+1e-15 {
-			h.push(greedyItem{set: s, priority: current})
+		if current := in.costs[s] / float64(cnt); current > stored[s]+1e-15 {
+			queued[s], stored[s] = true, current
 			continue
 		}
-		picked = append(picked, int(s))
+		picked = append(picked, s)
 		total += in.costs[s]
 		for _, e := range in.sets[s] {
 			if !covered.TestAndSet(int(e)) {

@@ -9,9 +9,11 @@
 package setcover
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -22,7 +24,7 @@ import (
 
 // SpanRun is the span each set-cover engine run emits (see internal/obs).
 // Attrs: "engine" ("greedy", "primal-dual", "lp-rounding"), "sets" (picked),
-// "cost", and engine-internal counters — "pops" (greedy heap pops), "tight"
+// "cost", and engine-internal counters — "pops" (greedy queue pops), "tight"
 // (primal-dual sets tight before reverse-delete).
 const SpanRun = "setcover"
 
@@ -234,13 +236,13 @@ func (in *Instance) IsCover(sets []int) bool {
 	return cnt == in.numElements
 }
 
-// scratch is one engine call's working memory: greedy's heap, the covered
+// scratch is one engine call's working memory: greedy's queue, the covered
 // and tight bitsets, primal-dual's residual costs, and reverseDelete's cover
 // counts and removal marks. Each call checks its own out of scratchPool, so
 // concurrent engine calls never share one, and a warm pool leaves an engine
 // call allocating only the cover it returns.
 type scratch struct {
-	heap     greedyHeap
+	queue    greedyQueue
 	covered  bitset.Bitset
 	tight    bitset.Bitset
 	removed  bitset.Bitset
@@ -250,80 +252,184 @@ type scratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-// greedyItem is a priority-queue entry with a possibly stale priority.
+// greedyItem is a queue entry with a possibly stale priority.
 type greedyItem struct {
 	set      int32
 	priority float64 // cost / uncovered-count at evaluation time (lower = better)
 }
 
-// greedyHeap is a binary min-heap of greedyItems by priority. Its init,
-// push and pop perform container/heap's Init, Push and Pop step for step,
-// sift comparisons and swaps included, so picks, pop counts and tie-breaks
-// are the ones container/heap gives, without its interface calls and the
-// boxing of every pushed and popped item.
-type greedyHeap []greedyItem
+// before reports whether a precedes b in greedy's order: lower priority
+// first, then lower set number. A set has at most one entry queued, so no
+// two entries are equal.
+func (a greedyItem) before(b greedyItem) bool {
+	return a.priority < b.priority || a.priority == b.priority && a.set < b.set
+}
 
-func (h greedyHeap) init() {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		h.down(i, len(h))
+// greedyQueue serves greedy's entries lowest (priority, set) first. The
+// reduction's prices are integers and most sets have one to three elements,
+// so the starting priorities take few distinct values. Every set's first
+// entry therefore goes into a bucket for its exact starting priority, in
+// ascending set order, and the buckets are laid out back to back in
+// priority order: a counting sort with no comparison between sets. An
+// entry re-queued at a new priority waits in a small binary heap, and a pop
+// takes whichever comes first, the head of the bucket run or the heap's
+// top.
+type greedyQueue struct {
+	// order lists the sets with at least one element by (starting
+	// priority, set): the buckets back to back. The head is order[next], in
+	// bucket rank[b], whose sets start at priority prio[rank[b]] and whose
+	// run ends before order[end[rank[b]]].
+	order     []int32
+	next      int32
+	b         int
+	rank, end []int32
+	prio      []float64
+	bucketOf  []int32 // by set: its bucket, −1 for an empty set
+	stale     []greedyItem
+}
+
+// init queues every set with at least one element at its cost per element.
+// Buckets are found through an open-addressing table of at least twice the
+// set count, keyed by the priority's bits; the table is then reused as
+// order.
+func (q *greedyQueue) init(in *Instance) {
+	m := len(in.costs)
+	size := 2
+	for size < 2*m {
+		size <<= 1
 	}
+	shift := uint(64 - bits.TrailingZeros(uint(size)))
+	table := resized(q.order, size)
+	clear(table) // slot: bucket + 1, 0 when free
+	bucketOf := resized(q.bucketOf, m)
+	prio, end := q.prio[:0], q.end[:0]
+	for s, c := range in.costs {
+		n := in.setOff[s+1] - in.setOff[s]
+		if n == 0 {
+			bucketOf[s] = -1
+			continue
+		}
+		p := c / float64(n)
+		if p == 0 {
+			p = 0 // one bucket for −0 and +0, which compare equal
+		}
+		// The high bits of the product: an integer priority's low mantissa
+		// bits are all zero.
+		i := int((math.Float64bits(p) * 0x9e3779b97f4a7c15) >> shift)
+		for {
+			b := table[i] - 1
+			if b < 0 {
+				b = int32(len(prio))
+				table[i] = b + 1
+				prio = append(prio, p)
+				end = append(end, 0)
+			}
+			if prio[b] == p {
+				bucketOf[s] = b
+				end[b]++
+				break
+			}
+			i = (i + 1) & (size - 1)
+		}
+	}
+	rank := resized(q.rank, len(prio))
+	for b := range rank {
+		rank[b] = int32(b)
+	}
+	slices.SortFunc(rank, func(a, b int32) int { return cmp.Compare(prio[a], prio[b]) })
+	// end[b] becomes bucket b's start, then fills up to its end.
+	at := int32(0)
+	for _, b := range rank {
+		at, end[b] = at+end[b], at
+	}
+	order := table[:at]
+	for s, b := range bucketOf {
+		if b >= 0 {
+			order[end[b]] = int32(s)
+			end[b]++
+		}
+	}
+	q.order, q.next, q.b = order, 0, 0
+	q.rank, q.end, q.prio, q.bucketOf = rank, end, prio, bucketOf
+	q.stale = q.stale[:0]
 }
 
-func (h *greedyHeap) push(it greedyItem) {
-	*h = append(*h, it)
-	h.up(len(*h) - 1)
-}
-
-func (h *greedyHeap) pop() greedyItem {
-	old := *h
-	n := len(old) - 1
-	old[0], old[n] = old[n], old[0]
-	old.down(0, n)
-	*h = old[:n]
-	return old[n]
-}
-
-func (h greedyHeap) up(j int) {
-	for {
-		i := (j - 1) / 2 // parent
-		if i == j || !(h[j].priority < h[i].priority) {
+// pop removes and returns the first queued entry in (priority, set) order;
+// ok is false when the queue is empty.
+func (q *greedyQueue) pop() (it greedyItem, ok bool) {
+	if int(q.next) < len(q.order) {
+		b := q.rank[q.b]
+		head := greedyItem{set: q.order[q.next], priority: q.prio[b]}
+		if len(q.stale) == 0 || head.before(q.stale[0]) {
+			if q.next++; q.next == q.end[b] {
+				q.b++
+			}
+			return head, true
+		}
+	}
+	if len(q.stale) == 0 {
+		return greedyItem{}, false
+	}
+	h := q.stale
+	it, h[0] = h[0], h[len(h)-1]
+	h = h[:len(h)-1]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= len(h) {
 			break
 		}
-		h[i], h[j] = h[j], h[i]
-		j = i
-	}
-}
-
-func (h greedyHeap) down(i, n int) {
-	for {
-		j1 := 2*i + 1
-		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
-			break
+		if j+1 < len(h) && h[j+1].before(h[j]) {
+			j++
 		}
-		j := j1 // left child
-		if j2 := j1 + 1; j2 < n && h[j2].priority < h[j1].priority {
-			j = j2 // right child
-		}
-		if !(h[j].priority < h[i].priority) {
+		if !h[j].before(h[i]) {
 			break
 		}
 		h[i], h[j] = h[j], h[i]
 		i = j
 	}
+	q.stale = h
+	return it, true
+}
+
+// push re-queues a set at a new priority.
+func (q *greedyQueue) push(it greedyItem) {
+	h := append(q.stale, it)
+	for j := len(h) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !h[j].before(h[i]) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+	q.stale = h
+}
+
+// resized returns s with length n, reusing its array when it is large
+// enough. The elements' values are unspecified.
+func resized(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n)
+	}
+	return s[:n]
 }
 
 // Greedy runs Chvátal's greedy algorithm: repeatedly pick the set minimizing
 // cost per newly covered element, until all elements are covered. The lazy
 // priority queue re-evaluates an entry only when popped (a set's coverage
-// count only decreases, so a stale priority is a lower bound and the re-pushed
-// entry stays correct), giving the O(log m · Σ|s|) bound of [9]. The
-// approximation factor is H(Δ) ≤ ln Δ + 1.
+// count only decreases, so a stale priority is a lower bound and the
+// re-queued entry stays correct), giving the O(log m · Σ|s|) bound of [9].
+// Each step pops the queued entry lowest in (stored priority, set number).
+// It picks the set when the recomputed priority is within 1e-15 of the
+// stored one, re-queues it at the recomputed priority when that is higher,
+// and drops it when the set covers nothing new, so the picks follow from
+// the instance alone. The approximation factor is H(Δ) ≤ ln Δ + 1.
 func (in *Instance) Greedy() ([]int, float64, error) {
 	return in.GreedyCtx(context.Background())
 }
 
 // GreedyCtx is Greedy with cancellation: the selection loop checks the
-// context every 256 heap pops and returns ctx.Err() when it fires,
+// context every 256 queue pops and returns ctx.Err() when it fires,
 // discarding the partial cover.
 func (in *Instance) GreedyCtx(ctx context.Context) ([]int, float64, error) {
 	sp, ctx := obs.StartChild(ctx, SpanRun, obs.Str("engine", "greedy"))
@@ -344,14 +450,8 @@ func (in *Instance) greedyCtx(ctx context.Context) ([]int, float64, int, error) 
 	done := ctx.Done()
 	covered := ws.covered.Grow(in.numElements)
 	ws.covered = covered
-	h := &ws.heap
-	*h = (*h)[:0]
-	for s, c := range in.costs {
-		if n := in.setOff[s+1] - in.setOff[s]; n > 0 {
-			*h = append(*h, greedyItem{set: int32(s), priority: c / float64(n)})
-		}
-	}
-	h.init()
+	q := &ws.queue
+	q.init(in)
 
 	remaining := in.numElements
 	var picked []int
@@ -365,10 +465,10 @@ func (in *Instance) greedyCtx(ctx context.Context) ([]int, float64, int, error) 
 			default:
 			}
 		}
-		if len(*h) == 0 {
+		it, ok := q.pop()
+		if !ok {
 			return nil, 0, pops, fmt.Errorf("setcover: internal error: queue drained with %d elements uncovered", remaining)
 		}
-		it := h.pop()
 		s := it.set
 		elems := in.setElem[in.setOff[s]:in.setOff[s+1]]
 		// Recompute the true uncovered count lazily. Coverage only shrinks,
@@ -386,7 +486,7 @@ func (in *Instance) greedyCtx(ctx context.Context) ([]int, float64, int, error) 
 		}
 		current := in.costs[s] / float64(cnt)
 		if current > it.priority+1e-15 {
-			h.push(greedyItem{set: s, priority: current})
+			q.push(greedyItem{set: s, priority: current})
 			continue
 		}
 		picked = append(picked, int(s))

@@ -93,7 +93,7 @@ func TestGreedyTextbookExample(t *testing.T) {
 }
 
 func TestGreedyLazyHeapStaleness(t *testing.T) {
-	// A scenario where a stale heap entry must not be selected: the big set
+	// A scenario where a stale queue entry must not be selected: the big set
 	// looks great initially (cost 3 / 3 elements = 1), but after the free
 	// set covers two of its elements its true ratio is 3 — worse than the
 	// remaining unit set (cost 2 / 1 element = 2).

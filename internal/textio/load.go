@@ -20,10 +20,15 @@ func ReadLoad(r io.Reader) (*core.Universe, []core.PropSet, core.CostModel, erro
 	return readLoad(r, window)
 }
 
+// loadNames is the number of property names readLoad's universe has room
+// for before it grows: a /solve body of a few hundred Private queries names
+// several hundred properties.
+const loadNames = 1024
+
 // readLoad is ReadLoad through a buffer of size win.
 func readLoad(r io.Reader, win int) (*core.Universe, []core.PropSet, core.CostModel, error) {
 	d := &decoder{r: r, buf: make([]byte, win)}
-	u := core.NewUniverse()
+	u := core.NewSizedUniverse(loadNames)
 	var (
 		ids          []core.PropID   // the queries' members, back to back
 		starts       []int           // query i's members start at ids[starts[i]]

@@ -193,18 +193,39 @@ func (f *File) QueryWeights() []float64 {
 	return out
 }
 
-// Build materializes the file as an MC³ instance.
+// Build materializes the file as an MC³ instance. It rejects a File that
+// validate rejects, with validate's error: it checks the names as it
+// interns them and the prices as it lists them for pricing, in validate's
+// order.
 func (f *File) Build(opts core.Options) (*core.Universe, *core.Instance, error) {
-	if err := f.validate(); err != nil {
-		return nil, nil, err
+	if len(f.Queries) == 0 {
+		return nil, nil, errNoQueries
 	}
 	u := core.NewUniverse()
 	queries := make([]core.PropSet, len(f.Queries))
+	var ids []core.PropID
 	for i, q := range f.Queries {
-		queries[i] = u.Set(q...)
+		if len(q) == 0 {
+			return nil, nil, emptyQuery(i)
+		}
+		ids = ids[:0]
+		for _, name := range q {
+			if err := checkName(i, name); err != nil {
+				return nil, nil, err
+			}
+			ids = append(ids, u.Intern(name))
+		}
+		queries[i] = core.NewPropSet(ids...)
+	}
+	cm, err := f.costModel(u)
+	if err == nil {
+		err = checkScalars(f.UniformCost, f.DefaultCost, f.Weights, len(f.Queries))
+	}
+	if err != nil {
+		return nil, nil, err
 	}
 
-	inst, err := core.NewInstance(u, queries, f.CostModelFor(u), opts)
+	inst, err := core.NewInstance(u, queries, cm, opts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -217,16 +238,28 @@ func (f *File) Build(opts core.Options) (*core.Universe, *core.Instance, error) 
 // mc3serve's incremental sessions use this to price classifiers in a
 // session-owned universe.
 func (f *File) CostModelFor(u *core.Universe) core.CostModel {
-	if f.UniformCost != nil {
-		return core.UniformCost(*f.UniformCost)
-	}
+	cm, _ := f.costModel(u)
+	return cm
+}
+
+// costModel is CostModelFor, which also reports the first invalid price in
+// the costs' order, as validate does. It walks the costs under a uniform
+// cost as well, which prices none of them, so that validate's check holds.
+func (f *File) costModel(u *core.Universe) (core.CostModel, error) {
+	var err error
 	entries := make([]costEntry, 0, len(f.Costs))
 	for key, c := range f.Costs {
+		if err == nil {
+			err = checkCost(key, c)
+		}
 		entries = append(entries, costEntry{key, c})
+	}
+	if f.UniformCost != nil {
+		return core.UniformCost(*f.UniformCost), err
 	}
 	return priceTable(u, defaultCost(f.DefaultCost), len(entries), func(i int) (string, float64) {
 		return entries[i].key, entries[i].price
-	})
+	}), err
 }
 
 // defaultCost is the price of classifiers the costs leave out: def, or +Inf

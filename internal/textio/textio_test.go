@@ -2,6 +2,7 @@ package textio
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -189,6 +190,33 @@ func TestValidation(t *testing.T) {
 	for _, c := range cases {
 		if _, err := Read(strings.NewReader(c)); err == nil {
 			t.Errorf("Read(%q) should fail", c)
+		}
+	}
+}
+
+// TestBuildRejectsAsValidate: Build checks a hand-built File in the walks
+// that build it, and must reject it with validate's error, in validate's
+// order: the empty load, then the queries in order, then the costs, then
+// the scalars.
+func TestBuildRejectsAsValidate(t *testing.T) {
+	neg, one := -2.0, 1.0
+	for _, f := range []*File{
+		{},
+		{Queries: [][]string{{"a"}, {}}, Costs: map[string]float64{"a": -1}},
+		{Queries: [][]string{{"a", ""}}, UniformCost: &neg},
+		{Queries: [][]string{{"a"}, {"b|c"}}, Costs: map[string]float64{"a": -1}},
+		{Queries: [][]string{{"a"}}, Costs: map[string]float64{"a": -1}, UniformCost: &neg},
+		{Queries: [][]string{{"a"}}, Costs: map[string]float64{"z": math.NaN()}, UniformCost: &one},
+		{Queries: [][]string{{"a"}}, UniformCost: &neg, Weights: []float64{1, 2}},
+		{Queries: [][]string{{"a"}}, DefaultCost: &neg, Weights: []float64{-1}},
+		{Queries: [][]string{{"a"}}, UniformCost: &one, Weights: []float64{1, 2}},
+		{Queries: [][]string{{"a"}, {"a", "b"}}, UniformCost: &one, Weights: []float64{1, -1}},
+		{Queries: [][]string{{"a"}, {"a", "b"}}, UniformCost: &one, Weights: []float64{1, 2}},
+	} {
+		want := f.validate()
+		_, inst, err := f.Build(core.Options{})
+		if fmt.Sprint(err) != fmt.Sprint(want) || (err == nil) != (inst != nil) {
+			t.Errorf("Build(%+v) = %v, %v; validate says %v", f, inst != nil, err, want)
 		}
 	}
 }
