@@ -67,7 +67,7 @@ serve:
 # cache-key kernel (each kernel against its reference), the canonical
 # component order (key bytes and set-cover reduction against those of a
 # permuted load), the instance scanner against encoding/json, the fused
-# decode against Read plus File.Build, the flight recorder's records
+# decode against Read plus File.Build, the flight recorder's packed trees
 # against the recorder that kept Events, and the session delta endpoint
 # against from-scratch solves.
 # Patterns are anchored: go test refuses a -fuzz pattern that matches more

@@ -60,10 +60,10 @@ type entry struct {
 	prev, next *entry
 }
 
-// entrySlots returns the number of slotBytes slots an entry with this
-// signature and these picks holds.
-func entrySlots(key string, picks []int32) int {
-	b := len(key) + 4*len(picks)
+// entrySlots returns the number of slotBytes slots an entry with a
+// signature of keyLen bytes and these picks holds.
+func entrySlots(keyLen int, picks []int32) int {
+	b := keyLen + 4*len(picks)
 	return max(1, (b+slotBytes-1)/slotBytes)
 }
 
@@ -74,6 +74,10 @@ func entrySlots(key string, picks []int32) int {
 type Cache struct {
 	max     int
 	metrics *obs.Registry
+	// The metric handles, each looked up in metrics at its first use, so
+	// /metrics lists a series once the cache has counted into it.
+	hitsM, missesM, evictionsM atomic.Pointer[obs.Counter]
+	entriesM                   atomic.Pointer[obs.Gauge]
 
 	hits, misses, evictions atomic.Int64
 
@@ -96,6 +100,26 @@ func New(cfg Config) *Cache {
 	}
 }
 
+// counter returns the counter h holds, looking it up by name first.
+func (c *Cache) counter(h *atomic.Pointer[obs.Counter], name string) *obs.Counter {
+	m := h.Load()
+	if m == nil {
+		m = c.metrics.Counter(name)
+		h.Store(m)
+	}
+	return m
+}
+
+// entriesGauge returns the mc3_cache_entries gauge.
+func (c *Cache) entriesGauge() *obs.Gauge {
+	m := c.entriesM.Load()
+	if m == nil {
+		m = c.metrics.Gauge("mc3_cache_entries")
+		c.entriesM.Store(m)
+	}
+	return m
+}
+
 // Lookup returns the cached solution for k, translated into the classifier
 // IDs of the component k was built from, and whether it was found. The
 // returned slice is freshly allocated and owned by the caller.
@@ -104,7 +128,7 @@ func (c *Cache) Lookup(k Key) ([]core.ClassifierID, bool) {
 		return nil, false
 	}
 	c.mu.Lock()
-	e, ok := c.entries[k.id]
+	e, ok := c.entries[string(k.buf)]
 	if ok {
 		c.moveToFront(e)
 	}
@@ -116,7 +140,7 @@ func (c *Cache) Lookup(k Key) ([]core.ClassifierID, bool) {
 
 	if !ok {
 		c.misses.Add(1)
-		c.metrics.Counter("mc3_cache_misses_total").Inc()
+		c.counter(&c.missesM, "mc3_cache_misses_total").Inc()
 		return nil, false
 	}
 	out := make([]core.ClassifierID, len(picks))
@@ -126,20 +150,21 @@ func (c *Cache) Lookup(k Key) ([]core.ClassifierID, bool) {
 		// (theoretically impossible) mismatch.
 		if int(li) >= len(k.globals) {
 			c.misses.Add(1)
-			c.metrics.Counter("mc3_cache_misses_total").Inc()
+			c.counter(&c.missesM, "mc3_cache_misses_total").Inc()
 			return nil, false
 		}
 		out[i] = k.globals[li]
 	}
 	c.hits.Add(1)
-	c.metrics.Counter("mc3_cache_hits_total").Inc()
+	c.counter(&c.hitsM, "mc3_cache_hits_total").Inc()
 	return out, true
 }
 
 // Store records picks (instance classifier IDs) as the solution of the
-// component k was built from. Picks outside the component's classifier
-// enumeration make the store a no-op (they cannot be canonicalized); that
-// never happens for solutions produced by the solvers.
+// component k was built from, copying k's signature when it adds an entry.
+// Picks outside the component's classifier enumeration make the store a
+// no-op (they cannot be canonicalized); that never happens for solutions
+// produced by the solvers.
 func (c *Cache) Store(k Key, picks []core.ClassifierID) {
 	if c == nil || !k.Valid() {
 		return
@@ -149,13 +174,13 @@ func (c *Cache) Store(k Key, picks []core.ClassifierID) {
 		return
 	}
 
-	slots := entrySlots(k.id, enc)
+	slots := entrySlots(len(k.buf), enc)
 	if slots > c.max {
 		return
 	}
 
 	c.mu.Lock()
-	e, ok := c.entries[k.id]
+	e, ok := c.entries[string(k.buf)]
 	if ok {
 		// Deterministic solvers re-derive the same solution; keep the fresh
 		// one and refresh recency.
@@ -163,8 +188,8 @@ func (c *Cache) Store(k Key, picks []core.ClassifierID) {
 		e.picks, e.slots = enc, slots
 		c.moveToFront(e)
 	} else {
-		e = &entry{key: k.id, picks: enc, slots: slots}
-		c.entries[k.id] = e
+		e = &entry{key: string(k.buf), picks: enc, slots: slots}
+		c.entries[e.key] = e
 		c.used += slots
 		c.pushFront(e)
 	}
@@ -179,9 +204,9 @@ func (c *Cache) Store(k Key, picks []core.ClassifierID) {
 
 	if evicted > 0 {
 		c.evictions.Add(int64(evicted))
-		c.metrics.Counter("mc3_cache_evictions_total").Add(int64(evicted))
+		c.counter(&c.evictionsM, "mc3_cache_evictions_total").Add(int64(evicted))
 	}
-	c.metrics.Gauge("mc3_cache_entries").Set(float64(n))
+	c.entriesGauge().Set(float64(n))
 }
 
 // Stats returns a snapshot of the cache's counters.
@@ -220,7 +245,7 @@ func (c *Cache) Reset() {
 	c.used = 0
 	c.head, c.tail = nil, nil
 	c.mu.Unlock()
-	c.metrics.Gauge("mc3_cache_entries").Set(0)
+	c.entriesGauge().Set(0)
 }
 
 // pushFront links e as the most-recently-used entry. Callers hold mu.

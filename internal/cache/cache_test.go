@@ -1,11 +1,13 @@
 package cache
 
 import (
+	"bytes"
 	"fmt"
-	"strings"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/prep"
 )
 
@@ -56,7 +58,7 @@ func TestComponentKeyRenamingInvariance(t *testing.T) {
 		if !k1.Valid() || !k2.Valid() {
 			t.Fatalf("component %d: invalid key(s)", ci)
 		}
-		if k1.id != k2.id {
+		if !bytes.Equal(k1.buf, k2.buf) {
 			t.Errorf("component %d: renamed component got a different signature", ci)
 		}
 		if len(k1.globals) != len(k2.globals) {
@@ -86,7 +88,7 @@ func TestComponentKeyQueryOrderInvariance(t *testing.T) {
 	}
 	k1 := componentKey(c, "d", r1, r1.Components[0])
 	k2 := componentKey(c, "d", r2, r2.Components[0])
-	if k1.id != k2.id {
+	if !bytes.Equal(k1.buf, k2.buf) {
 		t.Error("reordered load got a different signature")
 	}
 }
@@ -103,7 +105,7 @@ func TestComponentKeyDistinguishesStructure(t *testing.T) {
 
 	k1 := componentKey(c, "d", r1, r1.Components[0])
 	k2 := componentKey(c, "d", r2, r2.Components[0])
-	if k1.id == k2.id {
+	if bytes.Equal(k1.buf, k2.buf) {
 		t.Error("shared-property and disjoint loads must not share a signature")
 	}
 }
@@ -115,14 +117,14 @@ func TestComponentKeyDistinguishesCostsAndDomain(t *testing.T) {
 		r1 := prepFor(t, u1, []core.PropSet{u1.Set("a", "b")}, core.UniformCost(costs[0]))
 		u2 := core.NewUniverse()
 		r2 := prepFor(t, u2, []core.PropSet{u2.Set("a", "b")}, core.UniformCost(costs[1]))
-		if componentKey(c, "d", r1, r1.Components[0]).id == componentKey(c, "d", r2, r2.Components[0]).id {
+		if bytes.Equal(componentKey(c, "d", r1, r1.Components[0]).buf, componentKey(c, "d", r2, r2.Components[0]).buf) {
 			t.Errorf("costs %v and %v must not share a signature", costs[0], costs[1])
 		}
 	}
 
 	u := core.NewUniverse()
 	r := prepFor(t, u, []core.PropSet{u.Set("a", "b")}, core.UniformCost(3))
-	if componentKey(c, "ktwo/dinic", r, r.Components[0]).id == componentKey(c, "general/greedy", r, r.Components[0]).id {
+	if bytes.Equal(componentKey(c, "ktwo/dinic", r, r.Components[0]).buf, componentKey(c, "general/greedy", r, r.Components[0]).buf) {
 		t.Error("different algorithm domains must not share a signature")
 	}
 }
@@ -284,7 +286,7 @@ func TestBoundCountsSlots(t *testing.T) {
 	t.Run("large", func(t *testing.T) {
 		c := New(Config{MaxEntries: bound})
 		for i := 0; i < bound; i++ {
-			c.Store(Key{id: fmt.Sprintf("%040000d", i)}, nil)
+			c.Store(Key{buf: fmt.Appendf(nil, "%040000d", i)}, nil)
 		}
 		if b := storedBytes(c); b > bound*slotBytes {
 			t.Errorf("cache holds %d bytes in %d entries, want ≤ %d", b, c.Len(), bound*slotBytes)
@@ -293,7 +295,7 @@ func TestBoundCountsSlots(t *testing.T) {
 			t.Error("entries within the bound must be stored")
 		}
 		// An entry larger than the whole bound is not stored.
-		huge := Key{id: strings.Repeat("x", (bound+1)*slotBytes)}
+		huge := Key{buf: bytes.Repeat([]byte("x"), (bound+1)*slotBytes)}
 		c.Store(huge, nil)
 		if _, ok := c.Lookup(huge); ok {
 			t.Error("an entry larger than the bound must not be stored")
@@ -302,7 +304,7 @@ func TestBoundCountsSlots(t *testing.T) {
 	t.Run("small", func(t *testing.T) {
 		c := New(Config{MaxEntries: bound})
 		for i := 0; i < 2*bound; i++ {
-			c.Store(Key{id: fmt.Sprintf("%03000d", i)}, []core.ClassifierID{})
+			c.Store(Key{buf: fmt.Appendf(nil, "%03000d", i)}, []core.ClassifierID{})
 		}
 		if c.Len() != bound {
 			t.Errorf("Len = %d after %d stores of sub-4 KiB entries, want %d", c.Len(), 2*bound, bound)
@@ -311,4 +313,74 @@ func TestBoundCountsSlots(t *testing.T) {
 			t.Errorf("evictions = %d, want %d", st.Evictions, bound)
 		}
 	})
+}
+
+// TestLookupCopiesNoKey checks that a key views the component's scratch, a
+// lookup reads it there (a miss allocates nothing, a hit only its returned
+// picks), and a store copies it, so the entry outlives the scratch.
+func TestLookupCopiesNoKey(t *testing.T) {
+	c := New(Config{Metrics: obs.NewRegistry()})
+	u := core.NewUniverse()
+	r := prepFor(t, u, []core.PropSet{u.Set("a", "b"), u.Set("b", "c")}, core.UniformCost(3))
+	cc, k := Canonical(c, "d", r, r.Components[0])
+	if &k.buf[0] != &cc.buf[0] || &k.globals[0] != &cc.Classifiers[0] {
+		t.Error("the key does not view the component's scratch")
+	}
+	if avg := testing.AllocsPerRun(100, func() { c.Lookup(k) }); avg != 0 {
+		t.Errorf("a miss allocates %.0f, want 0", avg)
+	}
+	c.Store(k, []core.ClassifierID{r.Inst.QueryClassifiers(0)[0].ID})
+	if avg := testing.AllocsPerRun(100, func() { c.Lookup(k) }); avg != 1 {
+		t.Errorf("a hit allocates %.0f, want 1 (the picks)", avg)
+	}
+	cc.Release()
+	// Another component overwrites the pooled scratch.
+	r2 := prepFor(t, u, []core.PropSet{u.Set("x", "y")}, core.UniformCost(7))
+	cc2, _ := Canonical(c, "d", r2, r2.Components[0])
+	cc2.Release()
+	cc3, k3 := Canonical(c, "d", r, r.Components[0])
+	defer cc3.Release()
+	if _, ok := c.Lookup(k3); !ok {
+		t.Error("the stored entry did not outlive the scratch its key viewed")
+	}
+}
+
+// TestMetricsRegisteredAtFirstUse checks that the cache's series appear in
+// the registry when the cache first counts into them, not before.
+func TestMetricsRegisteredAtFirstUse(t *testing.T) {
+	reg := obs.NewRegistry()
+	c := New(Config{Metrics: reg, MaxEntries: 1})
+	series := func() []string {
+		var names []string
+		for name := range reg.Snapshot() {
+			names = append(names, name)
+		}
+		slices.Sort(names)
+		return names
+	}
+	if got := series(); len(got) != 0 {
+		t.Fatalf("a new cache registered %v", got)
+	}
+	u := core.NewUniverse()
+	keys := make([]Key, 2)
+	for i := range keys {
+		r := prepFor(t, u, []core.PropSet{u.Set("a", "b")}, core.UniformCost(float64(i+1)))
+		keys[i] = componentKey(c, "d", r, r.Components[0])
+	}
+	c.Lookup(keys[0])
+	if got, want := series(), []string{"mc3_cache_misses_total"}; !slices.Equal(got, want) {
+		t.Fatalf("after a miss: %v, want %v", got, want)
+	}
+	c.Store(keys[0], nil)
+	c.Lookup(keys[0])
+	if got, want := series(), []string{"mc3_cache_entries", "mc3_cache_hits_total", "mc3_cache_misses_total"}; !slices.Equal(got, want) {
+		t.Fatalf("after a store and a hit: %v, want %v", got, want)
+	}
+	c.Store(keys[1], nil)
+	if got := reg.Counter("mc3_cache_evictions_total").Value(); got != 1 {
+		t.Errorf("mc3_cache_evictions_total = %d, want 1", got)
+	}
+	if got := reg.Gauge("mc3_cache_entries").Value(); got != 1 {
+		t.Errorf("mc3_cache_entries = %v, want 1", got)
+	}
 }

@@ -50,7 +50,9 @@
 // indexed by ClassifierID. That scratch is pooled and held from Canonical
 // to Release, which clears the entries it numbered, so concurrent solves
 // never share scratch and no call pays for the instance's size. The key
-// bytes are written only when a cache is attached.
+// bytes are written only when a cache is attached, into that scratch too: a
+// lookup reads them in place, and only a store that adds an entry copies
+// them.
 package cache
 
 import (
@@ -70,13 +72,17 @@ import (
 // Key is invalid; build one with Canonical. A Key carries the local→global
 // classifier mapping of the component it was built from, so the cache can
 // translate stored solutions into the current instance's IDs.
+//
+// A Key views its Component's scratch: it is valid until the Component's
+// Release, and must not be used after it. Cache.Store copies the signature
+// when it adds an entry.
 type Key struct {
-	id      string
-	globals []core.ClassifierID // canonical local index → instance classifier ID
+	buf     []byte              // the signature, in Component.buf
+	globals []core.ClassifierID // canonical local index → instance classifier ID: Component.Classifiers
 }
 
 // Valid reports whether the key was successfully built.
-func (k Key) Valid() bool { return k.id != "" }
+func (k Key) Valid() bool { return len(k.buf) > 0 }
 
 // Component is a residual component in canonical order (see the package
 // doc). Build one with Canonical and hand it back with Release; its fields
@@ -115,8 +121,9 @@ func (cc *Component) numbering(n int) []int32 {
 // by preprocessing) in canonical order and returns it with its key for
 // cache c under the given algorithm domain: one pass writes the
 // fingerprints, one sort orders them, and one walk numbers the classifiers
-// and writes the key bytes. With c nil it writes no key bytes and returns
-// an invalid Key, as it does for an empty component.
+// and writes the key bytes. The Key views the Component and is valid until
+// its Release. With c nil it writes no key bytes and returns an invalid
+// Key, as it does for an empty component.
 func Canonical(c *Cache, domain string, r *prep.Result, comp []int) (*Component, Key) {
 	inst := r.Inst
 	cc := componentPool.Get().(*Component)
@@ -207,7 +214,7 @@ func Canonical(c *Cache, domain string, r *prep.Result, comp []int) (*Component,
 		return cc, Key{}
 	}
 	cc.buf = buf
-	return cc, Key{id: string(buf), globals: slices.Clone(globals)}
+	return cc, Key{buf: buf, globals: globals}
 }
 
 // uvarintLen returns the length of x's uvarint encoding.
@@ -217,8 +224,8 @@ func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 // that is not an alive classifier of the component.
 func (cc *Component) Local(id core.ClassifierID) int32 { return cc.local[id] - 1 }
 
-// Release hands the component's scratch back to the pool. cc must not be
-// used afterwards.
+// Release hands the component's scratch back to the pool. Neither cc nor
+// the Key built with it may be used afterwards.
 func (cc *Component) Release() {
 	for _, id := range cc.Classifiers {
 		cc.local[id] = 0

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -80,12 +81,14 @@ func refComponentKey(domain string, r *prep.Result, comp []int) Key {
 			buf = binary.AppendUvarint(buf, li)
 		}
 	}
-	return Key{id: string(buf), globals: globals}
+	return Key{buf: buf, globals: globals}
 }
 
-// componentKey builds the key of component comp of r through the kernel.
+// componentKey builds the key of component comp of r through the kernel,
+// and copies it so that it outlives the component's Release.
 func componentKey(c *Cache, domain string, r *prep.Result, comp []int) Key {
 	cc, k := Canonical(c, domain, r, comp)
+	k = Key{buf: slices.Clone(k.buf), globals: slices.Clone(k.globals)}
 	cc.Release()
 	return k
 }
@@ -97,7 +100,7 @@ func checkKeys(t testing.TB, c *Cache, domain string, r *prep.Result) int {
 	t.Helper()
 	for ci, comp := range r.Components {
 		got, want := componentKey(c, domain, r, comp), refComponentKey(domain, r, comp)
-		if got.id != want.id {
+		if !bytes.Equal(got.buf, want.buf) {
 			t.Fatalf("component %d (%d queries): key bytes differ from the reference", ci, len(comp))
 		}
 		if !slices.Equal(got.globals, want.globals) {
@@ -282,9 +285,12 @@ func TestComponentKeyConcurrent(t *testing.T) {
 				for i := range results {
 					r := results[(i+w)%len(results)]
 					for ci, comp := range r.Components {
-						k := componentKey(c, "d", r, comp)
+						// The key views the component's pooled scratch
+						// until Release, as in a solve.
+						cc, k := Canonical(c, "d", r, comp)
 						want := refComponentKey("d", r, comp)
-						if k.id != want.id || !slices.Equal(k.globals, want.globals) {
+						if !bytes.Equal(k.buf, want.buf) || !slices.Equal(k.globals, want.globals) {
+							cc.Release()
 							errs <- fmt.Errorf("worker %d: component %d: key differs from the reference", w, ci)
 							return
 						}
@@ -296,10 +302,12 @@ func TestComponentKeyConcurrent(t *testing.T) {
 							picks = append(picks, k.globals[j])
 						}
 						if got, ok := c.Lookup(k); ok && !slices.Equal(got, picks) {
+							cc.Release()
 							errs <- fmt.Errorf("worker %d: component %d: hit %v, stored %v", w, ci, got, picks)
 							return
 						}
 						c.Store(k, picks)
+						cc.Release()
 					}
 				}
 			}

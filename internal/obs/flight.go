@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"math"
+	"math/bits"
 	"strconv"
 	"strings"
 	"sync"
@@ -12,21 +13,22 @@ import (
 	"time"
 )
 
-// FlightRecorder is a Sink retaining the last N completed span trees in a
-// fixed-capacity ring — the serving layer's "why was that request slow?"
-// buffer. Events are grouped by Event.Root as they arrive (children end
-// before their root), and when the root span ends the assembled tree is
-// retired into the ring, evicting the oldest.
+// FlightRecorder is a Sink retaining the last N completed span trees — the
+// serving layer's "why was that request slow?" buffer. Events are grouped by
+// Event.Root as they arrive (children end before their root), and when the
+// root span ends the assembled tree is retired into the ring, evicting the
+// oldest.
 //
 // The recorder is built for an always-on serve path: one short mutex per
 // event, and every buffer is recycled, so steady-state recording adds zero
 // allocations per span once warm (flight_test.go gates this with
-// AllocsPerRun). A full ring also costs the garbage collector next to
-// nothing: a tree is kept not as Events but as fixed-size records that hold
-// no pointers (spanRec, attrRec), with strings copied into a byte arena and
-// names and keys interned, so there is nothing in it for the collector to
-// mark. The read paths (Snapshot, Trace, the slow log) decode the records
-// back into Events.
+// AllocsPerRun). A tree is kept not as Events but packed into one byte
+// stream (see appendLocked) with names and keys interned, and retired trees
+// lie back to back in one byte ring, each at its own size. So a full ring is
+// a few pointer-free buffers that the garbage collector has nothing to mark
+// in, and a burst of large trees leaves no slack behind once the ring has
+// moved past it. The read paths (Snapshot, Trace, the slow log) decode the
+// stream back into Events.
 //
 // Tail-based capture: with a slow log attached (SetSlowLog), any retired
 // tree whose root exceeded the latency threshold or carries an "err"
@@ -35,19 +37,23 @@ import (
 //
 // All methods are nil-receiver-safe.
 type FlightRecorder struct {
-	capacity  int
-	maxSpans  int // per-trace span bound; extra spans are dropped, counted
-	maxIntern int // bound on the intern table's entries
-	maxArena  int // per-trace arena bound; strings past it go to traceBuf.other
+	capacity     int
+	maxSpans     int // per-trace span bound; extra spans are dropped, counted
+	maxIntern    int // bound on the intern table's entries
+	maxInternLen int // longest name or key the intern table takes
 
 	mu      sync.Mutex
 	pending map[uint64]*traceBuf // root ID → tree under assembly
 	free    []*traceBuf          // recycled buffers
-	ring    []*traceBuf          // retired trees; ring[next] is the oldest once full
+	trees   []treeRec            // retired trees; trees[next] is the oldest once full
 	next    int
+	// ring holds the retired trees' packed spans back to back in
+	// ring[lo:hi], oldest first (see retireLocked).
+	ring   []byte
+	lo, hi int
 
 	// names interns span names and attribute keys for every tree; a string
-	// reference below refOther indexes it. Entries are never removed.
+	// reference names its entry by index. Entries are never removed.
 	names   []string
 	nameIdx map[string]uint32
 
@@ -61,74 +67,66 @@ type FlightRecorder struct {
 	slowErrs  atomic.Uint64 // slow-log records lost to marshal or write errors
 }
 
-// traceBuf accumulates one span tree. Everything but other is pointer-free,
-// and every slice is reused across trees, so steady-state appends don't
-// allocate.
-type traceBuf struct {
+// treeHead describes one packed tree.
+type treeHead struct {
 	root      uint64
+	spans     int // packed spans
+	attrs     int // their attributes
 	truncated int
-	spans     []spanRec
-	attrs     []attrRec
-	arena     []byte   // string attribute values; names and keys the intern table can't take
-	wide      []uint64 // ID, Parent pairs of spans whose deltas don't fit a spanRec
-	other     []any    // values of any other type (errors, Any), and strings past maxArena
+	// lastOff is where the last span starts in the tree's bytes, and
+	// lastPrev the start its start is a delta from, so that a retired
+	// tree's root, always its last span, decodes on its own.
+	lastOff  int
+	lastPrev int64
+	other    []any // values of any other type (errors, Any)
 }
 
-// spanRec is one span (32 bytes). IDs are deltas from the tree's root,
-// which every span of the tree shares: the tracer issues a tree's span IDs
-// after its root's.
-type spanRec struct {
-	start   int64  // Event.Start in Unix nanoseconds; zeroStart for the zero Time
-	dur     int64  // Event.Duration
-	id      uint32 // ID − root, or wideIDs
-	parent  uint32 // Parent − root + 1, or 0 for Parent 0; with wideIDs, the pair's index in wide
-	name    uint32 // string reference
-	attrEnd uint32 // the span's attributes are attrs[previous span's attrEnd:attrEnd]
+// treeRec is one retired tree: its spans are ring[off:off+size].
+type treeRec struct {
+	treeHead
+	off, size int
 }
 
-// attrRec is one attribute (16 bytes).
-type attrRec struct {
-	key  uint32 // string reference
-	kind attrKind
-	// val is the value's 64 bits (int64, float64, bool, Duration), the
-	// string's arena offset<<32 | length, or the value's index in other.
-	val uint64
+// traceBuf is a tree under assembly, packed as it will be in the ring into
+// a buffer that is reused across trees, so steady-state appends don't
+// allocate. Everything but other is pointer-free.
+type traceBuf struct {
+	treeHead
+	first int64 // the first span's start, for evictOldestPendingLocked
+	last  int64 // the last span's start
+	data  []byte
 }
 
+// attrKind is the low three bits of an attribute's kind byte.
 type attrKind uint8
 
 const (
 	kindNil attrKind = iota
 	kindString
 	kindInt64
-	kindFloat64
-	kindBool
+	kindFloat64 // the kind byte's upper bits count the value's bytes
+	kindFalse
+	kindTrue
 	kindDuration
 	kindOther
 )
 
 const (
-	// Sizes of the records and of other's elements, for
+	// Sizes of a tree record and of a side slice's elements, for
 	// FlightStats.RetainedBytes (TestFlightRingFootprint checks them).
-	spanRecBytes = 32
-	attrRecBytes = 16
+	treeRecBytes = 88
 	anyBytes     = 16
 
-	// wideIDs in spanRec.id marks a span whose IDs are kept in wide.
-	wideIDs = math.MaxUint32
-	// zeroStart is spanRec.start for the zero Time, which has no Unix
-	// nanoseconds.
+	// zeroStart stands for the zero Time, which has no Unix nanoseconds.
 	zeroStart = math.MinInt64
-
-	// A string reference (a name or a key) is an index into the intern
-	// table, refOther plus an index into other, or refArena plus the arena
-	// offset of a uvarint length followed by the bytes.
-	refOther = 1 << 30
-	refArena = 1 << 31
 
 	// internMaxLen keeps long strings out of the intern table, so its size
 	// is bounded in bytes as well as in entries.
 	internMaxLen = 64
+
+	// traceBufBytes is a new tree buffer's capacity: small trees never
+	// grow it.
+	traceBufBytes = 1 << 10
 )
 
 const (
@@ -137,11 +135,8 @@ const (
 	// request (huge component fan-out) can't pin unbounded memory.
 	defaultMaxSpans = 4096
 	// defaultMaxIntern bounds the intern table: caller-chosen names past it
-	// are copied into each trace's arena instead.
+	// are copied into each trace's stream instead.
 	defaultMaxIntern = 1024
-	// defaultMaxArena keeps arena offsets and lengths within a string
-	// reference's 31 bits.
-	defaultMaxArena = refArena - 1
 )
 
 // NewFlightRecorder returns a recorder retaining the last capacity completed
@@ -151,13 +146,13 @@ func NewFlightRecorder(capacity int) *FlightRecorder {
 		capacity = defaultFlightCapacity
 	}
 	return &FlightRecorder{
-		capacity:  capacity,
-		maxSpans:  defaultMaxSpans,
-		maxIntern: defaultMaxIntern,
-		maxArena:  defaultMaxArena,
-		pending:   make(map[uint64]*traceBuf),
-		ring:      make([]*traceBuf, 0, capacity),
-		nameIdx:   make(map[string]uint32),
+		capacity:     capacity,
+		maxSpans:     defaultMaxSpans,
+		maxIntern:    defaultMaxIntern,
+		maxInternLen: internMaxLen,
+		pending:      make(map[uint64]*traceBuf),
+		trees:        make([]treeRec, 0, capacity),
+		nameIdx:      make(map[string]uint32),
 	}
 }
 
@@ -197,14 +192,11 @@ func (f *FlightRecorder) take(root uint64) *traceBuf {
 		f.free[n-1] = nil
 		f.free = f.free[:n-1]
 	} else {
-		tb = new(traceBuf)
+		tb = &traceBuf{data: make([]byte, 0, traceBufBytes)}
 	}
-	tb.root = root
-	tb.truncated = 0
-	tb.spans = tb.spans[:0]
-	tb.attrs = tb.attrs[:0]
-	tb.arena = tb.arena[:0]
-	tb.wide = tb.wide[:0]
+	tb.treeHead = treeHead{root: root, other: tb.other}
+	tb.first, tb.last = 0, 0
+	tb.data = tb.data[:0]
 	return tb
 }
 
@@ -231,7 +223,7 @@ func (f *FlightRecorder) Span(ev Event) {
 	}
 	// The root event is always kept (it completes the tree); non-root spans
 	// beyond the per-trace bound are dropped and counted.
-	if len(tb.spans) >= f.maxSpans && ev.ID != ev.Root {
+	if tb.spans >= f.maxSpans && ev.ID != ev.Root {
 		tb.truncated++
 		f.dropped++
 		f.mu.Unlock()
@@ -244,193 +236,278 @@ func (f *FlightRecorder) Span(ev Event) {
 	}
 	// Root completed: retire the tree into the ring.
 	delete(f.pending, ev.Root)
-	if len(f.ring) < f.capacity {
-		f.ring = append(f.ring, tb)
-		f.next = len(f.ring) % f.capacity
-	} else {
-		f.recycle(f.ring[f.next])
-		f.ring[f.next] = tb
-		f.next = (f.next + 1) % f.capacity
-	}
+	t := f.retireLocked(tb)
+	f.recycle(tb)
 	f.recorded++
 	if f.slow == nil || (ev.Err("err") == nil && (f.slowThreshold <= 0 || ev.Duration < f.slowThreshold)) {
 		f.mu.Unlock()
 		return
 	}
-	// Tail capture: copy the tree out while tb cannot be recycled, then
+	// Tail capture: copy the tree out while it cannot be evicted, then
 	// marshal and write without holding up other requests' spans.
-	w, truncated, spans := f.slow, tb.truncated, f.eventsLocked(tb)
+	w, truncated, spans := f.slow, t.truncated, f.eventsLocked(t)
 	f.mu.Unlock()
 	f.writeSlow(w, ev, truncated, spans)
 }
 
-// appendLocked encodes ev as tb's next span record.
+// appendLocked packs ev as tb's next span:
+//
+//	name      string reference
+//	id        varint: ID − root
+//	parent    varint: Parent − root (a Parent of 0 is −root)
+//	start     varint: Unix ns (zeroStart for the zero Time) − the previous
+//	          span's, or − 0 for the first
+//	duration  varint
+//	attrs     uvarint count, then per attribute a key string reference, a
+//	          kind byte and the value (see appendValue)
+//
+// The differences wrap around, so every value round-trips. A string
+// reference is uvarint(2i) for entry i of the intern table, or
+// uvarint(2n+1) followed by the n bytes of a string the table does not
+// hold.
 func (f *FlightRecorder) appendLocked(tb *traceBuf, ev Event) {
-	r := spanRec{start: zeroStart, dur: int64(ev.Duration), name: f.refLocked(tb, ev.Name)}
+	start := int64(zeroStart)
 	if !ev.Start.IsZero() {
-		r.start = ev.Start.UnixNano()
+		start = ev.Start.UnixNano()
 	}
-	if d, p := ev.ID-tb.root, ev.Parent-tb.root; d < wideIDs && (ev.Parent == 0 || p < wideIDs-1) {
-		r.id = uint32(d)
-		if ev.Parent != 0 {
-			r.parent = uint32(p) + 1
-		}
-	} else {
-		r.id, r.parent = wideIDs, uint32(len(tb.wide)/2)
-		tb.wide = append(tb.wide, ev.ID, ev.Parent)
+	if tb.spans == 0 {
+		tb.first = start
 	}
+	tb.lastOff, tb.lastPrev = len(tb.data), tb.last
+	b := f.appendRef(tb.data, ev.Name)
+	b = binary.AppendVarint(b, int64(ev.ID-tb.root))
+	b = binary.AppendVarint(b, int64(ev.Parent-tb.root))
+	b = binary.AppendVarint(b, start-tb.last)
+	b = binary.AppendVarint(b, int64(ev.Duration))
+	b = binary.AppendUvarint(b, uint64(len(ev.Attrs)))
 	for _, a := range ev.Attrs {
-		f.appendAttrLocked(tb, a)
+		b = f.appendRef(b, a.Key)
+		b = tb.appendValue(b, a.Value)
 	}
-	r.attrEnd = uint32(len(tb.attrs))
-	tb.spans = append(tb.spans, r)
+	tb.data = b
+	tb.last = start
+	tb.spans++
+	tb.attrs += len(ev.Attrs)
 }
 
-// appendAttrLocked encodes a as tb's next attribute record.
-func (f *FlightRecorder) appendAttrLocked(tb *traceBuf, a Attr) {
-	r := attrRec{key: f.refLocked(tb, a.Key)}
-	switch v := a.Value.(type) {
+// appendValue packs an attribute's kind byte and value: a string as its
+// uvarint length and bytes; an int64 or Duration as a varint; a float64 as
+// the high-order bytes of its bits up to the last nonzero one, their count
+// in the kind byte's upper bits; a bool in its kind alone; and any other
+// value as a uvarint index into the tree's side slice.
+func (tb *traceBuf) appendValue(b []byte, v any) []byte {
+	switch v := v.(type) {
 	case nil:
-		r.kind = kindNil
+		return append(b, byte(kindNil))
 	case string:
-		if off := len(tb.arena); off+len(v) <= f.maxArena {
-			tb.arena = append(tb.arena, v...)
-			r.kind, r.val = kindString, uint64(off)<<32|uint64(len(v))
-		} else {
-			r.kind, r.val = kindOther, tb.appendOther(a.Value)
-		}
+		b = binary.AppendUvarint(append(b, byte(kindString)), uint64(len(v)))
+		return append(b, v...)
 	case int64:
-		r.kind, r.val = kindInt64, uint64(v)
+		return binary.AppendVarint(append(b, byte(kindInt64)), v)
 	case float64:
-		r.kind, r.val = kindFloat64, math.Float64bits(v)
-	case bool:
-		r.kind = kindBool
-		if v {
-			r.val = 1
+		x := math.Float64bits(v)
+		n := 8 - bits.TrailingZeros64(x)/8
+		b = append(b, byte(kindFloat64)|byte(n)<<3)
+		for i := range n {
+			b = append(b, byte(x>>(56-8*i)))
 		}
+		return b
+	case bool:
+		if v {
+			return append(b, byte(kindTrue))
+		}
+		return append(b, byte(kindFalse))
 	case time.Duration:
-		r.kind, r.val = kindDuration, uint64(v)
-	default:
-		r.kind, r.val = kindOther, tb.appendOther(a.Value)
+		return binary.AppendVarint(append(b, byte(kindDuration)), int64(v))
 	}
-	tb.attrs = append(tb.attrs, r)
-}
-
-func (tb *traceBuf) appendOther(v any) uint64 {
 	tb.other = append(tb.other, v)
-	return uint64(len(tb.other) - 1)
+	return binary.AppendUvarint(append(b, byte(kindOther)), uint64(len(tb.other)-1))
 }
 
-// refLocked returns the string reference for a span name or attribute key:
-// its intern-table index, interning it while the table has room, else a
-// copy in tb's arena (or, past maxArena, in tb's side slice).
-func (f *FlightRecorder) refLocked(tb *traceBuf, s string) uint32 {
-	if i, ok := f.nameIdx[s]; ok {
-		return i
-	}
-	if len(f.names) < f.maxIntern && len(s) <= internMaxLen {
-		i := uint32(len(f.names))
+// appendRef appends the string reference for a span name or attribute key:
+// its intern-table index, interning it while the table has room, else the
+// string itself.
+func (f *FlightRecorder) appendRef(b []byte, s string) []byte {
+	i, ok := f.nameIdx[s]
+	if !ok && len(f.names) < f.maxIntern && len(s) <= f.maxInternLen {
+		i, ok = uint32(len(f.names)), true
 		s = strings.Clone(s)
 		f.names = append(f.names, s)
 		f.nameIdx[s] = i
-		return i
 	}
-	if off := len(tb.arena); off+binary.MaxVarintLen64+len(s) <= f.maxArena {
-		tb.arena = binary.AppendUvarint(tb.arena, uint64(len(s)))
-		tb.arena = append(tb.arena, s...)
-		return refArena + uint32(off)
+	if ok {
+		return binary.AppendUvarint(b, uint64(i)<<1)
 	}
-	return refOther + uint32(tb.appendOther(s))
+	return append(binary.AppendUvarint(b, uint64(len(s))<<1|1), s...)
 }
 
-// strLocked decodes a string reference.
-func (f *FlightRecorder) strLocked(tb *traceBuf, ref uint32) string {
-	switch {
-	case ref >= refArena:
-		b := tb.arena[ref-refArena:]
-		n, w := binary.Uvarint(b)
-		return string(b[w : w+int(n)])
-	case ref >= refOther:
-		return tb.other[ref-refOther].(string)
+// retireLocked moves tb's packed spans to the end of the ring, evicting the
+// oldest tree once the ring holds capacity trees, and returns the tree's
+// record. When the bytes do not fit after the newest tree, the trees move
+// to the front of the ring, and into a larger one when they do not fit at
+// all; once they fill less than half of it, they move into a smaller one.
+// A new ring has a quarter of its trees' size to spare.
+func (f *FlightRecorder) retireLocked(tb *traceBuf) *treeRec {
+	var t *treeRec
+	if len(f.trees) < f.capacity {
+		f.trees = append(f.trees, treeRec{})
+		t = &f.trees[len(f.trees)-1]
+		f.next = len(f.trees) % f.capacity
+	} else {
+		t = &f.trees[f.next]
+		f.next = (f.next + 1) % f.capacity
+		f.lo += t.size // the oldest tree is the ring's first
 	}
-	return f.names[ref]
+	n := len(tb.data)
+	if f.hi+n > len(f.ring) {
+		size := len(f.ring)
+		if live := f.hi - f.lo + n; live > size {
+			size = live + live/4
+		}
+		f.moveLocked(size)
+	}
+	copy(f.ring[f.hi:], tb.data)
+	// The evicted tree's side slice goes to tb, which recycle clears.
+	evicted := t.other
+	t.treeHead, t.off, t.size = tb.treeHead, f.hi, n
+	tb.other = evicted
+	f.hi += n
+	if live := f.hi - f.lo; live < len(f.ring)/2 {
+		f.moveLocked(live + live/4)
+	}
+	return t
 }
 
-// valueLocked decodes an attribute value to the dynamic type it was set
-// with.
-func (f *FlightRecorder) valueLocked(tb *traceBuf, r attrRec) any {
-	switch r.kind {
+// moveLocked moves the retired trees to the front of a ring of size bytes,
+// allocating one unless the ring has that size.
+func (f *FlightRecorder) moveLocked(size int) {
+	ring := f.ring
+	if size != len(ring) {
+		ring = make([]byte, size)
+	}
+	copy(ring, f.ring[f.lo:f.hi])
+	for i := range f.trees {
+		f.trees[i].off -= f.lo
+	}
+	f.ring, f.lo, f.hi = ring, 0, f.hi-f.lo
+}
+
+// treeReader decodes a packed tree.
+type treeReader struct {
+	f     *FlightRecorder
+	b     []byte // the rest of the tree's bytes
+	root  uint64
+	prev  int64 // the previous span's start
+	other []any
+}
+
+// reader returns a reader of t's spans from byte off, where the previous
+// span started at prev.
+func (f *FlightRecorder) reader(t *treeRec, off int, prev int64) treeReader {
+	return treeReader{f: f, b: f.ring[t.off+off : t.off+t.size], root: t.root, prev: prev, other: t.other}
+}
+
+func (r *treeReader) uvarint() uint64 {
+	x, n := binary.Uvarint(r.b)
+	r.b = r.b[n:]
+	return x
+}
+
+func (r *treeReader) varint() int64 {
+	x, n := binary.Varint(r.b)
+	r.b = r.b[n:]
+	return x
+}
+
+// bytes returns the next n bytes as a string.
+func (r *treeReader) bytes(n uint64) string {
+	s := string(r.b[:n])
+	r.b = r.b[n:]
+	return s
+}
+
+// ref decodes a string reference.
+func (r *treeReader) ref() string {
+	x := r.uvarint()
+	if x&1 == 0 {
+		return r.f.names[x>>1]
+	}
+	return r.bytes(x >> 1)
+}
+
+// value decodes an attribute value to the dynamic type it was set with.
+func (r *treeReader) value() any {
+	c := r.b[0]
+	r.b = r.b[1:]
+	switch attrKind(c & 7) {
 	case kindString:
-		off, n := r.val>>32, r.val&math.MaxUint32
-		return string(tb.arena[off : off+n])
+		return r.bytes(r.uvarint())
 	case kindInt64:
-		return int64(r.val)
+		return r.varint()
 	case kindFloat64:
-		return math.Float64frombits(r.val)
-	case kindBool:
-		return r.val != 0
+		var x uint64
+		n := int(c >> 3)
+		for i, v := range r.b[:n] {
+			x |= uint64(v) << (56 - 8*i)
+		}
+		r.b = r.b[n:]
+		return math.Float64frombits(x)
+	case kindFalse:
+		return false
+	case kindTrue:
+		return true
 	case kindDuration:
-		return time.Duration(r.val)
+		return time.Duration(r.varint())
 	case kindOther:
-		return tb.other[r.val]
+		return r.other[r.uvarint()]
 	}
 	return nil
 }
 
-// attrRange returns the bounds of span i's attribute records.
-func (tb *traceBuf) attrRange(i int) (lo, hi int) {
-	if i > 0 {
-		lo = int(tb.spans[i-1].attrEnd)
+// event decodes the next span. Its attributes go at the front of attrs, or
+// into a new slice when attrs is too short; event returns the rest of
+// attrs. A decoded Start has no monotonic clock reading.
+func (r *treeReader) event(attrs []Attr) (Event, []Attr) {
+	ev := Event{Name: r.ref(), Root: r.root}
+	ev.ID = r.root + uint64(r.varint())
+	ev.Parent = r.root + uint64(r.varint())
+	r.prev += r.varint()
+	if r.prev != zeroStart {
+		ev.Start = time.Unix(0, r.prev)
 	}
-	return lo, int(tb.spans[i].attrEnd)
+	ev.Duration = time.Duration(r.varint())
+	n := int(r.uvarint())
+	if n == 0 {
+		return ev, attrs
+	}
+	if len(attrs) < n {
+		attrs = make([]Attr, n)
+	}
+	for i := range n {
+		attrs[i].Key = r.ref()
+		attrs[i].Value = r.value()
+	}
+	ev.Attrs = attrs[:n:n]
+	return ev, attrs[n:]
 }
 
-// eventLocked decodes span i. Its attributes are decoded into attrs, which
-// has room for exactly them, or into a new slice when attrs is nil. A
-// decoded Start has no monotonic clock reading.
-func (f *FlightRecorder) eventLocked(tb *traceBuf, i int, attrs []Attr) Event {
-	r := tb.spans[i]
-	ev := Event{Name: f.strLocked(tb, r.name), Root: tb.root, Duration: time.Duration(r.dur)}
-	if r.start != zeroStart {
-		ev.Start = time.Unix(0, r.start)
-	}
-	if r.id == wideIDs {
-		ev.ID, ev.Parent = tb.wide[2*r.parent], tb.wide[2*r.parent+1]
-	} else {
-		ev.ID = tb.root + uint64(r.id)
-		if r.parent != 0 {
-			ev.Parent = tb.root + uint64(r.parent) - 1
-		}
-	}
-	lo, hi := tb.attrRange(i)
-	if lo == hi {
-		return ev
-	}
-	if attrs == nil {
-		attrs = make([]Attr, hi-lo)
-	}
-	for j, a := range tb.attrs[lo:hi] {
-		attrs[j] = Attr{Key: f.strLocked(tb, a.key), Value: f.valueLocked(tb, a)}
-	}
-	ev.Attrs = attrs
-	return ev
-}
-
-// eventsLocked decodes every span of tb, in completion order.
-func (f *FlightRecorder) eventsLocked(tb *traceBuf) []Event {
-	out := make([]Event, len(tb.spans))
-	attrs := make([]Attr, len(tb.attrs))
+// eventsLocked decodes every span of t, in completion order.
+func (f *FlightRecorder) eventsLocked(t *treeRec) []Event {
+	r := f.reader(t, 0, 0)
+	out := make([]Event, t.spans)
+	attrs := make([]Attr, t.attrs)
 	for i := range out {
-		lo, hi := tb.attrRange(i)
-		out[i] = f.eventLocked(tb, i, attrs[lo:hi:hi])
+		out[i], attrs = r.event(attrs)
 	}
 	return out
 }
 
 // rootLocked decodes the root of a retired tree: the span that retired it,
-// always its last record.
-func (f *FlightRecorder) rootLocked(tb *traceBuf) Event {
-	return f.eventLocked(tb, len(tb.spans)-1, nil)
+// always its last.
+func (f *FlightRecorder) rootLocked(t *treeRec) Event {
+	r := f.reader(t, t.lastOff, t.lastPrev)
+	ev, _ := r.event(nil)
+	return ev
 }
 
 // evictOldestPendingLocked drops the pending tree whose first span started
@@ -443,11 +520,11 @@ func (f *FlightRecorder) evictOldestPendingLocked() {
 		key    uint64
 	)
 	for root, tb := range f.pending {
-		if oldest == nil || tb.spans[0].start < oldest.spans[0].start {
+		if oldest == nil || tb.first < oldest.first {
 			oldest, key = tb, root
 		}
 	}
-	f.dropped += uint64(len(oldest.spans))
+	f.dropped += uint64(oldest.spans)
 	delete(f.pending, key)
 	f.recycle(oldest)
 }
@@ -579,20 +656,20 @@ func (f *FlightRecorder) Snapshot() []TraceSummary {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out := make([]TraceSummary, 0, len(f.ring))
-	// Newest is the slot before f.next (once full); before wrap, the ring is
-	// append-ordered so newest is the last element.
-	n := len(f.ring)
+	out := make([]TraceSummary, 0, len(f.trees))
+	// Newest is the slot before f.next (once full); before wrap, the slots
+	// are append-ordered so newest is the last element.
+	n := len(f.trees)
 	for i := 1; i <= n; i++ {
-		tb := f.ring[((f.next-i)%n+n)%n]
-		root := f.rootLocked(tb)
+		t := &f.trees[((f.next-i)%n+n)%n]
+		root := f.rootLocked(t)
 		sum := TraceSummary{
-			Root:      tb.root,
+			Root:      t.root,
 			Name:      root.Name,
 			RequestID: root.Str("request_id"),
 			TS:        root.Start,
 			Nanos:     int64(root.Duration),
-			Spans:     len(tb.spans),
+			Spans:     t.spans,
 		}
 		if err := root.Err("err"); err != nil {
 			sum.Err = err.Error()
@@ -611,16 +688,17 @@ func (f *FlightRecorder) Trace(id string) (*Trace, bool) {
 	rootID, _ := strconv.ParseUint(id, 10, 64)
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for _, tb := range f.ring {
-		root := f.rootLocked(tb)
-		if tb.root != rootID && (id == "" || root.Str("request_id") != id) {
+	for i := range f.trees {
+		t := &f.trees[i]
+		root := f.rootLocked(t)
+		if t.root != rootID && (id == "" || root.Str("request_id") != id) {
 			continue
 		}
 		return &Trace{
-			Root:      tb.root,
+			Root:      t.root,
 			RequestID: root.Str("request_id"),
-			Spans:     f.eventsLocked(tb),
-			Truncated: tb.truncated,
+			Spans:     f.eventsLocked(t),
+			Truncated: t.truncated,
 		}, true
 	}
 	return nil, false
@@ -642,8 +720,9 @@ type FlightStats struct {
 	// SlowErrors counts slow-query records lost to marshal/write errors.
 	SlowErrors uint64 `json:"slow_errors,omitempty"`
 	// RetainedBytes is the capacity, in bytes, of the buffers the ring and
-	// the free list hold: records, arenas and side slices (the values the
-	// side slices point to are not counted).
+	// the free list hold: the byte ring, the tree records, the free tree
+	// buffers and the side slices (the values the side slices point to are
+	// not counted).
 	RetainedBytes int64 `json:"retained_bytes"`
 }
 
@@ -654,26 +733,20 @@ func (f *FlightRecorder) Stats() FlightStats {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	var retained int64
-	for _, tb := range f.ring {
-		retained += tb.retainedBytes()
+	retained := cap(f.ring) + cap(f.trees)*treeRecBytes
+	for _, t := range f.trees {
+		retained += cap(t.other) * anyBytes
 	}
 	for _, tb := range f.free {
-		retained += tb.retainedBytes()
+		retained += cap(tb.data) + cap(tb.other)*anyBytes
 	}
 	return FlightStats{
 		Recorded:      f.recorded,
-		Retained:      len(f.ring),
+		Retained:      len(f.trees),
 		Pending:       len(f.pending),
 		Dropped:       f.dropped,
 		SlowRecords:   f.slowCount.Load(),
 		SlowErrors:    f.slowErrs.Load(),
-		RetainedBytes: retained,
+		RetainedBytes: int64(retained),
 	}
-}
-
-// retainedBytes is the capacity of tb's buffers in bytes.
-func (tb *traceBuf) retainedBytes() int64 {
-	return int64(cap(tb.spans)*spanRecBytes + cap(tb.attrs)*attrRecBytes + cap(tb.arena) +
-		cap(tb.wide)*8 + cap(tb.other)*anyBytes)
 }

@@ -15,9 +15,9 @@ import (
 	"time"
 )
 
-// Tests of the flight recorder's record layout against refFlightRecorder,
-// the recorder that kept Events: the records must be pointer-free and
-// small, and every read path must return what the reference returns.
+// Tests of the flight recorder's packed trees against refFlightRecorder,
+// the recorder that kept Events: the ring must be pointer-free and small,
+// and every read path must return what the reference returns.
 
 // serveTree emits one /solve-shaped span tree through span, with
 // components component blocks of four spans (component, wsc, wsc.run,
@@ -79,6 +79,32 @@ func fillServeRing(span func(Event)) {
 	}
 }
 
+// mixedComponents gives the ith tree of fillMixedServeRing 23 to 497
+// components, 101 to 1,997 spans: a stride through that range, so small and
+// large trees alternate.
+func mixedComponents(i int) int { return 23 + i*193%475 }
+
+// fillMixedServeRing cycles serve-shaped trees of mixed sizes through a
+// default ring three times over, two at a time with their spans
+// interleaved, as two concurrent requests record them. Every evicted tree
+// is replaced by one of another size.
+func fillMixedServeRing(span func(Event)) {
+	var a, b []Event
+	for i := 0; i < 3*defaultFlightCapacity; i += 2 {
+		a, b = a[:0], b[:0]
+		serveTree(func(ev Event) { a = append(a, ev) }, uint64(i+1)<<20, mixedComponents(i))
+		serveTree(func(ev Event) { b = append(b, ev) }, uint64(i+2)<<20, mixedComponents(i+1))
+		for j := range max(len(a), len(b)) {
+			if j < len(a) {
+				span(a[j])
+			}
+			if j < len(b) {
+				span(b[j])
+			}
+		}
+	}
+}
+
 // liveHeap returns the live heap, after a full collection, that what fill
 // builds adds, and how long that collection took.
 func liveHeap(fill func() any) (bytes uint64, gc time.Duration) {
@@ -114,31 +140,44 @@ func hasPointers(t reflect.Type) bool {
 	return false
 }
 
-func TestFlightRingFootprint(t *testing.T) {
-	for _, rec := range []struct {
-		typ  reflect.Type
-		size uintptr
-	}{{reflect.TypeOf(spanRec{}), spanRecBytes}, {reflect.TypeOf(attrRec{}), attrRecBytes}} {
-		if hasPointers(rec.typ) {
-			t.Errorf("%v can hold a pointer", rec.typ)
-		}
-		if rec.typ.Size() != rec.size {
-			t.Errorf("%v is %d bytes, want %d", rec.typ, rec.typ.Size(), rec.size)
-		}
-	}
-	// Every buffer of a tree is pointer-free but the side slice.
-	tb := reflect.TypeOf(traceBuf{})
-	for i := 0; i < tb.NumField(); i++ {
-		field := tb.Field(i)
+// pointerFields lists the fields of struct type t, through embedded
+// structs, whose values or, for a slice, whose elements can hold a pointer.
+func pointerFields(t reflect.Type) []string {
+	var out []string
+	for i := 0; i < t.NumField(); i++ {
+		field := t.Field(i)
 		typ := field.Type
+		if field.Anonymous {
+			for _, name := range pointerFields(typ) {
+				out = append(out, field.Name+"."+name)
+			}
+			continue
+		}
 		if typ.Kind() == reflect.Slice {
 			typ = typ.Elem()
 		}
-		if field.Name != "other" && hasPointers(typ) {
-			t.Errorf("traceBuf.%s can hold a pointer", field.Name)
+		if hasPointers(typ) {
+			out = append(out, field.Name)
 		}
 	}
-	if size := reflect.TypeOf(traceBuf{}.other).Elem().Size(); size != anyBytes {
+	return out
+}
+
+func TestFlightRingFootprint(t *testing.T) {
+	// The ring is bytes, and every buffer of a tree is pointer-free but the
+	// side slice.
+	if typ := reflect.TypeOf(FlightRecorder{}.ring).Elem(); hasPointers(typ) {
+		t.Errorf("the ring's %v can hold a pointer", typ)
+	}
+	for _, typ := range []reflect.Type{reflect.TypeOf(treeRec{}), reflect.TypeOf(traceBuf{})} {
+		if got := pointerFields(typ); !reflect.DeepEqual(got, []string{"treeHead.other"}) {
+			t.Errorf("%v fields that can hold a pointer: %v, want only the side slice", typ, got)
+		}
+	}
+	if size := reflect.TypeOf(treeRec{}).Size(); size != treeRecBytes {
+		t.Errorf("treeRec is %d bytes, want %d", size, treeRecBytes)
+	}
+	if size := reflect.TypeOf(treeHead{}.other).Elem().Size(); size != anyBytes {
 		t.Errorf("side slice element is %d bytes, want %d", size, anyBytes)
 	}
 
@@ -147,33 +186,77 @@ func TestFlightRingFootprint(t *testing.T) {
 		fillServeRing(r.Span)
 		return r
 	})
-	var retained int64
-	recBytes, recGC := liveHeap(func() any {
-		f := NewFlightRecorder(0)
-		fillServeRing(f.Span)
-		retained = f.Stats().RetainedBytes
-		return f
-	})
-	spans := float64(defaultFlightCapacity * (4*serveTreeComponents + 9))
-	t.Logf("full ring of %d trees: reference %.1f MB (%.0f B/span, GC %v), records %.1f MB (%.0f B/span, GC %v), retained_bytes %.1f MB",
-		defaultFlightCapacity, float64(refBytes)/1e6, float64(refBytes)/spans, refGC,
-		float64(recBytes)/1e6, float64(recBytes)/spans, recGC, float64(retained)/1e6)
-	if recBytes > refBytes/2 {
-		t.Errorf("full ring holds %d B live, want at most half the reference's %d B", recBytes, refBytes)
+	refSpans := defaultFlightCapacity * (4*serveTreeComponents + 9)
+	t.Logf("reference: full ring of %d identical trees %.1f MB (%.0f B/span, GC %v)",
+		defaultFlightCapacity, float64(refBytes)/1e6, float64(refBytes)/float64(refSpans), refGC)
+	for _, fc := range []struct {
+		name       string
+		fill       func(span func(Event))
+		maxPerSpan float64
+	}{
+		{"identical", fillServeRing, 48},
+		{"mixed", fillMixedServeRing, 80},
+	} {
+		var (
+			retained int64
+			spans    int
+		)
+		recBytes, recGC := liveHeap(func() any {
+			f := NewFlightRecorder(0)
+			fc.fill(f.Span)
+			retained = f.Stats().RetainedBytes
+			for _, sum := range f.Snapshot() {
+				spans += sum.Spans
+			}
+			return f
+		})
+		perSpan := float64(recBytes) / float64(spans)
+		t.Logf("%s: full ring of %d spans %.2f MB (%.1f B/span, GC %v), retained_bytes %.2f MB",
+			fc.name, spans, float64(recBytes)/1e6, perSpan, recGC, float64(retained)/1e6)
+		if perSpan > fc.maxPerSpan {
+			t.Errorf("%s: full ring holds %.1f B live per span, want at most %.0f", fc.name, perSpan, fc.maxPerSpan)
+		}
+		if d := math.Abs(float64(retained) - float64(recBytes)); d > 0.2*float64(recBytes) {
+			t.Errorf("%s: retained_bytes %d, want within 20%% of the ring's live heap %d", fc.name, retained, recBytes)
+		}
+		if fc.name == "identical" && recBytes > refBytes/2 {
+			t.Errorf("full ring holds %d B live, want at most half the reference's %d B", recBytes, refBytes)
+		}
 	}
-	if retained <= 0 || uint64(retained) > recBytes {
-		t.Errorf("retained_bytes %d, want within the ring's live heap %d", retained, recBytes)
+}
+
+// TestFlightRingShrinksAfterBurst: once a burst of large trees has left the
+// ring, the ring gives their bytes back.
+func TestFlightRingShrinksAfterBurst(t *testing.T) {
+	f := NewFlightRecorder(8)
+	var next uint64
+	record := func(trees, components int) {
+		for range trees {
+			next++
+			serveTree(f.Span, next<<20, components)
+		}
+	}
+	record(8, 400) // 1,609 spans each
+	burst := f.Stats().RetainedBytes
+	record(16, 2) // 17 spans each
+	after := f.Stats().RetainedBytes
+	if after > burst/4 {
+		t.Errorf("retained_bytes %d after the burst left, want at most a quarter of the %d it reached", after, burst)
+	}
+	if live := f.hi - f.lo; len(f.ring) > 2*live {
+		t.Errorf("the ring keeps %d bytes for %d bytes of trees, want at most twice", len(f.ring), live)
 	}
 }
 
 // BenchmarkFlightRingGC times a forced collection with a full ring of
-// serve-shaped trees live, for the records and for the reference recorder.
+// serve-shaped trees live, for the packed trees and for the reference
+// recorder.
 func BenchmarkFlightRingGC(b *testing.B) {
 	for _, bc := range []struct {
 		name string
 		fill func() any
 	}{
-		{"records", func() any { f := NewFlightRecorder(0); fillServeRing(f.Span); return f }},
+		{"packed", func() any { f := NewFlightRecorder(0); fillServeRing(f.Span); return f }},
 		{"reference", func() any { r := newRefFlightRecorder(0); fillServeRing(r.Span); return r }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
@@ -371,7 +454,7 @@ func runFlightDifferential(t *testing.T, data []byte) {
 		f.maxIntern = int(c % 20)
 	}
 	if c := s.next(); c&0x80 != 0 {
-		f.maxArena = int(c&0x7f) * 4
+		f.maxInternLen = int(c & 0x7f)
 	}
 	var slow, refSlow flakyWriter
 	if c := s.next(); c&1 != 0 {
@@ -507,10 +590,10 @@ func runFlightDifferential(t *testing.T, data []byte) {
 	}
 }
 
-// flightSeeds are a header (capacity, span bound, intern bound, arena
-// bound, slow log; see runFlightDifferential) for each feature, each
-// followed by a fixed pseudo-random body of operations. Together they reach
-// every branch of the recorder's write and read paths.
+// flightSeeds are a header (capacity, span bound, intern bound, longest
+// interned string, slow log; see runFlightDifferential) for each feature,
+// each followed by a fixed pseudo-random body of operations. Together they
+// reach every branch of the recorder's write and read paths.
 func flightSeeds() [][]byte {
 	headers := [][5]byte{
 		{3, 0, 255, 0, 0},       // defaults, no slow log
@@ -518,10 +601,10 @@ func flightSeeds() [][]byte {
 		{0, 0, 255, 0, 0x01},    // capacity 1: the ring wraps at every tree; errors logged
 		{7, 0, 255, 0, 0x47},    // slow log at 600ns, every write failing
 		{5, 0, 255, 0, 0x8b},    // slow log at 1µs, every second write failing
-		{2, 0, 2, 0x82, 0x01},   // intern bound 2, 8-byte arena: names, keys and strings overflow
-		{4, 0, 0, 0x80, 0x01},   // nothing interned, empty arena
+		{2, 0, 2, 0x82, 0x01},   // intern bound 2, names and keys over 2 bytes inline
+		{4, 0, 0, 0x80, 0x01},   // nothing interned
 		{1, 0x81, 19, 0, 0x03},  // span bound 2: children past it are truncated
-		{6, 0x87, 255, 0x90, 0}, // span bound 8, 64-byte arena
+		{6, 0x87, 255, 0x90, 0}, // span bound 8, names and keys over 16 bytes inline
 	}
 	rng := rand.New(rand.NewSource(1))
 	var seeds [][]byte

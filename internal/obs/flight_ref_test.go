@@ -9,7 +9,7 @@ import (
 )
 
 // refFlightRecorder is the flight recorder as it was before trees were kept
-// as pointer-free records: each tree is a slice of Events whose Attrs are
+// as pointer-free bytes: each tree is a slice of Events whose Attrs are
 // copied slot by slot. It is the reference FuzzFlightRecorderDifferential
 // and TestFlightRingFootprint compare FlightRecorder with. Its Stats leave
 // RetainedBytes zero.
